@@ -11,8 +11,9 @@ that sampling error and a real departure from normality can move.
 import argparse
 import csv
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyclic_descents.lab import normality_diagnostics
 

@@ -6,8 +6,9 @@ a fast smoke run.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_corollary_counts,

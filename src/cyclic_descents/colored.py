@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classic import phi_classic
+from .cycles import _word_to_images
 from .permutations import SignedPermutation
 from .transfer import _psi_plus_word
 
@@ -104,9 +105,6 @@ def colored_psi(p: ColoredPermutation, target_color: int) -> ColoredPermutation:
     if not 0 <= target_color < r:
         raise ValueError(f"target color must lie in 0..{r - 1}")
     went = _psi_plus_word(list(p.omega))
-    N = len(went)
-    img = [0] * N
-    for q in range(N):
-        img[went[q] - 1] = went[(q + 1) % N]
     last = (target_color - sum(p.tau)) % r
-    return ColoredPermutation(N, r, tuple(img), p.tau + (last,))
+    return ColoredPermutation(len(went), r, tuple(_word_to_images(went)),
+                              p.tau + (last,))

@@ -91,10 +91,10 @@ class CycleNotation:
         return "".join(str(c) for c in self.cycles)
 
 
-def to_canonical_cycles(sigma: SignedPermutation) -> CycleNotation:
-    """Decompose into cycles, largest entry first in each, first entries increasing."""
-    n = sigma.n
-    images = sigma.images
+def _canonical_cycles(images):
+    """Cycles of a one-line image sequence as plain lists, each rotated so
+    its largest entry comes first, sorted by first entry."""
+    n = len(images)
     visited = [False] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -113,9 +113,44 @@ def to_canonical_cycles(sigma: SignedPermutation) -> CycleNotation:
                 break
         entries = [walk[-1]] + walk[:-1]
         big = max(range(len(entries)), key=entries.__getitem__)
-        cycles.append(SignedCycle(entries[big:] + entries[:big]))
-    cycles.sort(key=lambda c: c.entries[0])
-    return CycleNotation(n, cycles)
+        cycles.append(entries[big:] + entries[:big])
+    cycles.sort(key=lambda c: c[0])
+    return cycles
+
+
+def to_canonical_cycles(sigma: SignedPermutation) -> CycleNotation:
+    """Decompose into cycles, largest entry first in each, first entries increasing."""
+    return CycleNotation(sigma.n, _canonical_cycles(sigma.images))
+
+
+def _word_to_images(w):
+    """One-line images of the permutation a full cycle word denotes: each
+    entry maps to the next one, the last entry to the first."""
+    img = [0] * len(w)
+    a = w[-1] if w else 0
+    for v in w:
+        img[abs(a) - 1] = v
+        a = v
+    return img
+
+
+def _images_to_word(s: SignedPermutation):
+    """Cycle word of a cyclic permutation with the magnitude-n entry last."""
+    n = s.n
+    if n < 1:
+        raise ValueError("need degree >= 1")
+    images = s.images
+    w = []
+    a = n
+    while True:
+        v = images[a - 1]
+        w.append(v)
+        a = -v if v < 0 else v
+        if a == n:
+            break
+    if len(w) != n:
+        raise ValueError(f"{s} is not cyclic")
+    return w
 
 
 def from_cycles(c: CycleNotation) -> SignedPermutation:

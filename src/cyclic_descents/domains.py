@@ -34,6 +34,7 @@ from itertools import permutations
 import numpy as np
 
 from .colored import ColoredPermutation
+from .cycles import _images_to_word, _word_to_images
 from .permutations import SignedPermutation
 
 KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
@@ -122,31 +123,6 @@ def _perm_rank(seq):
     return q
 
 
-def _word_to_images(w):
-    n = len(w)
-    img = [0] * n
-    for p in range(n):
-        img[abs(w[p]) - 1] = w[(p + 1) % n]
-    return img
-
-
-def _images_to_word(s: SignedPermutation):
-    """Cycle word of a cyclic permutation with the magnitude-n entry last."""
-    n = s.n
-    images = s.images
-    w = []
-    a = n
-    while True:
-        v = images[a - 1]
-        w.append(v)
-        a = -v if v < 0 else v
-        if a == n:
-            break
-    if len(w) != n:
-        raise ValueError(f"{s} is not cyclic")
-    return w
-
-
 def unrank(d: DomainSpec, index: int):
     if not 0 <= index < cardinality(d):
         raise ValueError(f"index {index} out of range for {d}")
@@ -184,21 +160,9 @@ def unrank(d: DomainSpec, index: int):
 
 
 def _unrank_word(d: DomainSpec, index):
-    """Cycle word for the cyclic signed domains."""
-    n = d.n
-    if d.kind == "CB":
-        q, s = divmod(index, 2 ** n)
-    else:
-        q, s = divmod(index, 2 ** (n - 1))
-    b = _perm_unrank(q, range(1, n))
-    w = [-v if s >> i & 1 else v for i, v in enumerate(b)]
-    if d.kind == "CB":
-        w.append(-n if s >> (n - 1) & 1 else n)
-    elif d.kind == "CD":
-        w.append(-n if s.bit_count() % 2 else n)
-    else:
-        w.append(n if s.bit_count() % 2 else -n)
-    return w
+    """Cycle word for the cyclic signed domains: the one iterate_words
+    yields at `index`, so both follow one sign rule."""
+    return list(next(iterate_words(d, index, index + 1)))
 
 
 def rank(d: DomainSpec, element) -> int:

@@ -17,8 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .colored import ColoredPermutation, colored_stats
-from .domains import DomainSpec, cardinality, iterate, iterate_words
-from .statistics import DescentSet, descent_set, stats, truncated_descent_set
+from .cycles import _word_to_images
+from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, cardinality,
+                      iterate, iterate_words)
+from .statistics import (DescentSet, _des_maj_neg, _descent_mask, descent_set,
+                         stats, truncated_descent_set)
 
 _SIGNED_STATS = ("des", "maj", "neg", "fmaj")
 _COLORED_STATS = ("des", "maj", "col", "fmaj")
@@ -83,32 +86,12 @@ class NormalityReport:
 
 def _word_stat_counter(d: DomainSpec, stat: str, start=0, stop=None):
     """Counts over a cycle-word range without building permutation objects."""
-    n = d.n
-    idx = stat  # one of des/maj/neg/fmaj
+    pos = _SIGNED_STATS.index(stat)
+    triples = Counter(_des_maj_neg(_word_to_images(w))
+                      for w in iterate_words(d, start, stop))
     out = Counter()
-    img = [0] * (n + 1)
-    for w in iterate_words(d, start, stop):
-        for p in range(n - 1):
-            img[abs(w[p])] = w[p + 1]
-        img[abs(w[n - 1])] = w[0]
-        des = maj = neg = 0
-        prev = 0
-        for i in range(1, n + 1):
-            v = img[i]
-            if prev > v:
-                des += 1
-                maj += i - 1
-            if v < 0:
-                neg += 1
-            prev = v
-        if idx == "des":
-            out[des] += 1
-        elif idx == "maj":
-            out[maj] += 1
-        elif idx == "neg":
-            out[neg] += 1
-        else:
-            out[2 * maj + neg] += 1
+    for (des, maj, neg), c in triples.items():
+        out[(des, maj, neg, 2 * maj + neg)[pos]] += c
     return out
 
 
@@ -133,8 +116,7 @@ def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
 
 def exact_distribution(d: DomainSpec, stat: str, allow_big=False) -> DistributionTable:
     """Exact law of a statistic under the uniform measure, by full iteration."""
-    if cardinality(d) > 2 ** 32 and not allow_big:
-        from .domains import BudgetError
+    if cardinality(d) > BUDGET_LIMIT and not allow_big:
         raise BudgetError(f"{d} holds {cardinality(d)} elements; pass allow_big")
     return DistributionTable(d, stat, dict(count_range(d, stat, allow_big=True)))
 
@@ -145,25 +127,14 @@ def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
     if d.kind == "CSnr":
         raise ValueError("refined tables cover the signed and plain families")
     truncate = d.kind in ("CB", "CD", "CDbar", "CS")
-    out = Counter()
     if d.kind in ("CB", "CD", "CDbar"):
         n = d.n
-        img = [0] * (n + 1)
         mask_cap = (1 << (n - 1)) - 1
-        for w in iterate_words(d):
-            for p in range(n - 1):
-                img[abs(w[p])] = w[p + 1]
-            img[abs(w[n - 1])] = w[0]
-            mask = 0
-            prev = 0
-            for i in range(1, n + 1):
-                v = img[i]
-                if prev > v:
-                    mask |= 1 << (i - 1)
-                prev = v
-            out[mask & mask_cap] += 1
+        out = Counter(_descent_mask(_word_to_images(w)) & mask_cap
+                      for w in iterate_words(d))
         counts = {DescentSet(n - 1, m): c for m, c in out.items()}
         return RefinedTable(d, counts)
+    out = Counter()
     for p in iterate(d, allow_big=allow_big):
         key = truncated_descent_set(p, p.n - 1) if truncate else descent_set(p)
         out[key] += 1

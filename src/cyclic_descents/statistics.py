@@ -10,9 +10,6 @@ from dataclasses import dataclass
 
 from .permutations import SignedPermutation
 
-# Descent sets are stored as bit masks in a machine word.
-MAX_DEGREE = 63
-
 
 class DescentSet:
     """Subset of {0,...,n-1} held as a bit mask (bit i set <=> i is a descent)."""
@@ -20,8 +17,6 @@ class DescentSet:
     __slots__ = ("n", "mask")
 
     def __init__(self, n, members=()):
-        if n > MAX_DEGREE:
-            raise ValueError(f"degree {n} exceeds the descent-set cap {MAX_DEGREE}")
         mask = 0
         if isinstance(members, int):
             mask = members
@@ -80,17 +75,23 @@ def descent_set(sigma: SignedPermutation) -> DescentSet:
     return DescentSet(sigma.n, _descent_mask(sigma.images))
 
 
-def stats(sigma: SignedPermutation) -> StatRecord:
-    """des, maj, neg and fmaj = 2*maj + neg in one pass."""
-    des = 0
-    maj = 0
+def _des_maj_neg(images):
+    """(des, maj, neg) of a one-line image sequence in one pass."""
+    des = maj = neg = 0
     prev = 0
-    for i, v in enumerate(sigma.images):
+    for i, v in enumerate(images):
         if prev > v:
             des += 1
             maj += i
+        if v < 0:
+            neg += 1
         prev = v
-    neg = sigma.negative_count()
+    return des, maj, neg
+
+
+def stats(sigma: SignedPermutation) -> StatRecord:
+    """des, maj, neg and fmaj = 2*maj + neg in one pass."""
+    des, maj, neg = _des_maj_neg(sigma.images)
     return StatRecord(des=des, maj=maj, neg=neg, fmaj=2 * maj + neg)
 
 

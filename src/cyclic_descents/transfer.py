@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cycles import CycleNotation, SignedCycle
+from .cycles import (CycleNotation, SignedCycle, _canonical_cycles,
+                     _images_to_word, _word_to_images)
 from .permutations import SignedPermutation
 from .statistics import _descent_mask
 
@@ -72,23 +73,33 @@ def left_to_right_maxima(c: SignedCycle):
     return out
 
 
-def _cycle_word_big_last(pi: SignedPermutation):
-    """Cycle word of a cyclic permutation, rotated so the +-n entry is last."""
-    N = pi.n
-    if N < 1:
-        raise ValueError("need degree >= 1")
-    images = pi.images
-    w = []
-    a = N
-    while True:
-        v = images[a - 1]
-        w.append(v)
-        a = -v if v < 0 else v
-        if a == N:
-            break
-    if len(w) != N:
-        raise ValueError(f"{pi} is not cyclic")
-    return w
+def _chunk_layout(ent, starts, n):
+    """Layout of the first n slots of a flat entry list cut into chunks at
+    `starts`: the last slot of each chunk, the chunk of each slot, and the
+    slot of each magnitude."""
+    m = len(starts)
+    ends = [0] * m
+    chunk_of = [0] * n
+    for j in range(m):
+        lo = starts[j]
+        hi = starts[j + 1] if j + 1 < m else n
+        ends[j] = hi - 1
+        for p in range(lo, hi):
+            chunk_of[p] = j
+    pos_of = [0] * (n + 1)
+    for p in range(n):
+        pos_of[abs(ent[p])] = p
+    return ends, chunk_of, pos_of
+
+
+def _descent_flags(images):
+    """Descent flag of every position of a one-line image sequence."""
+    flags = []
+    prev = 0
+    for v in images:
+        flags.append(prev > v)
+        prev = v
+    return flags
 
 
 def _phi_plus_word(word, trace=None):
@@ -103,16 +114,8 @@ def _phi_plus_word(word, trace=None):
         raise ValueError("cycle word must end with its positive largest entry")
 
     # the input as a function on magnitudes, plus its descent flags 0..n-1
-    pi_img = [0] * (N + 1)
-    for p in range(n):
-        pi_img[abs(word[p])] = word[p + 1]
-    pi_img[N] = word[0]
-    desP = [False] * n
-    prev = 0
-    for i in range(n):
-        v = pi_img[i + 1]
-        desP[i] = prev > v
-        prev = v
+    pi_img = [0] + _word_to_images(word)
+    desP = _descent_flags(pi_img[1:N])
 
     # split at left-to-right maxima; the final +N is dropped and each block
     # becomes one cycle of the working permutation
@@ -125,30 +128,14 @@ def _phi_plus_word(word, trace=None):
             starts.append(p)
             best = v
     m = len(starts)
-    ends = [0] * m
-    chunk_of = [0] * n
-    for j in range(m):
-        lo = starts[j]
-        hi = starts[j + 1] if j + 1 < m else n
-        ends[j] = hi - 1
-        for p in range(lo, hi):
-            chunk_of[p] = j
-
-    pos_of = [0] * (n + 1)
-    for p in range(n):
-        pos_of[abs(ent[p])] = p
+    ends, chunk_of, pos_of = _chunk_layout(ent, starts, n)
     sig = [0] * (n + 1)
     for j in range(m):
         lo, hi = starts[j], ends[j]
         for p in range(lo, hi):
             sig[abs(ent[p])] = ent[p + 1]
         sig[abs(ent[hi])] = ent[lo]
-    desS = [False] * n
-    prev = 0
-    for i in range(n):
-        v = sig[i + 1]
-        desS[i] = prev > v
-        prev = v
+    desS = _descent_flags(sig[1:])
 
     ctx = None
     if trace is not None and trace.enabled:
@@ -245,7 +232,7 @@ def _phi_plus_word(word, trace=None):
 def phi_plus(pi: SignedPermutation, trace: TransferTrace | None = None) -> SignedPermutation:
     """The cyclic-to-signed map on the positive class (the +-largest entry
     must appear with a plus sign).  Output degree is one less than input."""
-    word = _cycle_word_big_last(pi)
+    word = _images_to_word(pi)
     if word[-1] != pi.n:
         raise ValueError(f"{pi} contains -{pi.n}; only the positive class is accepted")
     sig = _phi_plus_word(word, trace)
@@ -289,40 +276,7 @@ def _capital_phi_word(word):
 def capital_phi(pi: SignedPermutation) -> SignedPermutation:
     """Descent-preserving map from cyclic permutations of degree n+1 to B_n:
     descents at 0..n-1 are preserved exactly."""
-    return SignedPermutation(_capital_phi_word(_cycle_word_big_last(pi)))
-
-
-def _canonical_chunks(images):
-    """Canonical cycles of a one-line image sequence, as one flat entry list
-    plus the start index of each cycle."""
-    n = len(images)
-    visited = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if visited[start]:
-            continue
-        walk = []
-        a = start
-        while True:
-            visited[a] = True
-            v = images[a - 1]
-            walk.append(v)
-            a = -v if v < 0 else v
-            if a == start:
-                break
-        entries = [walk[-1]] + walk[:-1]
-        big = 0
-        for i in range(1, len(entries)):
-            if entries[i] > entries[big]:
-                big = i
-        cycles.append(entries[big:] + entries[:big])
-    cycles.sort(key=lambda c: c[0])
-    flat = []
-    starts = []
-    for c in cycles:
-        starts.append(len(flat))
-        flat.extend(c)
-    return flat, starts
+    return SignedPermutation(_capital_phi_word(_images_to_word(pi)))
 
 
 def _psi_plus_word(images, trace=None):
@@ -332,38 +286,21 @@ def _psi_plus_word(images, trace=None):
     """
     n = len(images)
     N = n + 1
-    flat, starts = _canonical_chunks(images)
+    # the canonical cycles laid end to end, closed by the new entry +N
+    went = []
+    starts = []
+    for c in _canonical_cycles(images):
+        starts.append(len(went))
+        went.extend(c)
+    went.append(N)
     m = len(starts)
-    went = flat + [N]
-    ends = [0] * m
-    chunk_of = [0] * n
-    for j in range(m):
-        lo = starts[j]
-        hi = starts[j + 1] if j + 1 < m else n
-        ends[j] = hi - 1
-        for p in range(lo, hi):
-            chunk_of[p] = j
-    pos_of = [0] * (n + 1)
-    for p in range(n):
-        pos_of[abs(went[p])] = p
+    ends, chunk_of, pos_of = _chunk_layout(went, starts, n)
 
     # fixed descent flags of the input
-    desS = [False] * n
-    prev = 0
-    for i in range(n):
-        v = images[i]
-        desS[i] = prev > v
-        prev = v
+    desS = _descent_flags(images)
     # evolving big cycle as a function, with its descent flags 0..n-1
-    pi_img = [0] * (N + 1)
-    for p in range(N):
-        pi_img[abs(went[p])] = went[p + 1] if p + 1 < N else went[0]
-    desP = [False] * n
-    prev = 0
-    for i in range(n):
-        v = pi_img[i + 1]
-        desP[i] = prev > v
-        prev = v
+    pi_img = [0] + _word_to_images(went)
+    desP = _descent_flags(pi_img[1:N])
 
     rec = trace is not None and trace.enabled
     if rec:
@@ -454,22 +391,16 @@ def _psi_plus_word(images, trace=None):
 def psi_plus(sigma: SignedPermutation, trace: TransferTrace | None = None) -> SignedPermutation:
     """The signed-to-cyclic map: inverse of phi_plus, landing in the positive
     class of cyclic permutations one degree up."""
-    went = _psi_plus_word(sigma.images, trace)
-    N = len(went)
-    img = [0] * (N + 1)
-    for p in range(N):
-        img[abs(went[p])] = went[p + 1] if p + 1 < N else went[0]
-    return SignedPermutation(img[1:])
+    return SignedPermutation(_word_to_images(_psi_plus_word(sigma.images, trace)))
 
 
-def capital_psi_D(sigma: SignedPermutation) -> SignedPermutation:
-    """Inverse of the descent-preserving map restricted to cyclic permutations
-    with an even number of negative entries."""
+def _capital_psi(sigma: SignedPermutation, want_even: bool) -> SignedPermutation:
+    """Inverse of the descent-preserving map restricted to the cyclic
+    permutations whose negative count is even (want_even) or odd."""
     s1 = sigma.images[0] if sigma.n else 0
-    even = sigma.negative_count() % 2 == 0
+    even = (sigma.negative_count() % 2 == 0) == want_even
     if s1 == 1:
-        pick = sigma if even else sigma.times_neg1()
-        return psi_plus(pick)
+        return psi_plus(sigma if even else sigma.times_neg1())
     if s1 == -1:
         pick = sigma.times_neg1() if even else sigma
         return psi_plus(pick.negate_all()).negate_all()
@@ -478,20 +409,16 @@ def capital_psi_D(sigma: SignedPermutation) -> SignedPermutation:
     return psi_plus(sigma.negate_all()).negate_all()
 
 
+def capital_psi_D(sigma: SignedPermutation) -> SignedPermutation:
+    """Inverse of the descent-preserving map restricted to cyclic permutations
+    with an even number of negative entries."""
+    return _capital_psi(sigma, True)
+
+
 def capital_psi_Dbar(sigma: SignedPermutation) -> SignedPermutation:
     """Inverse of the descent-preserving map restricted to cyclic permutations
     with an odd number of negative entries."""
-    s1 = sigma.images[0] if sigma.n else 0
-    even = sigma.negative_count() % 2 == 0
-    if s1 == 1:
-        pick = sigma.times_neg1() if even else sigma
-        return psi_plus(pick)
-    if s1 == -1:
-        pick = sigma if even else sigma.times_neg1()
-        return psi_plus(pick.negate_all()).negate_all()
-    if even:
-        return psi_plus(sigma.negate_all()).negate_all()
-    return psi_plus(sigma)
+    return _capital_psi(sigma, False)
 
 
 def preimage_quadruple(sigma: SignedPermutation):

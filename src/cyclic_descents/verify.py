@@ -17,10 +17,11 @@ from itertools import permutations, product
 from .classic import phi_classic
 from .colored import (ColoredPermutation, color_of, colored_descent_set,
                       colored_phi, colored_psi)
-from .domains import DomainSpec, cardinality, iterate_words, make_rng, _uniform_index, _perm_unrank
+from .cycles import _word_to_images
+from .domains import DomainSpec, cardinality, iterate_words, make_rng, _uniform_index, _unrank_word
 from .lab import exact_distribution, exact_moments, refined_descent_table, theoretical_moments
 from .permutations import SignedPermutation
-from .statistics import stats
+from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_word, capital_phi,
                        capital_psi_D, capital_psi_Dbar, phi_plus, psi_plus)
 
@@ -44,32 +45,6 @@ class ClaimResult:
         return f"[{mark}] {self.claim}({ps}): {self.checked} checks in {self.elapsed:.2f}s{msg}"
 
 
-def _word_descent_mask(w):
-    """Descent mask of the permutation a full cycle word denotes."""
-    N = len(w)
-    img = [0] * (N + 1)
-    for p in range(N):
-        img[abs(w[p])] = w[(p + 1) % N]
-    mask = 0
-    prev = 0
-    for i in range(1, N + 1):
-        v = img[i]
-        if prev > v:
-            mask |= 1 << (i - 1)
-        prev = v
-    return mask
-
-
-def _images_descent_mask(res):
-    mask = 0
-    prev = 0
-    for i, v in enumerate(res):
-        if prev > v:
-            mask |= 1 << i
-        prev = v
-    return mask
-
-
 def _descents_range(N, start, stop):
     """Worker for the descent-preservation sweep over one unrank range."""
     cap = (1 << (N - 1)) - 1
@@ -77,7 +52,7 @@ def _descents_range(N, start, stop):
     count = 0
     for w in iterate_words(DomainSpec("CB", N), start, stop):
         res = _capital_phi_word(list(w))
-        if _word_descent_mask(w) & cap != _images_descent_mask(res):
+        if _descent_mask(_word_to_images(w)) & cap != _descent_mask(res):
             if len(bad) < MAX_REPORTED:
                 bad.append(w)
         count += 1
@@ -166,27 +141,19 @@ def check_inverses(n) -> ClaimResult:
             checked += 3
     for kind, back in (("CD", capital_psi_D), ("CDbar", capital_psi_Dbar)):
         for w in iterate_words(DomainSpec(kind, n + 1)):
-            pi = SignedPermutation(_word_images(w))
+            pi = SignedPermutation(_word_to_images(w))
             if back(capital_phi(pi)) != pi:
                 note(kind + "-right", pi)
             checked += 1
     for w in iterate_words(DomainSpec("CB", n + 1)):
         if w[-1] < 0:
             continue
-        pi = SignedPermutation(_word_images(w))
+        pi = SignedPermutation(_word_to_images(w))
         if psi_plus(phi_plus(pi)) != pi:
             note("plus-right", pi)
         checked += 1
     return ClaimResult("inverses", {"n": n}, not bad, checked,
                        time.time() - t0, "", bad)
-
-
-def _word_images(w):
-    N = len(w)
-    img = [0] * N
-    for p in range(N):
-        img[abs(w[p]) - 1] = w[(p + 1) % N]
-    return img
 
 
 def check_corollary_counts(n) -> ClaimResult:
@@ -211,7 +178,7 @@ def check_elizalde_equivalence(n) -> ClaimResult:
     bad = []
     for b in permutations(range(1, n + 1)):
         w = list(b) + [n + 1]
-        pi = SignedPermutation(_word_images(w))
+        pi = SignedPermutation(_word_to_images(w))
         try:
             a = phi_classic(pi, check=True)
         except AssertionError as e:
@@ -236,7 +203,7 @@ def check_colored(n, r) -> ClaimResult:
     keep = set(range(1, n))
     for b in permutations(range(1, n + 1)):
         w = list(b) + [n + 1]
-        img = tuple(_word_images(w))
+        img = tuple(_word_to_images(w))
         for tau in product(range(r), repeat=n + 1):
             p = ColoredPermutation(n + 1, r, img, tau)
             out = colored_phi(p)
@@ -288,14 +255,14 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
     bad = []
     for n in range(1, n_hi + 1):
         for w in iterate_words(DomainSpec("CB", n)):
-            pi = SignedPermutation(_word_images(w))
-            out = SignedPermutation(_capital_phi_word(list(w)))
-            rp, ro = stats(pi), stats(out)
-            dd = rp.des - ro.des
-            df = rp.fmaj - ro.fmaj
+            img = _word_to_images(w)
+            des_p, maj_p, neg_p = _des_maj_neg(img)
+            des_o, maj_o, neg_o = _des_maj_neg(_capital_phi_word(list(w)))
+            dd = des_p - des_o
+            df = 2 * (maj_p - maj_o) + neg_p - neg_o
             if dd not in (0, 1) or not 0 <= df <= 2 * n + 1:
                 if len(bad) < MAX_REPORTED:
-                    bad.append((pi, dd, df))
+                    bad.append((SignedPermutation(img), dd, df))
             checked += 1
     return ClaimResult("stat-gaps", {"n": f"1..{n_hi}"}, not bad, checked,
                        time.time() - t0, "", bad)
@@ -312,9 +279,9 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     for _ in range(count):
         q = _uniform_index(rng, perms)
         s = _uniform_index(rng, 1 << (degree - 1))
-        b = _perm_unrank(q, range(1, degree))
-        w = [-v if s >> i & 1 else v for i, v in enumerate(b)] + [degree]
-        pi = SignedPermutation(_word_images(w))
+        # sign bit degree-1 stays clear, so the word ends in +degree
+        w = _unrank_word(DomainSpec("CB", degree), q << degree | s)
+        pi = SignedPermutation(_word_to_images(w))
         trace = TransferTrace()
         try:
             with_trace = phi_plus(pi, trace=trace)

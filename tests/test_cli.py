@@ -178,3 +178,40 @@ def test_pretty_cycles(capsys):
                        "(-4,-1,2,5,-3,-6,7)")
     assert code == 0
     assert "(" in out and "(4)" not in out
+
+
+@pytest.mark.parametrize("n", [64, 1000])
+def test_stats_past_word_size(capsys, n):
+    # a signed permutation with descents at 0 and at every odd position
+    images = [-1] + [v for i in range(2, n, 2) for v in (i + 1, i)]
+    images += [n] if len(images) < n else []
+    code, out, _ = run(capsys, "stats", "--format", "json",
+                       "[" + ",".join(map(str, images)) + "]")
+    assert code == 0
+    prev, want = 0, []
+    for i, v in enumerate(images):
+        if prev > v:
+            want.append(i)
+        prev = v
+    assert json.loads(out)["descents"] == want
+
+
+def test_invert_refuses_forward_maps(capsys):
+    for fn in ("phi", "Phi", "phiS", "PhiColored"):
+        with pytest.raises(SystemExit) as e:
+            main(["invert", "--fn", fn, "[1]"])
+        assert e.value.code == 2
+    code, out, _ = run(capsys, "invert", "--fn", "PsiD", "[1]")
+    assert code == 0 and out == "[2,1]\n"
+
+
+def test_verify_json_params_keep_types(capsys):
+    code, out, _ = run(capsys, "verify", "--claim", "phi-descents", "--n", "3",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"n": 3, "shard": None, "threads": 1}
+    code, out, _ = run(capsys, "verify", "--claim", "phi-descents", "--n", "3",
+                       "--shard", "3/8", "--format", "json")
+    assert json.loads(out)["params"] == {"n": 3, "shard": [3, 8], "threads": 1}
+    code, out, _ = run(capsys, "verify", "--claim", "phi-descents", "--n", "3")
+    assert out.startswith("[PASS] phi-descents(n=3,shard=None,threads=1): 96 checks in ")
