@@ -17,7 +17,7 @@ from dataclasses import asdict
 from .classic import phi_classic
 from .colored import ColoredPermutation, colored_phi, colored_psi, colored_stats
 from .cycles import CycleNotation, from_cycles, to_canonical_cycles
-from .domains import BudgetError, DomainSpec, make_rng, sample
+from .domains import KINDS, BudgetError, DomainSpec, make_rng, sample
 from .lab import exact_distribution, normality_diagnostics, refined_descent_table
 from .permutations import SignedPermutation
 from .statistics import descent_set, stats
@@ -343,8 +343,7 @@ def build_parser():
 
     p = sub.add_parser("tabulate", help="exact statistic distribution")
     common(p)
-    p.add_argument("--domain", required=True,
-                   choices=("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr"))
+    p.add_argument("--domain", required=True, choices=KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=("des", "maj", "neg", "fmaj", "col"), default="des")
     p.add_argument("--r", type=int)
@@ -356,8 +355,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw uniform elements")
     common(p)
-    p.add_argument("--domain", required=True,
-                   choices=("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr"))
+    p.add_argument("--domain", required=True, choices=KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--color", type=int)

@@ -11,12 +11,16 @@ Eight families are supported, named by short tags:
   CS     cyclic plain permutations
   CSnr   cyclic colored permutations, optionally restricted to one total color
 
-Every domain has a bijective integer encoding.  Signed families use
-(permutation lex rank) * 2^k + (sign bits); cyclic families encode the cycle
-word (s1 b1, ..., s_{n-1} b_{n-1}, s_n n) whose magnitude-n entry is written
-last, which makes the rotation canonical.  The parity-constrained families
-spend one fewer sign bit and recover the final sign from the parity of the
-rest.  iterate() yields elements in unrank order.
+Every family but CSnr has one encoding.  Its elements are rows: the cycle
+word (s1 b1, ..., s_{n-1} b_{n-1}, s_n n), magnitude-n entry last, of a cyclic
+family, and the one-line images s(1), ..., s(n) of the others.  Index
+= (lex rank of the magnitudes) * 2^bits + (sign code), where bit i of the
+code negates row entry i, the cyclic rank covering only the first n-1
+magnitudes.  Each family is fixed by three values: cyclic or not, bits
+(n, n-1 or 0) and parity; a parity family spends one fewer sign bit and
+gives its last entry the sign that fixes the parity of the negative count.
+iterate_words() is that one row stream and rank() its inverse; unrank() and
+iterate() read it.  CSnr encodes (cycle-word rank) * r^k + (color digits).
 
 Randomness comes from a counter-based generator (Philox) keyed by
 (worker_id << 64) | seed, so fixed (seed, worker) pairs give bit-reproducible
@@ -29,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .colored import ColoredPermutation
+from .colored import ColoredPermutation, color_of
 from .cycles import _images_to_word, _word_to_images
 from .permutations import SignedPermutation
 
@@ -76,22 +79,31 @@ class DomainSpec:
         return f"{self.kind}(n={self.n})"
 
 
+# Each signed or plain family once: (cyclic, signed, parity of the negative
+# count or None).  A parity family has n-1 sign bits, other signed ones n.
+_FAMILIES = {
+    "B": (False, True, None),
+    "D": (False, True, 0),
+    "CB": (True, True, None),
+    "CD": (True, True, 0),
+    "CDbar": (True, True, 1),
+    "S": (False, False, None),
+    "CS": (True, False, None),
+}
+
+
+def _layout(d: DomainSpec):
+    """(cyclic, sign bits, parity) of a signed or plain family."""
+    cyclic, signed, parity = _FAMILIES[d.kind]
+    return cyclic, (d.n - (parity is not None) if signed else 0), parity
+
+
 def cardinality(d: DomainSpec) -> int:
-    n = d.n
-    if d.kind == "B":
-        return 2 ** n * math.factorial(n)
-    if d.kind == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    if d.kind == "CB":
-        return 2 ** n * math.factorial(n - 1)
-    if d.kind in ("CD", "CDbar"):
-        return 2 ** (n - 1) * math.factorial(n - 1)
-    if d.kind == "S":
-        return math.factorial(n)
-    if d.kind == "CS":
-        return math.factorial(n - 1)
-    free = n if d.color_filter is None else n - 1
-    return d.r ** free * math.factorial(n - 1)
+    if d.kind == "CSnr":
+        free = d.n if d.color_filter is None else d.n - 1
+        return d.r ** free * math.factorial(d.n - 1)
+    cyclic, bits, _ = _layout(d)
+    return math.factorial(d.n - cyclic) << bits
 
 
 # -- permutation ranking in lexicographic order ----------------------------
@@ -123,112 +135,9 @@ def _perm_rank(seq):
     return q
 
 
-def unrank(d: DomainSpec, index: int):
-    if not 0 <= index < cardinality(d):
-        raise ValueError(f"index {index} out of range for {d}")
-    n = d.n
-    if d.kind == "B":
-        q, s = divmod(index, 2 ** n)
-        b = _perm_unrank(q, range(1, n + 1))
-        return SignedPermutation(
-            [-v if s >> i & 1 else v for i, v in enumerate(b)])
-    if d.kind == "D":
-        q, s = divmod(index, 2 ** (n - 1))
-        b = _perm_unrank(q, range(1, n + 1))
-        img = [-v if s >> i & 1 else v for i, v in enumerate(b[:-1])]
-        img.append(-b[-1] if s.bit_count() % 2 else b[-1])
-        return SignedPermutation(img)
-    if d.kind in ("CB", "CD", "CDbar"):
-        return SignedPermutation(_word_to_images(_unrank_word(d, index)))
-    if d.kind == "S":
-        return SignedPermutation(_perm_unrank(index, range(1, n + 1)))
-    if d.kind == "CS":
-        b = _perm_unrank(index, range(1, n))
-        return SignedPermutation(_word_to_images(b + [n]))
-    # CSnr
-    free = n if d.color_filter is None else n - 1
-    q, c = divmod(index, d.r ** free)
-    b = _perm_unrank(q, range(1, n))
-    img = _word_to_images(b + [n])
-    tau = []
-    for _ in range(free):
-        c, digit = divmod(c, d.r)
-        tau.append(digit)
-    if d.color_filter is not None:
-        tau.append((d.color_filter - sum(tau)) % d.r)
-    return ColoredPermutation(n, d.r, tuple(img), tuple(tau))
-
-
-def _unrank_word(d: DomainSpec, index):
-    """Cycle word for the cyclic signed domains: the one iterate_words
-    yields at `index`, so both follow one sign rule."""
-    return list(next(iterate_words(d, index, index + 1)))
-
-
-def rank(d: DomainSpec, element) -> int:
-    """Inverse of unrank; implemented for the B and CB encodings."""
-    n = d.n
-    if d.kind == "B":
-        if element.n != n:
-            raise ValueError("degree mismatch")
-        b = [abs(v) for v in element.images]
-        s = 0
-        for i, v in enumerate(element.images):
-            if v < 0:
-                s |= 1 << i
-        return _perm_rank(b) * 2 ** n + s
-    if d.kind == "CB":
-        w = _images_to_word(element)
-        s = 0
-        for i, v in enumerate(w):
-            if v < 0:
-                s |= 1 << i
-        return _perm_rank([abs(v) for v in w[:-1]]) * 2 ** n + s
-    raise ValueError(f"rank is not implemented for {d.kind}")
-
-
-def iterate_words(d: DomainSpec, start=0, stop=None):
-    """Cycle words of a cyclic signed domain in unrank order, as tuples.
-
-    The raw-word stream is what exhaustive verification consumes; iterate()
-    wraps the same stream in permutation objects.
-    """
-    if d.kind not in ("CB", "CD", "CDbar"):
-        raise ValueError(f"{d.kind} has no cycle-word stream")
-    n = d.n
-    if stop is None:
-        stop = cardinality(d)
-    sign_bits = n if d.kind == "CB" else n - 1
-    block = 2 ** sign_bits
-    q, s = divmod(start, block)
-    remaining = stop - start
-    if remaining <= 0:
-        return
-    base = _perm_unrank(q, range(1, n))
-    while remaining > 0:
-        for code in range(s, block):
-            w = [-v if code >> i & 1 else v for i, v in enumerate(base)]
-            if d.kind == "CB":
-                w.append(-n if code >> (n - 1) & 1 else n)
-            elif d.kind == "CD":
-                w.append(-n if code.bit_count() % 2 else n)
-            else:
-                w.append(n if code.bit_count() % 2 else -n)
-            yield tuple(w)
-            remaining -= 1
-            if remaining == 0:
-                return
-        s = 0
-        q += 1
-        base = _perm_unrank(q, range(1, n))
-
-
-def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
-    """Stream every element exactly once, in unrank order.
-
-    Refuses domains beyond BUDGET_LIMIT elements unless allow_big is set;
-    start/stop restrict to an unrank index range for sharding.
-    """
+def _checked_range(d: DomainSpec, start, stop, allow_big):
+    """Validate an unrank range and apply the BUDGET_LIMIT refusal;
+    returns the resolved stop."""
     total = cardinality(d)
     if stop is None:
         stop = total
@@ -238,11 +147,114 @@ def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
         raise BudgetError(
             f"{d} range holds {stop - start} elements, over the "
             f"{BUDGET_LIMIT} budget; pass allow_big to proceed")
-    if d.kind in ("CB", "CD", "CDbar"):
-        for w in iterate_words(d, start, stop):
-            yield SignedPermutation(_word_to_images(w))
+    return stop
+
+
+def iterate_words(d: DomainSpec, start=0, stop=None):
+    """Rows of a signed or plain family in unrank order, as tuples.
+
+    A row is the cycle word (magnitude-n entry last) of a cyclic family and
+    the one-line images of the others; see the module docstring for the
+    encoding.  This raw stream is what exhaustive verification and the exact
+    tables consume; iterate(), unrank() and rank() are built on it.
+    """
+    if d.kind not in _FAMILIES:
+        raise ValueError(f"{d.kind} has no row stream")
+    stop = _checked_range(d, start, stop, allow_big=True)
+    cyclic, bits, parity = _layout(d)
+    n = d.n
+    block = 1 << bits
+    q, s = divmod(start, block)
+    remaining = stop - start
+    items = range(1, n) if cyclic else range(1, n + 1)
+    while remaining > 0:
+        mags = _perm_unrank(q, items)
+        if cyclic:
+            mags.append(n)
+        head, tail = mags[:bits], mags[bits:]
+        last = tail[0] if parity is not None else 0
+        end = min(block, s + remaining)
+        for code in range(s, end):
+            w = [-v if code >> i & 1 else v for i, v in enumerate(head)]
+            if parity is None:
+                w += tail
+            else:
+                w.append(-last if (code.bit_count() ^ parity) & 1 else last)
+            yield tuple(w)
+        remaining -= end - s
+        s = 0
+        q += 1
+
+
+def _unrank_word(d: DomainSpec, index):
+    """The row iterate_words yields at `index`, as a list."""
+    return list(next(iterate_words(d, index, index + 1)))
+
+
+def unrank(d: DomainSpec, index: int):
+    if not 0 <= index < cardinality(d):
+        raise ValueError(f"index {index} out of range for {d}")
+    if d.kind != "CSnr":
+        row = _unrank_word(d, index)
+        return SignedPermutation(_word_to_images(row) if _layout(d)[0] else row)
+    n = d.n
+    free = n if d.color_filter is None else n - 1
+    q, c = divmod(index, d.r ** free)
+    img = _word_to_images(_unrank_word(DomainSpec("CS", n), q))
+    tau = []
+    for _ in range(free):
+        c, digit = divmod(c, d.r)
+        tau.append(digit)
+    if d.color_filter is not None:
+        tau.append((d.color_filter - sum(tau)) % d.r)
+    return ColoredPermutation(n, d.r, tuple(img), tuple(tau))
+
+
+def rank(d: DomainSpec, element) -> int:
+    """Inverse of unrank; raises ValueError for an element outside d."""
+    n = d.n
+    if d.kind == "CSnr":
+        if (not isinstance(element, ColoredPermutation)
+                or (element.n, element.r) != (n, d.r)
+                or d.color_filter not in (None, color_of(element))):
+            raise ValueError(f"{element} is not an element of {d}")
+        free = n if d.color_filter is None else n - 1
+        c = 0
+        for digit in reversed(element.tau[:free]):
+            c = c * d.r + digit
+        q = rank(DomainSpec("CS", n), SignedPermutation(element.omega))
+        return q * d.r ** free + c
+    if not isinstance(element, SignedPermutation) or element.n != n:
+        raise ValueError(f"{element} is not an element of {d}")
+    cyclic, bits, parity = _layout(d)
+    row = _images_to_word(element) if cyclic else element.images
+    signs = "".join("1" if v < 0 else "0" for v in reversed(row[:bits]))
+    code = int(signs or "0", 2)
+    negs = sum(v < 0 for v in row)
+    # no negative entry past the sign bits, or the family's parity
+    if (negs != code.bit_count()) if parity is None else (negs % 2 != parity):
+        raise ValueError(f"{element} is not an element of {d}")
+    return _perm_rank([abs(v) for v in row[:n - cyclic]]) << bits | code
+
+
+def _image_rows(d: DomainSpec, start=0, stop=None, allow_big=False):
+    """One-line images of a signed or plain family's elements, in unrank
+    order, after the range and budget checks."""
+    stop = _checked_range(d, start, stop, allow_big)
+    rows = iterate_words(d, start, stop)
+    return map(_word_to_images, rows) if _layout(d)[0] else rows
+
+
+def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
+    """Stream every element exactly once, in unrank order.
+
+    Refuses domains beyond BUDGET_LIMIT elements unless allow_big is set;
+    start/stop restrict to an unrank index range for sharding.
+    """
+    if d.kind != "CSnr":
+        yield from map(SignedPermutation, _image_rows(d, start, stop, allow_big))
         return
-    for i in range(start, stop):
+    for i in range(start, _checked_range(d, start, stop, allow_big)):
         yield unrank(d, i)
 
 
@@ -293,6 +305,7 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     if stat not in ("des", "maj", "neg", "fmaj"):
         raise ValueError(f"unknown statistic {stat!r}")
     n = d.n
+    parity = _FAMILIES[d.kind][2]
     rng = make_rng(seed, worker)
     out = np.empty(count, dtype=np.int64)
     positions = np.arange(n, dtype=np.int64)
@@ -302,12 +315,9 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
         c = min(SAMPLE_CHUNK, count - done)
         b = rng.permuted(base[:c], axis=1)
         signs = 1 - 2 * rng.integers(0, 2, size=(c, n), dtype=np.int64)
-        if d.kind != "CB":
+        if parity is not None:
             odd = (signs[:, : n - 1] < 0).sum(axis=1) % 2
-            if d.kind == "CD":
-                signs[:, n - 1] = 1 - 2 * odd
-            else:
-                signs[:, n - 1] = 2 * odd - 1
+            signs[:, n - 1] = 1 - 2 * (odd ^ parity)
         w = np.empty((c, n), dtype=np.int64)
         w[:, : n - 1] = b
         w[:, n - 1] = n

@@ -16,12 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .colored import ColoredPermutation, colored_stats
-from .cycles import _word_to_images
-from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, cardinality,
-                      iterate, iterate_words)
-from .statistics import (DescentSet, _des_maj_neg, _descent_mask, descent_set,
-                         stats, truncated_descent_set)
+from .colored import colored_stats
+from .domains import DomainSpec, _image_rows, _layout, cardinality, iterate
+from .statistics import DescentSet, _des_maj_neg, _descent_mask
 
 _SIGNED_STATS = ("des", "maj", "neg", "fmaj")
 _COLORED_STATS = ("des", "maj", "col", "fmaj")
@@ -84,41 +81,26 @@ class NormalityReport:
             raise ValueError("floor out of range")
 
 
-def _word_stat_counter(d: DomainSpec, stat: str, start=0, stop=None):
-    """Counts over a cycle-word range without building permutation objects."""
-    pos = _SIGNED_STATS.index(stat)
-    triples = Counter(_des_maj_neg(_word_to_images(w))
-                      for w in iterate_words(d, start, stop))
+def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
+    """Statistic counts over an unrank index range; merges associatively
+    across shards.  Refuses ranges over BUDGET_LIMIT unless allow_big."""
+    allowed = _COLORED_STATS if d.kind == "CSnr" else _SIGNED_STATS
+    if stat not in allowed:
+        raise ValueError(f"statistic {stat!r} not defined on {d.kind}")
+    pos = allowed.index(stat)
+    if d.kind == "CSnr":
+        return Counter(colored_stats(p)[pos]
+                       for p in iterate(d, allow_big, start, stop))
+    triples = Counter(map(_des_maj_neg, _image_rows(d, start, stop, allow_big)))
     out = Counter()
     for (des, maj, neg), c in triples.items():
         out[(des, maj, neg, 2 * maj + neg)[pos]] += c
     return out
 
 
-def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
-    """Statistic counts over an unrank index range; merges associatively
-    across shards."""
-    allowed = _COLORED_STATS if d.kind == "CSnr" else _SIGNED_STATS
-    if stat not in allowed:
-        raise ValueError(f"statistic {stat!r} not defined on {d.kind}")
-    if d.kind in ("CB", "CD", "CDbar"):
-        return _word_stat_counter(d, stat, start, stop)
-    out = Counter()
-    pos = _COLORED_STATS.index(stat) if d.kind == "CSnr" else _SIGNED_STATS.index(stat)
-    for p in iterate(d, allow_big=allow_big, start=start, stop=stop):
-        if isinstance(p, ColoredPermutation):
-            out[colored_stats(p)[pos]] += 1
-        else:
-            r = stats(p)
-            out[(r.des, r.maj, r.neg, r.fmaj)[pos]] += 1
-    return out
-
-
 def exact_distribution(d: DomainSpec, stat: str, allow_big=False) -> DistributionTable:
     """Exact law of a statistic under the uniform measure, by full iteration."""
-    if cardinality(d) > BUDGET_LIMIT and not allow_big:
-        raise BudgetError(f"{d} holds {cardinality(d)} elements; pass allow_big")
-    return DistributionTable(d, stat, dict(count_range(d, stat, allow_big=True)))
+    return DistributionTable(d, stat, dict(count_range(d, stat, allow_big=allow_big)))
 
 
 def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
@@ -126,19 +108,11 @@ def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
     truncated to {0,...,n-2} so they compare against degree n-1 tables."""
     if d.kind == "CSnr":
         raise ValueError("refined tables cover the signed and plain families")
-    truncate = d.kind in ("CB", "CD", "CDbar", "CS")
-    if d.kind in ("CB", "CD", "CDbar"):
-        n = d.n
-        mask_cap = (1 << (n - 1)) - 1
-        out = Counter(_descent_mask(_word_to_images(w)) & mask_cap
-                      for w in iterate_words(d))
-        counts = {DescentSet(n - 1, m): c for m, c in out.items()}
-        return RefinedTable(d, counts)
-    out = Counter()
-    for p in iterate(d, allow_big=allow_big):
-        key = truncated_descent_set(p, p.n - 1) if truncate else descent_set(p)
-        out[key] += 1
-    return RefinedTable(d, dict(out))
+    m = d.n - 1 if _layout(d)[0] else d.n
+    cap = (1 << m) - 1
+    out = Counter(_descent_mask(img) & cap
+                  for img in _image_rows(d, allow_big=allow_big))
+    return RefinedTable(d, {DescentSet(m, k): c for k, c in out.items()})
 
 
 def exact_moments(t: DistributionTable) -> MomentReport:

@@ -12,13 +12,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 
 from .classic import phi_classic
 from .colored import (ColoredPermutation, color_of, colored_descent_set,
                       colored_phi, colored_psi)
 from .cycles import _word_to_images
-from .domains import DomainSpec, cardinality, iterate_words, make_rng, _uniform_index, _unrank_word
+from .domains import (DomainSpec, _uniform_index, _unrank_word, cardinality,
+                      iterate, iterate_words, make_rng)
 from .lab import exact_distribution, exact_moments, refined_descent_table, theoretical_moments
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
@@ -125,20 +126,17 @@ def check_inverses(n) -> ClaimResult:
         if len(bad) < MAX_REPORTED:
             bad.append((tag, x))
 
-    for b in permutations(range(1, n + 1)):
-        for smask in range(1 << n):
-            sigma = SignedPermutation(
-                [-v if smask >> i & 1 else v for i, v in enumerate(b)])
-            up = capital_psi_D(sigma)
-            if up.negative_count() % 2 or capital_phi(up) != sigma:
-                note("D-left", sigma)
-            up = capital_psi_Dbar(sigma)
-            if up.negative_count() % 2 == 0 or capital_phi(up) != sigma:
-                note("Dbar-left", sigma)
-            up = psi_plus(sigma)
-            if (n + 1) not in up.images or phi_plus(up) != sigma:
-                note("plus-left", sigma)
-            checked += 3
+    for sigma in iterate(DomainSpec("B", n)):
+        up = capital_psi_D(sigma)
+        if up.negative_count() % 2 or capital_phi(up) != sigma:
+            note("D-left", sigma)
+        up = capital_psi_Dbar(sigma)
+        if up.negative_count() % 2 == 0 or capital_phi(up) != sigma:
+            note("Dbar-left", sigma)
+        up = psi_plus(sigma)
+        if (n + 1) not in up.images or phi_plus(up) != sigma:
+            note("plus-left", sigma)
+        checked += 3
     for kind, back in (("CD", capital_psi_D), ("CDbar", capital_psi_Dbar)):
         for w in iterate_words(DomainSpec(kind, n + 1)):
             pi = SignedPermutation(_word_to_images(w))
@@ -176,8 +174,7 @@ def check_elizalde_equivalence(n) -> ClaimResult:
     t0 = time.time()
     checked = 0
     bad = []
-    for b in permutations(range(1, n + 1)):
-        w = list(b) + [n + 1]
+    for w in iterate_words(DomainSpec("CS", n + 1)):
         pi = SignedPermutation(_word_to_images(w))
         try:
             a = phi_classic(pi, check=True)
@@ -201,8 +198,7 @@ def check_colored(n, r) -> ClaimResult:
     bad = []
     by_color = {c: set() for c in range(r)}
     keep = set(range(1, n))
-    for b in permutations(range(1, n + 1)):
-        w = list(b) + [n + 1]
+    for w in iterate_words(DomainSpec("CS", n + 1)):
         img = tuple(_word_to_images(w))
         for tau in product(range(r), repeat=n + 1):
             p = ColoredPermutation(n + 1, r, img, tau)
@@ -216,7 +212,7 @@ def check_colored(n, r) -> ClaimResult:
     for c, hit in by_color.items():
         if len(hit) != full:
             bad.append(("color-class", (c, len(hit), full)))
-    for ww in permutations(range(1, n + 1)):
+    for ww in iterate_words(DomainSpec("S", n)):
         for tau in product(range(r), repeat=n):
             p = ColoredPermutation(n, r, ww, tau)
             for c in range(r):

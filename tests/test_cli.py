@@ -144,6 +144,12 @@ def test_tabulate_budget_refusal(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_tabulate_refined_budget_refusal_on_cyclic(capsys):
+    code, _, err = run(capsys, "tabulate", "--domain", "CB", "--n", "14",
+                       "--refined")
+    assert code == 3 and "budget" in err
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--domain", "CD", "--n", "6", "--samples", "4",
             "--seed", "123", "--format", "json")

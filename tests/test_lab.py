@@ -6,7 +6,8 @@ from statistics import NormalDist
 
 import pytest
 
-from cyclic_descents.domains import DomainSpec, cardinality, sample_stat_batch
+from cyclic_descents.domains import (BudgetError, DomainSpec, cardinality,
+                                     sample_stat_batch)
 from cyclic_descents.lab import (count_range, exact_distribution,
                                  exact_moments, ks_against_normal,
                                  ks_lattice_floor, normality_diagnostics,
@@ -47,6 +48,16 @@ def test_count_range_shards_add_up():
         for v, c in part.items():
             merged[v] = merged.get(v, 0) + c
     assert merged == whole
+
+
+def test_count_range_refuses_over_budget_for_every_family():
+    with pytest.raises(BudgetError):
+        count_range(DomainSpec("CB", 14), "des")
+    with pytest.raises(BudgetError):
+        refined_descent_table(DomainSpec("CD", 14))
+    # a shard within the budget runs on a domain of any size
+    part = count_range(DomainSpec("CB", 14), "des", 0, 10)
+    assert sum(part.values()) == 10
 
 
 def test_refined_table_keys_cover_domain():
