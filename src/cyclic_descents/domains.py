@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 
@@ -254,8 +255,21 @@ def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
     if d.kind != "CSnr":
         yield from map(SignedPermutation, _image_rows(d, start, stop, allow_big))
         return
-    for i in range(start, _checked_range(d, start, stop, allow_big)):
-        yield unrank(d, i)
+    # each cycle word once, then its color codes with tau[0] varying fastest
+    stop = _checked_range(d, start, stop, allow_big)
+    free = d.n if d.color_filter is None else d.n - 1
+    block = d.r ** free
+    q, lo = divmod(start, block)
+    for w in iterate_words(DomainSpec("CS", d.n), q, -(-stop // block)):
+        img = tuple(_word_to_images(w))
+        hi = min(block, stop - q * block)
+        for digits in islice(product(range(d.r), repeat=free), lo, hi):
+            tau = digits[::-1]
+            if d.color_filter is not None:
+                tau += ((d.color_filter - sum(tau)) % d.r,)
+            yield ColoredPermutation(d.n, d.r, img, tau)
+        q += 1
+        lo = 0
 
 
 # -- random sampling -------------------------------------------------------

@@ -7,16 +7,20 @@ position-0 descent is repaired by `capital_phi`.  The reverse direction
 (`psi_plus`, wrapped by the six-case `capital_psi_D` / `capital_psi_Dbar`)
 undoes the rewriting.
 
-Both rewriting passes work on a flat entry list whose cycle boundaries never
-move.  A swap exchanges the magnitudes of two entries while each keeps its
-sign, and only a constant number of image/descent slots change per swap, so
-every repair step is O(1).
+Both directions run one swap loop, `_rewrite`, on a flat entry list whose
+cycle boundaries never move.  A swap exchanges the magnitudes of two entries
+while each keeps its sign, and fires on a descent mismatch between the
+input and the working permutation.  Forward, the working permutation (the
+cycles read chunk by chunk) moves and the input big cycle stays fixed;
+inverse, the big cycle (all entries read as one cycle, closed by +N) moves
+and the input signed permutation stays fixed.  Only a constant number of
+image/descent slots change per swap, so every repair step is O(1).
 
-An optional TransferTrace records the intermediate states and swap events,
-and additionally asserts the structural invariants of the rewriting (the
-order properties of the working permutation at every loop boundary and the
-swap properties of every completed swap batch).  Enabling the trace never
-changes the output.
+An optional TransferTrace records the intermediate states and swap events.
+On the forward pass it also asserts the structural invariants of the
+rewriting (the order properties of the working permutation at every loop
+boundary and the swap properties of every completed swap batch).  Enabling
+the trace never changes the output.
 """
 
 from __future__ import annotations
@@ -75,21 +79,23 @@ def left_to_right_maxima(c: SignedCycle):
 
 def _chunk_layout(ent, starts, n):
     """Layout of the first n slots of a flat entry list cut into chunks at
-    `starts`: the last slot of each chunk, the chunk of each slot, and the
-    slot of each magnitude."""
+    `starts`: the last slot of each chunk, each slot's predecessor and
+    successor read cyclically within its chunk, and the slot of each
+    magnitude."""
     m = len(starts)
     ends = [0] * m
-    chunk_of = [0] * n
+    pred = list(range(-1, n - 1))
+    succ = list(range(1, n + 1))
     for j in range(m):
         lo = starts[j]
-        hi = starts[j + 1] if j + 1 < m else n
-        ends[j] = hi - 1
-        for p in range(lo, hi):
-            chunk_of[p] = j
+        hi = starts[j + 1] - 1 if j + 1 < m else n - 1
+        ends[j] = hi
+        pred[lo] = hi
+        succ[hi] = lo
     pos_of = [0] * (n + 1)
     for p in range(n):
         pos_of[abs(ent[p])] = p
-    return ends, chunk_of, pos_of
+    return ends, pred, succ, pos_of
 
 
 def _descent_flags(images):
@@ -100,6 +106,100 @@ def _descent_flags(images):
         flags.append(prev > v)
         prev = v
     return flags
+
+
+def _rewrite(ent, chunks, order, moving, fixed, pick, sign, rec):
+    """The swap loop shared by both rewriting directions.
+
+    ent is the flat entry list; chunks = (starts, ends, pos_of, cpred) gives
+    its chunks, the slot of each magnitude and each slot's predecessor within
+    its chunk, which continues a chain of swaps.  Chunks are visited in
+    `order`.  moving = (img, flags, pred, succ) is the image list the swaps
+    rewrite, its descent flags and the slot order it is read in; `fixed` is
+    the other side's descent flags.  A swap fires on a descent mismatch
+    between the two flag lists, and eps picks the firing neighbour of the
+    chunk's last entry z whose pick[|z+eps|] times `sign` is largest.  rec,
+    when given, is told of every iteration, batch and swap.
+    """
+    starts, ends, pos_of, cpred = chunks
+    img, flg, pred, succ = moving
+    n = len(flg)
+    for j in order:
+        if rec is not None:
+            rec.begin_iteration(j)
+        jstart = starts[j]
+        jend = ends[j]
+        zv = ent[jend]
+        zm = -zv if zv < 0 else zv
+
+        eps = 0
+        best = 0
+        for e in (-1, 1):
+            t = zv + e
+            tm = -t if t < 0 else t
+            mn = tm if tm < zm else zm
+            if 1 <= mn < n and (tm - zm == 1 or zm - tm == 1) and flg[mn] != fixed[mn]:
+                pv = sign * pick[tm]
+                if eps == 0:
+                    eps, best = e, pv
+                else:
+                    # pick is injective on magnitudes, so no tie is possible
+                    assert pv != best
+                    if pv > best:
+                        eps, best = e, pv
+        if eps == 0:
+            continue
+
+        while True:
+            zv = ent[jend]
+            zm = -zv if zv < 0 else zv
+            t = zv + eps
+            tm = -t if t < 0 else t
+            mn = tm if tm < zm else zm
+            if not (1 <= mn < n and (tm - zm == 1 or zm - tm == 1)
+                    and flg[mn] != fixed[mn]):
+                break
+            if rec is not None:
+                rec.begin_batch(j, zv, eps, pos_of[tm])
+
+            x_mag, y_mag = zm, tm
+            while True:
+                d = x_mag - y_mag
+                if d != 1 and d != -1:
+                    break
+                mn2 = y_mag if d == 1 else x_mag
+                if not (1 <= mn2 < n) or flg[mn2] == fixed[mn2]:
+                    break
+                xp = pos_of[x_mag]
+                yp = pos_of[y_mag]
+                xv = ent[xp]
+                yv = ent[yp]
+                if rec is not None:
+                    rec.record_swap(xv, yv, xp, yp)
+                ent[xp] = y_mag if xv > 0 else -y_mag
+                ent[yp] = x_mag if yv > 0 else -x_mag
+                pos_of[x_mag] = yp
+                pos_of[y_mag] = xp
+                # refresh the moving images and flags around the rewritten slots
+                for p in {xp, yp, pred[xp], pred[yp]}:
+                    a = ent[p]
+                    a = -a if a < 0 else a
+                    img[a] = ent[succ[p]]
+                    if a <= n:
+                        f = a - 1
+                        flg[f] = (img[f] if f else 0) > img[a]
+                        if a < n:
+                            flg[a] = img[a] > img[a + 1]
+                if xp != jstart and yp != jstart:
+                    nx = ent[cpred[xp]]
+                    ny = ent[cpred[yp]]
+                    x_mag = -nx if nx < 0 else nx
+                    y_mag = -ny if ny < 0 else ny
+                # otherwise x and y keep their magnitudes; the swap just
+                # settled the descent between them, so the loop check fails
+
+            if rec is not None:
+                rec.end_batch(j)
 
 
 def _phi_plus_word(word, trace=None):
@@ -127,103 +227,18 @@ def _phi_plus_word(word, trace=None):
         if best is None or v > best:
             starts.append(p)
             best = v
-    m = len(starts)
-    ends, chunk_of, pos_of = _chunk_layout(ent, starts, n)
+    ends, pred, succ, pos_of = _chunk_layout(ent, starts, n)
     sig = [0] * (n + 1)
-    for j in range(m):
-        lo, hi = starts[j], ends[j]
-        for p in range(lo, hi):
-            sig[abs(ent[p])] = ent[p + 1]
-        sig[abs(ent[hi])] = ent[lo]
+    for p in range(n):
+        sig[abs(ent[p])] = ent[succ[p]]
     desS = _descent_flags(sig[1:])
 
     ctx = None
     if trace is not None and trace.enabled:
-        ctx = _PhiContext(trace, ent, starts, ends, chunk_of, pos_of, sig,
-                          desS, desP, pi_img, n, m)
-
-    for j in range(m):
-        if ctx is not None:
-            ctx.begin_iteration(j)
-        jstart = starts[j]
-        jend = ends[j]
-        zv = ent[jend]
-        zm = -zv if zv < 0 else zv
-
-        # pick eps with the trigger true and the largest pi value at |z+eps|
-        eps = 0
-        best = 0
-        for e in (-1, 1):
-            t = zv + e
-            tm = -t if t < 0 else t
-            mn = tm if tm < zm else zm
-            if 1 <= mn < n and (tm - zm == 1 or zm - tm == 1) and desP[mn] != desS[mn]:
-                pv = pi_img[tm]
-                if eps == 0:
-                    eps, best = e, pv
-                else:
-                    # pi is injective on magnitudes, so no tie is possible
-                    assert pv != best
-                    if pv > best:
-                        eps, best = e, pv
-        if eps == 0:
-            continue
-
-        while True:
-            zv = ent[jend]
-            zm = -zv if zv < 0 else zv
-            t = zv + eps
-            tm = -t if t < 0 else t
-            mn = tm if tm < zm else zm
-            if not (1 <= mn < n and (tm - zm == 1 or zm - tm == 1)
-                    and desP[mn] != desS[mn]):
-                break
-            if ctx is not None:
-                ctx.begin_batch(j, zv, eps, pos_of[tm])
-
-            x_mag, y_mag = zm, tm
-            while True:
-                d = x_mag - y_mag
-                if d != 1 and d != -1:
-                    break
-                mn2 = y_mag if d == 1 else x_mag
-                if not (1 <= mn2 < n) or desP[mn2] == desS[mn2]:
-                    break
-                xp = pos_of[x_mag]
-                yp = pos_of[y_mag]
-                xv = ent[xp]
-                yv = ent[yp]
-                if ctx is not None:
-                    ctx.record_swap(xv, yv, xp, yp)
-                ent[xp] = y_mag if xv > 0 else -y_mag
-                ent[yp] = x_mag if yv > 0 else -x_mag
-                pos_of[x_mag] = yp
-                pos_of[y_mag] = xp
-                cx = chunk_of[xp]
-                pxp = ends[cx] if xp == starts[cx] else xp - 1
-                cy = chunk_of[yp]
-                pyp = ends[cy] if yp == starts[cy] else yp - 1
-                for p in {xp, yp, pxp, pyp}:
-                    cc = chunk_of[p]
-                    q = starts[cc] if p == ends[cc] else p + 1
-                    a = ent[p]
-                    a = -a if a < 0 else a
-                    sig[a] = ent[q]
-                    f = a - 1
-                    desS[f] = (sig[f] if f else 0) > sig[a]
-                    if a < n:
-                        desS[a] = sig[a] > sig[a + 1]
-                if xp != jstart and yp != jstart:
-                    nx = ent[pxp]
-                    ny = ent[pyp]
-                    x_mag = -nx if nx < 0 else nx
-                    y_mag = -ny if ny < 0 else ny
-                # otherwise x and y keep their magnitudes; the swap just
-                # settled the descent between them, so the loop check fails
-
-            if ctx is not None:
-                ctx.end_batch(j)
-
+        ctx = _PhiContext(trace, ent, starts, ends, pos_of, sig, desS, desP, pi_img)
+    # the working cycles move, read chunk by chunk, left to right
+    _rewrite(ent, (starts, ends, pos_of, pred), range(len(starts)),
+             (sig, desS, pred, succ), desP, pi_img, 1, ctx)
     if ctx is not None:
         ctx.final_check()
     return sig
@@ -293,8 +308,7 @@ def _psi_plus_word(images, trace=None):
         starts.append(len(went))
         went.extend(c)
     went.append(N)
-    m = len(starts)
-    ends, chunk_of, pos_of = _chunk_layout(went, starts, n)
+    ends, cpred, _, pos_of = _chunk_layout(went, starts, n)
 
     # fixed descent flags of the input
     desS = _descent_flags(images)
@@ -302,89 +316,15 @@ def _psi_plus_word(images, trace=None):
     pi_img = [0] + _word_to_images(went)
     desP = _descent_flags(pi_img[1:N])
 
-    rec = trace is not None and trace.enabled
-    if rec:
-        def snapshot():
-            cycs = [SignedCycle(tuple(went[starts[k]:ends[k] + 1])) for k in range(m)]
-            cycs.append(SignedCycle((N,)))
-            return CycleNotation(N, cycs)
-
-    for j in range(m - 2, -1, -1):
-        swaps = []
-        if rec:
-            trace.iterations.append((j + 1, snapshot(), swaps))
-        jstart = starts[j]
-        jend = ends[j]
-        zv = went[jend]
-        zm = -zv if zv < 0 else zv
-
-        # mirror choice: the trigger must hold and the pi value be smallest
-        eps = 0
-        best = 0
-        for e in (-1, 1):
-            t = zv + e
-            tm = -t if t < 0 else t
-            mn = tm if tm < zm else zm
-            if 1 <= mn < n and (tm - zm == 1 or zm - tm == 1) and desP[mn] != desS[mn]:
-                pv = pi_img[tm]
-                if eps == 0:
-                    eps, best = e, pv
-                else:
-                    assert pv != best
-                    if pv < best:
-                        eps, best = e, pv
-        if eps == 0:
-            continue
-
-        while True:
-            zv = went[jend]
-            zm = -zv if zv < 0 else zv
-            t = zv + eps
-            tm = -t if t < 0 else t
-            mn = tm if tm < zm else zm
-            if not (1 <= mn < n and (tm - zm == 1 or zm - tm == 1)
-                    and desP[mn] != desS[mn]):
-                break
-
-            x_mag, y_mag = zm, tm
-            while True:
-                d = x_mag - y_mag
-                if d != 1 and d != -1:
-                    break
-                mn2 = y_mag if d == 1 else x_mag
-                if not (1 <= mn2 < n) or desP[mn2] == desS[mn2]:
-                    break
-                xp = pos_of[x_mag]
-                yp = pos_of[y_mag]
-                xv = went[xp]
-                yv = went[yp]
-                if rec:
-                    assert abs(abs(xv) - abs(yv)) == 1
-                    swaps.append((xv, yv, (xp, yp)))
-                went[xp] = y_mag if xv > 0 else -y_mag
-                went[yp] = x_mag if yv > 0 else -x_mag
-                pos_of[x_mag] = yp
-                pos_of[y_mag] = xp
-                # refresh the big-cycle images around the rewritten slots
-                for p in {xp, yp, xp - 1 if xp else N - 1, yp - 1 if yp else N - 1}:
-                    a = went[p]
-                    a = -a if a < 0 else a
-                    pi_img[a] = went[p + 1] if p + 1 < N else went[0]
-                    if a <= n:
-                        f = a - 1
-                        desP[f] = (pi_img[f] if f else 0) > pi_img[a]
-                        if a < n:
-                            desP[a] = pi_img[a] > pi_img[a + 1]
-                cx = chunk_of[xp]
-                pxp = ends[cx] if xp == starts[cx] else xp - 1
-                cy = chunk_of[yp]
-                pyp = ends[cy] if yp == starts[cy] else yp - 1
-                if xp != jstart and yp != jstart:
-                    nx = went[pxp]
-                    ny = went[pyp]
-                    x_mag = -nx if nx < 0 else nx
-                    y_mag = -ny if ny < 0 else ny
-
+    rec = None
+    if trace is not None and trace.enabled:
+        rec = _Recorder(trace, went, starts, ends)
+    # the big cycle moves, read as one cycle over all N slots; chunks are
+    # visited right to left, skipping the last, and eps takes the smallest
+    # big-cycle image
+    _rewrite(went, (starts, ends, pos_of, cpred), range(len(starts) - 2, -1, -1),
+             (pi_img, desP, [n] + list(range(n)), list(range(1, N)) + [0]),
+             desS, pi_img, -1, rec)
     return went
 
 
@@ -394,46 +334,87 @@ def psi_plus(sigma: SignedPermutation, trace: TransferTrace | None = None) -> Si
     return SignedPermutation(_word_to_images(_psi_plus_word(sigma.images, trace)))
 
 
-def _capital_psi(sigma: SignedPermutation, want_even: bool) -> SignedPermutation:
-    """Inverse of the descent-preserving map restricted to the cyclic
-    permutations whose negative count is even (want_even) or odd."""
-    s1 = sigma.images[0] if sigma.n else 0
-    even = (sigma.negative_count() % 2 == 0) == want_even
-    if s1 == 1:
-        return psi_plus(sigma if even else sigma.times_neg1())
-    if s1 == -1:
-        pick = sigma.times_neg1() if even else sigma
-        return psi_plus(pick.negate_all()).negate_all()
-    if even:
-        return psi_plus(sigma)
-    return psi_plus(sigma.negate_all()).negate_all()
+def _capital_psi_word(images, want_even):
+    """Inverse of the descent-preserving map on one-line images, restricted
+    to the cyclic permutations whose negative count is even (want_even) or
+    odd.  Returns the cycle word of the preimage, ending with +-(n+1)."""
+    even = (sum(v < 0 for v in images) % 2 == 0) == want_even
+    if images and (images[0] == 1 or images[0] == -1):
+        # sigma(1) = +-1 fixes the sign class; flipping the image +-1 then
+        # switches the parity class
+        neg = images[0] < 0
+        flip = even == neg
+    else:
+        neg, flip = not even, False
+    s = -1 if neg else 1
+    word = _psi_plus_word([s * (-v if flip and (v == 1 or v == -1) else v)
+                           for v in images])
+    return [-v for v in word] if neg else word
 
 
 def capital_psi_D(sigma: SignedPermutation) -> SignedPermutation:
     """Inverse of the descent-preserving map restricted to cyclic permutations
     with an even number of negative entries."""
-    return _capital_psi(sigma, True)
+    return SignedPermutation(_word_to_images(_capital_psi_word(sigma.images, True)))
 
 
 def capital_psi_Dbar(sigma: SignedPermutation) -> SignedPermutation:
     """Inverse of the descent-preserving map restricted to cyclic permutations
     with an odd number of negative entries."""
-    return _capital_psi(sigma, False)
+    return SignedPermutation(_word_to_images(_capital_psi_word(sigma.images, False)))
 
 
 def preimage_quadruple(sigma: SignedPermutation):
     """The four candidate preimages of {sigma, (-1)sigma} under the
-    descent-preserving map, one in each of the four sign/parity classes."""
-    neg1 = sigma.times_neg1()
-    return (
-        psi_plus(sigma),
-        psi_plus(neg1),
-        psi_plus(sigma.negate_all()).negate_all(),
-        psi_plus(neg1.negate_all()).negate_all(),
-    )
+    descent-preserving map, one in each of the four sign/parity classes: the
+    positive class with sigma's parity, then with the other parity, then the
+    negative class with the other parity, then with sigma's."""
+    even = sigma.negative_count() % 2 == 0
+    keyed = []
+    for x in (sigma.images, sigma.times_neg1().images):
+        for want in (True, False):
+            w = _capital_psi_word(x, want)
+            neg = w[-1] < 0
+            keyed.append(((neg, (want != even) != neg), w))
+    keyed.sort(key=lambda kw: kw[0])
+    return tuple(SignedPermutation(_word_to_images(w)) for _, w in keyed)
 
 
-class _PhiContext:
+class _Recorder:
+    """Fills a TransferTrace: one (loop index, working snapshot, swaps)
+    entry per outer-loop iteration of a rewriting pass."""
+
+    def __init__(self, trace, ent, starts, ends):
+        self.trace = trace
+        self.ent = ent
+        self.starts = starts
+        self.ends = ends
+        self.cur_swaps = []
+
+    def _snapshot(self):
+        ent = self.ent
+        cycs = [SignedCycle(tuple(ent[lo:hi + 1])) for lo, hi in zip(self.starts, self.ends)]
+        if len(ent) > self.ends[-1] + 1:
+            # the inverse pass: the big cycle's closing entry +N
+            cycs.append(SignedCycle(tuple(ent[self.ends[-1] + 1:])))
+        return CycleNotation(len(ent), cycs)
+
+    def begin_iteration(self, j):
+        self.cur_swaps = []
+        self.trace.iterations.append((j + 1, self._snapshot(), self.cur_swaps))
+
+    def begin_batch(self, j, zv, eps, y_pos):
+        pass
+
+    def record_swap(self, xv, yv, xp, yp):
+        assert abs(abs(xv) - abs(yv)) == 1, "swap magnitudes must be adjacent"
+        self.cur_swaps.append((xv, yv, (xp, yp)))
+
+    def end_batch(self, j):
+        pass
+
+
+class _PhiContext(_Recorder):
     """Structural checks for the instrumented forward rewriting.
 
     Asserts, at the start of every outer-loop iteration and after every swap
@@ -441,37 +422,24 @@ class _PhiContext:
     batch the locality and descent-effect properties of its swaps.
     """
 
-    def __init__(self, trace, ent, starts, ends, chunk_of, pos_of, sig, desS,
-                 desP, pi_img, n, m):
-        self.trace = trace
-        self.ent = ent
-        self.starts = starts
-        self.ends = ends
-        self.chunk_of = chunk_of
+    def __init__(self, trace, ent, starts, ends, pos_of, sig, desS, desP, pi_img):
+        super().__init__(trace, ent, starts, ends)
+        self.chunk_of = [j for j in range(len(starts)) for _ in range(starts[j], ends[j] + 1)]
         self.pos_of = pos_of
         self.sig = sig
         self.desS = desS
         self.desP = desP
         self.pi_img = pi_img
-        self.n = n
-        self.m = m
+        self.n = len(ent)
+        self.m = len(starts)
         self.init_ent = tuple(ent)
         self.init_first = [ent[p] for p in starts]
-        self.touched = [False] * n
-        self.cur_swaps = []
+        self.touched = [False] * self.n
         self.batch = None
         self.batches_this_iter = 0
 
-    def _snapshot(self):
-        cycs = [
-            SignedCycle(tuple(self.ent[self.starts[k]:self.ends[k] + 1]))
-            for k in range(self.m)
-        ]
-        return CycleNotation(self.n, cycs)
-
     def begin_iteration(self, j):
-        self.cur_swaps = []
-        self.trace.iterations.append((j + 1, self._snapshot(), self.cur_swaps))
+        super().begin_iteration(j)
         self.batches_this_iter = 0
         self.check_order(j)
 
@@ -492,8 +460,7 @@ class _PhiContext:
         }
 
     def record_swap(self, xv, yv, xp, yp):
-        assert abs(abs(xv) - abs(yv)) == 1, "swap magnitudes must be adjacent"
-        self.cur_swaps.append((xv, yv, (xp, yp)))
+        super().record_swap(xv, yv, xp, yp)
         b = self.batch
         b["affected"].update((xp, yp))
         b["swaps"].append((xp, yp))

@@ -19,12 +19,12 @@ from .colored import (ColoredPermutation, color_of, colored_descent_set,
                       colored_phi, colored_psi)
 from .cycles import _word_to_images
 from .domains import (DomainSpec, _uniform_index, _unrank_word, cardinality,
-                      iterate, iterate_words, make_rng)
+                      iterate_words, make_rng)
 from .lab import exact_distribution, exact_moments, refined_descent_table, theoretical_moments
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
-from .transfer import (TransferTrace, _capital_phi_word, capital_phi,
-                       capital_psi_D, capital_psi_Dbar, phi_plus, psi_plus)
+from .transfer import (TransferTrace, _capital_phi_word, _capital_psi_word,
+                       _phi_plus_word, _psi_plus_word, capital_phi, phi_plus)
 
 MAX_REPORTED = 5
 
@@ -126,29 +126,27 @@ def check_inverses(n) -> ClaimResult:
         if len(bad) < MAX_REPORTED:
             bad.append((tag, x))
 
-    for sigma in iterate(DomainSpec("B", n)):
-        up = capital_psi_D(sigma)
-        if up.negative_count() % 2 or capital_phi(up) != sigma:
-            note("D-left", sigma)
-        up = capital_psi_Dbar(sigma)
-        if up.negative_count() % 2 == 0 or capital_phi(up) != sigma:
-            note("Dbar-left", sigma)
-        up = psi_plus(sigma)
-        if (n + 1) not in up.images or phi_plus(up) != sigma:
-            note("plus-left", sigma)
+    N = n + 1
+    for row in iterate_words(DomainSpec("B", n)):
+        sigma = list(row)
+        for tag, even in (("D-left", True), ("Dbar-left", False)):
+            up = _capital_psi_word(row, even)
+            if (sum(v < 0 for v in up) % 2 == 0) != even or _capital_phi_word(up) != sigma:
+                note(tag, SignedPermutation(row))
+        up = _psi_plus_word(row)
+        if up[-1] != N or _phi_plus_word(up)[1:] != sigma:
+            note("plus-left", SignedPermutation(row))
         checked += 3
-    for kind, back in (("CD", capital_psi_D), ("CDbar", capital_psi_Dbar)):
-        for w in iterate_words(DomainSpec(kind, n + 1)):
-            pi = SignedPermutation(_word_to_images(w))
-            if back(capital_phi(pi)) != pi:
-                note(kind + "-right", pi)
+    for kind, even in (("CD", True), ("CDbar", False)):
+        for w in iterate_words(DomainSpec(kind, N)):
+            if _capital_psi_word(_capital_phi_word(w), even) != list(w):
+                note(kind + "-right", SignedPermutation(_word_to_images(w)))
             checked += 1
-    for w in iterate_words(DomainSpec("CB", n + 1)):
+    for w in iterate_words(DomainSpec("CB", N)):
         if w[-1] < 0:
             continue
-        pi = SignedPermutation(_word_to_images(w))
-        if psi_plus(phi_plus(pi)) != pi:
-            note("plus-right", pi)
+        if _psi_plus_word(_phi_plus_word(w)[1:]) != list(w):
+            note("plus-right", SignedPermutation(_word_to_images(w)))
         checked += 1
     return ClaimResult("inverses", {"n": n}, not bad, checked,
                        time.time() - t0, "", bad)

@@ -127,10 +127,18 @@ def test_rank_refuses_elements_outside_the_family(d, element):
         rank(d, element)
 
 
-def test_iterate_matches_unrank():
-    d = DomainSpec("CD", 4)
+@pytest.mark.parametrize("d", [
+    DomainSpec("CD", 4),
+    DomainSpec("CSnr", 4, r=3),
+    DomainSpec("CSnr", 4, r=3, color_filter=1),
+], ids=_spec_id)
+def test_iterate_matches_unrank(d):
     assert list(iterate(d)) == [unrank(d, i) for i in range(cardinality(d))]
     assert list(iterate(d, start=5, stop=9)) == [unrank(d, i) for i in range(5, 9)]
+    # a range that starts and ends inside a color block
+    total = cardinality(d)
+    lo, hi = total // 3 + 1, 2 * total // 3 - 1
+    assert list(iterate(d, start=lo, stop=hi)) == [unrank(d, i) for i in range(lo, hi)]
 
 
 def test_iterate_words_shape():

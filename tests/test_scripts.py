@@ -1,11 +1,15 @@
-"""The scripts under scripts/ run from any working directory."""
+"""The scripts under scripts/ run from any working directory, and every
+library name the benchmark imports exists."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_verify_all_quick_from_elsewhere(tmp_path):
@@ -15,3 +19,22 @@ def test_verify_all_quick_from_elsewhere(tmp_path):
                          timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "38/38 claims pass"
+
+
+def test_bench_imports_resolve():
+    names = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "cyclic_descents"):
+                names += [(path.name, node.module, a.name) for a in node.names]
+    assert names
+    missing = []
+    for fname, module, name in names:
+        mod = importlib.import_module(module)
+        if not hasattr(mod, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                missing.append(f"{fname}: from {module} import {name}")
+    assert not missing, missing

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -202,3 +204,35 @@ def test_capital_roundtrips(s):
 def test_capital_preserves_descents(s):
     for up in (capital_psi_D(s), capital_psi_Dbar(s)):
         assert truncated_descent_set(up, s.n) == descent_set(s)
+
+
+# -- golden traces ---------------------------------------------------------
+
+def _trace_digest(run, perms):
+    """sha256 over (iteration, str(snapshot), swaps) of every traced run."""
+    h = hashlib.sha256()
+    for p in perms:
+        t = TransferTrace()
+        run(p, trace=t)
+        for it, snap, swaps in t.iterations:
+            h.update(repr((it, str(snap), swaps)).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def test_golden_traces():
+    # 400 seeded positive-class cyclic words of degree <= 13 for phi_plus and
+    # 400 seeded signed permutations of degree <= 12 for psi_plus
+    rng = random.Random(20251)
+    cyclic, perms = [], []
+    for _ in range(400):
+        N = rng.randint(1, 13)
+        mags = rng.sample(range(1, N), N - 1)
+        cyclic.append(word_to_perm([rng.choice((1, -1)) * v for v in mags] + [N]))
+        n = rng.randint(0, 12)
+        perms.append(SignedPermutation(
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), n)]))
+    assert _trace_digest(phi_plus, cyclic) == (
+        "2f4896e1b9424896c35dd687592300012cc275f61981a1e6dbbde8a92b40af14")
+    assert _trace_digest(psi_plus, perms) == (
+        "b34cef2a8af3f544d23fb1825688738a63db4f42ef9af6c0d7d35d053bd39b6a")
