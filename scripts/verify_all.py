@@ -1,4 +1,5 @@
-"""Run every claim suite at full desk scale and print one line per claim.
+"""Run every claim suite at full desk scale and print one line per claim,
+then the pass count and the total checks, seconds and checks per second.
 
 Exit code is the number of failing claims.  --quick shrinks the sweeps for
 a fast smoke run.
@@ -6,6 +7,7 @@ a fast smoke run.
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -30,6 +32,7 @@ def main():
     else:
         top, inv_top, samples = 7, 6, 10000
 
+    t0 = time.perf_counter()
     results = []
     for n in range(1, top + 1):
         results.append(check_phi_descents(n, threads=args.threads))
@@ -47,12 +50,15 @@ def main():
     results.append(check_stat_gaps(top))
     results.append(check_order_swap_properties(count=samples, degree=10,
                                                seed=args.seed))
+    elapsed = time.perf_counter() - t0
 
     bad = 0
     for r in results:
         print(r.line())
         bad += 0 if r.passed else 1
     print(f"{len(results) - bad}/{len(results)} claims pass")
+    checks = sum(r.checked for r in results)
+    print(f"{checks} checks in {elapsed:.2f}s, {checks / elapsed:.0f} checks/s")
     return bad
 
 

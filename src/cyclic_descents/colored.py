@@ -14,6 +14,7 @@ bijectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .classic import phi_classic
 from .cycles import _word_to_images
@@ -37,6 +38,19 @@ class ColoredPermutation:
             raise ValueError(f"{self.omega} is not a permutation of [{self.n}]")
         if any(not 0 <= c < self.r for c in self.tau):
             raise ValueError(f"colors must lie in 0..{self.r - 1}")
+
+    @classmethod
+    def _over_omega(cls, n, r, omega, taus):
+        """One element per color tuple in taus, all sharing omega.  The first
+        goes through every check; the rest skip them, so each tau must hold
+        n colors in 0..r-1."""
+        taus = iter(taus)
+        for tau in islice(taus, 1):
+            yield cls(n, r, omega, tau)
+        for tau in taus:
+            p = object.__new__(cls)
+            p.__dict__.update(n=n, r=r, omega=omega, tau=tau)
+            yield p
 
     def __str__(self):
         parts = [

@@ -34,16 +34,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .colored import ColoredPermutation, color_of
 from .cycles import _images_to_word, _word_to_images
 from .permutations import SignedPermutation
 
+if TYPE_CHECKING:
+    import numpy as np
+
 KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
 BUDGET_LIMIT = 2 ** 32
 SAMPLE_CHUNK = 4096
+# iterate_words tabulates at most this many low sign bits (2^10 rows), so
+# its memory stays bounded whatever the number of sign bits
+LOW_SIGN_BITS = 10
 
 
 class BudgetError(RuntimeError):
@@ -151,6 +156,19 @@ def _checked_range(d: DomainSpec, start, stop, allow_big):
     return stop
 
 
+def _sign_table(head, k, parity):
+    """The first k entries of head under every sign code c < 2^k, in code
+    order (bit i of c negates entry i), with the parity of each code's bit
+    count when a parity family needs it; built by doubling."""
+    rows = [()]
+    pars = [0]
+    for v in head[:k]:
+        rows = [t + (v,) for t in rows] + [t + (-v,) for t in rows]
+        if parity is not None:
+            pars += [p ^ 1 for p in pars]
+    return rows, pars
+
+
 def iterate_words(d: DomainSpec, start=0, stop=None):
     """Rows of a signed or plain family in unrank order, as tuples.
 
@@ -158,6 +176,10 @@ def iterate_words(d: DomainSpec, start=0, stop=None):
     the one-line images of the others; see the module docstring for the
     encoding.  This raw stream is what exhaustive verification and the exact
     tables consume; iterate(), unrank() and rank() are built on it.
+
+    Within one magnitude block the rows are built from a table of the low
+    sign bits (at most LOW_SIGN_BITS of them, and no more than the range
+    needs), each table row joined to the signed high entries of its group.
     """
     if d.kind not in _FAMILIES:
         raise ValueError(f"{d.kind} has no row stream")
@@ -167,21 +189,31 @@ def iterate_words(d: DomainSpec, start=0, stop=None):
     block = 1 << bits
     q, s = divmod(start, block)
     remaining = stop - start
+    k = min(bits, LOW_SIGN_BITS, (remaining - 1).bit_length())
+    size = 1 << k
     items = range(1, n) if cyclic else range(1, n + 1)
     while remaining > 0:
         mags = _perm_unrank(q, items)
         if cyclic:
             mags.append(n)
-        head, tail = mags[:bits], mags[bits:]
-        last = tail[0] if parity is not None else 0
+        head, tail = mags[:bits], tuple(mags[bits:])
+        low, pars = _sign_table(head, k, parity)
         end = min(block, s + remaining)
-        for code in range(s, end):
-            w = [-v if code >> i & 1 else v for i, v in enumerate(head)]
+        # one group per value h of the high sign bits
+        for h in range(s >> k, ((end - 1) >> k) + 1):
+            hi = tuple(-v if h >> i & 1 else v for i, v in enumerate(head[k:]))
+            a = max(s - (h << k), 0)
+            b = min(end - (h << k), size)
             if parity is None:
-                w += tail
+                rest = hi + tail
+                yield from [t + rest for t in low[a:b]]
             else:
-                w.append(-last if (code.bit_count() ^ parity) & 1 else last)
-            yield tuple(w)
+                # the last entry's sign fixes the parity of the negative count
+                last = tail[0]
+                rest = (hi + (last,), hi + (-last,))
+                if (h.bit_count() ^ parity) & 1:
+                    rest = rest[::-1]
+                yield from [t + rest[p] for t, p in zip(low[a:b], pars[a:b])]
         remaining -= end - s
         s = 0
         q += 1
@@ -261,13 +293,12 @@ def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
     block = d.r ** free
     q, lo = divmod(start, block)
     for w in iterate_words(DomainSpec("CS", d.n), q, -(-stop // block)):
-        img = tuple(_word_to_images(w))
         hi = min(block, stop - q * block)
-        for digits in islice(product(range(d.r), repeat=free), lo, hi):
-            tau = digits[::-1]
-            if d.color_filter is not None:
-                tau += ((d.color_filter - sum(tau)) % d.r,)
-            yield ColoredPermutation(d.n, d.r, img, tau)
+        taus = (digits[::-1] for digits in islice(product(range(d.r), repeat=free), lo, hi))
+        if d.color_filter is not None:
+            taus = (tau + ((d.color_filter - sum(tau)) % d.r,) for tau in taus)
+        yield from ColoredPermutation._over_omega(
+            d.n, d.r, tuple(_word_to_images(w)), taus)
         q += 1
         lo = 0
 
@@ -276,6 +307,8 @@ def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
 
 def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
     """Counter-based stream keyed by (worker << 64) | seed."""
+    import numpy as np
+
     if seed < 0 or worker < 0:
         raise ValueError("seed and worker must be nonnegative")
     return np.random.Generator(np.random.Philox(key=(worker << 64) | seed))
@@ -283,6 +316,8 @@ def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
 
 def _uniform_index(rng, k):
     """Uniform integer in [0, k) by rejection on bit-blocks."""
+    import numpy as np
+
     if k <= 1:
         return 0
     bits = (k - 1).bit_length()
@@ -299,6 +334,8 @@ def _uniform_index(rng, k):
 
 def sample(d: DomainSpec, rng) -> object:
     """One exactly uniform element.  rng is a Generator or an integer seed."""
+    import numpy as np
+
     if isinstance(rng, (int, np.integer)):
         rng = make_rng(int(rng))
     return unrank(d, _uniform_index(rng, cardinality(d)))
@@ -314,6 +351,8 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     to the required parity (an involution on the unconstrained words, so
     uniformity is preserved).  The stream depends only on (seed, worker).
     """
+    import numpy as np
+
     if d.kind not in ("CB", "CD", "CDbar"):
         raise ValueError(f"batch sampling covers the cyclic signed domains, not {d.kind}")
     if stat not in ("des", "maj", "neg", "fmaj"):

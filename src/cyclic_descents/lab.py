@@ -13,12 +13,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .colored import colored_stats
 from .domains import DomainSpec, _image_rows, _layout, cardinality, iterate
 from .statistics import DescentSet, _des_maj_neg, _descent_mask
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SIGNED_STATS = ("des", "maj", "neg", "fmaj")
 _COLORED_STATS = ("des", "maj", "col", "fmaj")
@@ -148,6 +150,8 @@ def _normal_cdf(x: float) -> float:
 
 def ks_against_normal(z: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of standardized samples against N(0,1)."""
+    import numpy as np
+
     z = np.sort(np.asarray(z, dtype=np.float64))
     N = len(z)
     best = 0.0
@@ -191,6 +195,8 @@ def normality_diagnostics(kind: str, stat: str, n: int, samples: int,
         raise ValueError("need at least 1000 samples")
     if stat not in ("des", "fmaj"):
         raise ValueError("diagnostics cover des and fmaj")
+    import numpy as np
+
     from .domains import sample_stat_batch
     d = DomainSpec(kind, n)
     vals = sample_stat_batch(d, stat, samples, seed, worker).astype(np.float64)

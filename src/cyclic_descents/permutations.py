@@ -101,28 +101,6 @@ class SignedPermutation:
         return "[" + ",".join(str(v) for v in self.images) + "]"
 
 
-def apply(sigma: SignedPermutation, i: int) -> int:
-    return sigma(i)
-
-
 def compose(pi: SignedPermutation, sigma: SignedPermutation) -> SignedPermutation:
     """Composition pi*sigma: the result maps i to pi(sigma(i))."""
     return pi * sigma
-
-
-def inverse(sigma: SignedPermutation) -> SignedPermutation:
-    return sigma.inverse()
-
-
-def negate_all(pi: SignedPermutation) -> SignedPermutation:
-    return pi.negate_all()
-
-
-def times_neg1(sigma: SignedPermutation) -> SignedPermutation:
-    return sigma.times_neg1()
-
-
-def parity_info(sigma: SignedPermutation):
-    """Return (negative_count, in_D)."""
-    neg = sigma.negative_count()
-    return neg, neg % 2 == 0

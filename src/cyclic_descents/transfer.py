@@ -7,6 +7,14 @@ position-0 descent is repaired by `capital_phi`.  The reverse direction
 (`psi_plus`, wrapped by the six-case `capital_psi_D` / `capital_psi_Dbar`)
 undoes the rewriting.
 
+`capital_phi` is two parts: the raw rewriting `_phi_plus_word`, run on the
+word itself or, for a word ending in -N, on its negation with the result
+negated back; then the position-0 fix-up `_phi_fixup`, which flips the
+image +-1 when the sign of the first image is wrong.  A word w and its
+negation -w share one raw rewriting, so `_capital_phi_pair` returns both
+images from one run; exhaustive sweeps use it on every +- pair, through the
+same two helpers as the single-word path.
+
 Both directions run one swap loop, `_rewrite`, on a flat entry list whose
 cycle boundaries never move.  A swap exchanges the magnitudes of two entries
 while each keeps its sign, and fires on a descent mismatch between the
@@ -66,46 +74,22 @@ def p_flag(pi: SignedPermutation, sigma: SignedPermutation, x: int, y: int) -> b
     return delta >> mn & 1 == 1
 
 
-def left_to_right_maxima(c: SignedCycle):
-    """1-based positions of entries exceeding everything to their left."""
-    out = []
-    best = None
-    for i, v in enumerate(c.entries, start=1):
-        if best is None or v > best:
-            out.append(i)
-            best = v
-    return out
-
-
 def _chunk_layout(ent, starts, n):
     """Layout of the first n slots of a flat entry list cut into chunks at
-    `starts`: the last slot of each chunk, each slot's predecessor and
-    successor read cyclically within its chunk, and the slot of each
-    magnitude."""
+    `starts`: the last slot of each chunk, each slot's predecessor read
+    cyclically within its chunk, and the slot of each magnitude."""
     m = len(starts)
     ends = [0] * m
     pred = list(range(-1, n - 1))
-    succ = list(range(1, n + 1))
     for j in range(m):
         lo = starts[j]
         hi = starts[j + 1] - 1 if j + 1 < m else n - 1
         ends[j] = hi
         pred[lo] = hi
-        succ[hi] = lo
     pos_of = [0] * (n + 1)
     for p in range(n):
         pos_of[abs(ent[p])] = p
-    return ends, pred, succ, pos_of
-
-
-def _descent_flags(images):
-    """Descent flag of every position of a one-line image sequence."""
-    flags = []
-    prev = 0
-    for v in images:
-        flags.append(prev > v)
-        prev = v
-    return flags
+    return ends, pred, pos_of
 
 
 def _rewrite(ent, chunks, order, moving, fixed, pick, sign, rec):
@@ -213,25 +197,48 @@ def _phi_plus_word(word, trace=None):
     if word[n] != N:
         raise ValueError("cycle word must end with its positive largest entry")
 
-    # the input as a function on magnitudes, plus its descent flags 0..n-1
-    pi_img = [0] + _word_to_images(word)
-    desP = _descent_flags(pi_img[1:N])
-
-    # split at left-to-right maxima; the final +N is dropped and each block
-    # becomes one cycle of the working permutation
+    # One pass over the word, with the final +N dropped, builds the input as
+    # a function on magnitudes (pi_img) and cuts the entries at their
+    # left-to-right maxima into the cycles of the working permutation: each
+    # chunk's slots (starts, ends, pred/succ read cyclically within it), the
+    # slot of each magnitude and the working images sig.
     ent = list(word[:n])
+    pi_img = [0] * (N + 1)
+    sig = [0] * N
+    pos_of = [0] * N
+    pred = list(range(-1, n - 1))
+    succ = list(range(1, N))
     starts = []
-    best = None
+    ends = []
+    best = -N
+    lo = 0
+    a = N  # magnitude of the previous word entry
     for p in range(n):
         v = ent[p]
-        if best is None or v > best:
+        pi_img[a] = v
+        if v > best:
+            if p:
+                # close the chunk [lo, p-1]
+                ends.append(p - 1)
+                pred[lo] = p - 1
+                succ[p - 1] = lo
+                sig[a] = ent[lo]
             starts.append(p)
+            lo = p
             best = v
-    ends, pred, succ, pos_of = _chunk_layout(ent, starts, n)
-    sig = [0] * (n + 1)
-    for p in range(n):
-        sig[abs(ent[p])] = ent[succ[p]]
-    desS = _descent_flags(sig[1:])
+        else:
+            sig[a] = v
+        a = -v if v < 0 else v
+        pos_of[a] = p
+    pi_img[a] = N
+    if n:
+        ends.append(n - 1)
+        pred[lo] = n - 1
+        succ[n - 1] = lo
+        sig[a] = ent[lo]
+    # descent flags at 0..n-1 of the input and of the working permutation
+    desP = [x > y for x, y in zip(pi_img, pi_img[1:N])]
+    desS = [x > y for x, y in zip(sig, sig[1:])]
 
     ctx = None
     if trace is not None and trace.enabled:
@@ -254,38 +261,47 @@ def phi_plus(pi: SignedPermutation, trace: TransferTrace | None = None) -> Signe
     return SignedPermutation(sig[1:])
 
 
-def _capital_phi_word(word):
-    """Four-case descent fixup over the raw rewriting; word ends with +-N.
+def _phi_fixup(word, res):
+    """Position-0 fix-up of the descent-preserving map.
 
-    Returns the one-line image list (0-based) of the degree N-1 output.
+    word is a cycle word ending with +-N and res the raw rewriting's images
+    of 1..N-1 (slot 0 unused), already negated when word ends with -N.  The
+    image +-1 is flipped when the sign of res[1] disagrees with the sign of
+    the image of 1 under word, which reattaches the position-0 descent.
+    Returns the images as a 0-based list; res is modified.
     """
     N = len(word)
-    n = N - 1
+    if N == 1:
+        return []
+    # the image of 1 is the entry after +-1, cyclically
+    p = word.index(1) if 1 in word else word.index(-1)
+    if (word[p + 1 - N] < 0) != (res[1] < 0):
+        i = res.index(1) if 1 in res else res.index(-1)
+        res[i] = -res[i]
+    return res[1:]
+
+
+def _capital_phi_pair(word):
+    """The images of a word ending in +N and of its negation under the
+    descent-preserving map, from one run of the raw rewriting; each is a
+    0-based image list, as from _capital_phi_word."""
+    raw = _phi_plus_word(word)
+    return (_phi_fixup(word, raw[:]),
+            _phi_fixup([-v for v in word], [-v for v in raw]))
+
+
+def _capital_phi_word(word):
+    """The descent-preserving map on a cycle word ending with +-N: the raw
+    rewriting, through negation when the word ends with -N, then the
+    position-0 fix-up.  Returns the one-line image list (0-based) of the
+    degree N-1 output."""
+    N = len(word)
     last = word[-1]
     if last == N:
-        res = _phi_plus_word(word)
-    elif last == -N:
-        res = _phi_plus_word([-v for v in word])
-        for i in range(1, n + 1):
-            res[i] = -res[i]
-    else:
-        raise ValueError("cycle word must end with its +-largest entry")
-    if n == 0:
-        return []
-    pi1 = 0
-    for p in range(N):
-        v = word[p]
-        if v == 1 or v == -1:
-            pi1 = word[p + 1] if p + 1 < N else word[0]
-            break
-    if (pi1 < 0) != (res[1] < 0):
-        # reattach the position-0 descent by flipping the image +-1
-        for i in range(1, n + 1):
-            v = res[i]
-            if v == 1 or v == -1:
-                res[i] = -v
-                break
-    return res[1:]
+        return _phi_fixup(word, _phi_plus_word(word))
+    if last == -N:
+        return _phi_fixup(word, [-v for v in _phi_plus_word([-v for v in word])])
+    raise ValueError("cycle word must end with its +-largest entry")
 
 
 def capital_phi(pi: SignedPermutation) -> SignedPermutation:
@@ -308,13 +324,13 @@ def _psi_plus_word(images, trace=None):
         starts.append(len(went))
         went.extend(c)
     went.append(N)
-    ends, cpred, _, pos_of = _chunk_layout(went, starts, n)
+    ends, cpred, pos_of = _chunk_layout(went, starts, n)
 
     # fixed descent flags of the input
-    desS = _descent_flags(images)
+    desS = [x > y for x, y in zip([0, *images], images)]
     # evolving big cycle as a function, with its descent flags 0..n-1
     pi_img = [0] + _word_to_images(went)
-    desP = _descent_flags(pi_img[1:N])
+    desP = [x > y for x, y in zip(pi_img, pi_img[1:N])]
 
     rec = None
     if trace is not None and trace.enabled:
@@ -368,7 +384,10 @@ def preimage_quadruple(sigma: SignedPermutation):
     """The four candidate preimages of {sigma, (-1)sigma} under the
     descent-preserving map, one in each of the four sign/parity classes: the
     positive class with sigma's parity, then with the other parity, then the
-    negative class with the other parity, then with sigma's."""
+    negative class with the other parity, then with sigma's.  Needs degree
+    n >= 1: at degree 0 the four classes collapse to two elements."""
+    if sigma.n < 1:
+        raise ValueError("the preimage quadruple needs degree >= 1")
     even = sigma.negative_count() % 2 == 0
     keyed = []
     for x in (sigma.images, sigma.times_neg1().images):

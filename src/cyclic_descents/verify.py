@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -23,8 +22,9 @@ from .domains import (DomainSpec, _uniform_index, _unrank_word, cardinality,
 from .lab import exact_distribution, exact_moments, refined_descent_table, theoretical_moments
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
-from .transfer import (TransferTrace, _capital_phi_word, _capital_psi_word,
-                       _phi_plus_word, _psi_plus_word, capital_phi, phi_plus)
+from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
+                       _capital_psi_word, _phi_plus_word, _psi_plus_word,
+                       capital_phi, phi_plus)
 
 MAX_REPORTED = 5
 
@@ -46,18 +46,65 @@ class ClaimResult:
         return f"[{mark}] {self.claim}({ps}): {self.checked} checks in {self.elapsed:.2f}s{msg}"
 
 
+def _sign_pairs(N, start, stop):
+    """The rows of CB(N) in [start, stop) with each +- pair visited once.
+
+    Yields (index, row, paired).  Negating every entry of a row flips all N
+    sign bits, so the partner of index i is i ^ (2^N - 1), in the other half
+    of the same magnitude block.  A positive row whose partner also lies in
+    the range comes with paired set and stands for both; a row whose partner
+    lies outside the range comes alone.
+    """
+    d = DomainSpec("CB", N)
+    block = 1 << N
+    mask = block - 1
+    i = start
+    while i < stop:
+        base = i - i % block
+        end = min(stop, base + block)
+        if i == base and end == base + block:
+            # a whole block: its first half is the positive rows
+            for j, w in enumerate(iterate_words(d, base, base + block // 2), base):
+                yield j, w, True
+        else:
+            for j, w in enumerate(iterate_words(d, i, end), i):
+                paired = start <= j ^ mask < stop
+                if w[-1] > 0 or not paired:
+                    yield j, w, paired
+        i = end
+
+
+def _note(bad, key, item):
+    """Keep in bad the MAX_REPORTED (key, item) pairs of smallest key, so a
+    paired sweep reports the same first failures as a sweep in key order."""
+    if len(bad) < MAX_REPORTED or key < bad[-1][0]:
+        bad.append((key, item))
+        bad.sort(key=lambda kv: kv[0])
+        del bad[MAX_REPORTED:]
+
+
 def _descents_range(N, start, stop):
-    """Worker for the descent-preservation sweep over one unrank range."""
+    """Worker for the descent-preservation sweep over one unrank range;
+    returns the count and the first bad words, in index order."""
     cap = (1 << (N - 1)) - 1
+    mask = (1 << N) - 1
     bad = []
     count = 0
-    for w in iterate_words(DomainSpec("CB", N), start, stop):
-        res = _capital_phi_word(list(w))
-        if _descent_mask(_word_to_images(w)) & cap != _descent_mask(res):
-            if len(bad) < MAX_REPORTED:
-                bad.append(w)
+    for i, w, paired in _sign_pairs(N, start, stop):
+        # the input mask comes from the row itself, never from the map
+        m = _descent_mask(_word_to_images(w)) & cap
+        if paired:
+            res, neg = _capital_phi_pair(w)
+            # negating every entry complements the input's descent set
+            if m ^ cap != _descent_mask(neg):
+                _note(bad, i ^ mask, tuple(-v for v in w))
+            count += 1
+        else:
+            res = _capital_phi_word(w)
+        if m != _descent_mask(res):
+            _note(bad, i, w)
         count += 1
-    return count, bad
+    return count, [w for _, w in bad]
 
 
 def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
@@ -76,6 +123,7 @@ def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
     checked = 0
     bad = []
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
         bounds = [(lo + (hi - lo) * k // threads, lo + (hi - lo) * (k + 1) // threads)
                   for k in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as ex:
@@ -248,18 +296,28 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
     checked = 0
     bad = []
     for n in range(1, n_hi + 1):
-        for w in iterate_words(DomainSpec("CB", n)):
+        mask = (1 << n) - 1
+        top = 2 * n + 1
+
+        def gaps(key, img, sign, des_i, maj_i, neg_i, out):
+            des_o, maj_o, neg_o = _des_maj_neg(out)
+            dd = des_i - des_o
+            df = 2 * (maj_i - maj_o) + neg_i - neg_o
+            if dd not in (0, 1) or not 0 <= df <= top:
+                _note(bad, (n, key), (SignedPermutation([sign * v for v in img]), dd, df))
+
+        # the whole domain is swept, so every row comes paired
+        for i, w, _ in _sign_pairs(n, 0, cardinality(DomainSpec("CB", n))):
             img = _word_to_images(w)
             des_p, maj_p, neg_p = _des_maj_neg(img)
-            des_o, maj_o, neg_o = _des_maj_neg(_capital_phi_word(list(w)))
-            dd = des_p - des_o
-            df = 2 * (maj_p - maj_o) + neg_p - neg_o
-            if dd not in (0, 1) or not 0 <= df <= 2 * n + 1:
-                if len(bad) < MAX_REPORTED:
-                    bad.append((SignedPermutation(img), dd, df))
-            checked += 1
+            res, neg = _capital_phi_pair(w)
+            gaps(i, img, 1, des_p, maj_p, neg_p, res)
+            # negating every entry complements the descent set at 0..n-1 and
+            # the set of negative entries
+            gaps(i ^ mask, img, -1, n - des_p, n * (n - 1) // 2 - maj_p, n - neg_p, neg)
+            checked += 2
     return ClaimResult("stat-gaps", {"n": f"1..{n_hi}"}, not bad, checked,
-                       time.time() - t0, "", bad)
+                       time.time() - t0, "", [x for _, x in bad])
 
 
 def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:

@@ -1,6 +1,10 @@
 """Command line behavior: grammars, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +225,22 @@ def test_verify_json_params_keep_types(capsys):
     assert json.loads(out)["params"] == {"n": 3, "shard": [3, 8], "threads": 1}
     code, out, _ = run(capsys, "verify", "--claim", "phi-descents", "--n", "3")
     assert out.startswith("[PASS] phi-descents(n=3,shard=None,threads=1): 96 checks in ")
+
+
+def test_cli_imports_without_numpy():
+    # numpy loads only when a command samples; the sampled stream is pinned
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, cyclic_descents.cli\n"
+             "print('numpy' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+    res = subprocess.run([sys.executable, "-m", "cyclic_descents.cli", "sample",
+                          "--domain", "CB", "--n", "8", "--seed", "7",
+                          "--samples", "4"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ("[-8,3,7,5,-2,1,-6,4]\n[5,-4,-2,6,-8,7,1,-3]\n"
+                          "[3,1,-8,6,-7,5,-2,4]\n[3,-7,-4,-5,-8,-2,1,6]\n")

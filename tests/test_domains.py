@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -139,6 +140,49 @@ def test_iterate_matches_unrank(d):
     total = cardinality(d)
     lo, hi = total // 3 + 1, 2 * total // 3 - 1
     assert list(iterate(d, start=lo, stop=hi)) == [unrank(d, i) for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize("color_filter,digest", [
+    (None, "b0573b81a5950b82a768d91d96e7660e9e91d988e541821f9cd987df057dda3b"),
+    (2, "a01ecebf690b9e75604e9c57a68a4de43ef821c52b42ea417fd5d023a9d03dba"),
+])
+def test_csnr_iterate_is_pinned(color_filter, digest):
+    # iterate checks omega once per cycle word; every element must still equal
+    # the publicly constructed one and match unrank
+    d = DomainSpec("CSnr", 5, r=3, color_filter=color_filter)
+    got = list(iterate(d))
+    assert got == [unrank(d, i) for i in range(cardinality(d))]
+    for p in got:
+        q = ColoredPermutation(p.n, p.r, p.omega, p.tau)
+        assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    pairs = repr([(p.omega, p.tau) for p in got]).encode()
+    assert hashlib.sha256(pairs).hexdigest() == digest
+
+
+def _row(kind, n, i):
+    """The row at index i, straight from the encoding in the domains
+    docstring."""
+    cyclic = kind in ("CB", "CD", "CDbar")
+    parity = {"D": 0, "CD": 0, "CDbar": 1}.get(kind)
+    bits = n - (parity is not None)
+    q, code = divmod(i, 1 << bits)
+    mags = list(next(islice(permutations(range(1, n + 1 - cyclic)), q, None)))
+    mags += [n] * cyclic
+    row = [-v if code >> j & 1 else v for j, v in enumerate(mags[:bits])] + mags[bits:]
+    if parity is not None and (code.bit_count() ^ parity) & 1:
+        row[-1] = -row[-1]
+    return tuple(row)
+
+
+@pytest.mark.parametrize("kind", ["B", "D", "CB", "CDbar"])
+def test_iterate_words_past_the_sign_table(kind):
+    # 11 or 12 sign bits: rows join a table of the low sign bits to each
+    # group of high ones; the ranges cross group and block edges
+    d = DomainSpec(kind, 12)
+    block = 1 << (12 - (kind in ("D", "CDbar")))
+    for lo, hi in ((0, 1), (7, 8), (1000, 1050), (block - 3, block + 3),
+                   (3 * block - 2100, 3 * block + 1)):
+        assert list(iterate_words(d, lo, hi)) == [_row(kind, 12, i) for i in range(lo, hi)]
 
 
 def test_iterate_words_shape():

@@ -1,10 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from cyclic_descents.permutations import (
-    SignedPermutation, apply, compose, inverse, negate_all, parity_info,
-    times_neg1,
-)
+from cyclic_descents.permutations import SignedPermutation, compose
 
 from conftest import all_signed, signed_perms
 
@@ -30,7 +27,7 @@ def test_apply_sign_rule():
         s(0)
     with pytest.raises(ValueError):
         s(5)
-    assert apply(s, -3) == -1
+    assert s(-3) == -1
 
 
 def test_compose_identity_and_order():
@@ -41,48 +38,50 @@ def test_compose_identity_and_order():
         assert ab(i) == a(b(i))
     e = SignedPermutation.identity(3)
     assert compose(a, e) == a == compose(e, a)
-    assert a * inverse(a) == e
+    assert a * a.inverse() == e
 
 
 def test_inverse_negate_times_neg1():
     s = SignedPermutation([3, -1, -2])
-    inv = inverse(s)
+    inv = s.inverse()
     for i in range(1, 4):
         assert inv(s(i)) == i
-    assert negate_all(s).images == (-3, 1, 2)
-    assert times_neg1(s).images == (3, 1, -2)
+    assert s.negate_all().images == (-3, 1, 2)
+    assert s.times_neg1().images == (3, 1, -2)
     # times_neg1 flips the sign of the image of magnitude 1
-    t = times_neg1(SignedPermutation([2, 1]))
+    t = SignedPermutation([2, 1]).times_neg1()
     assert t.images == (2, -1)
 
 
 def test_parity_info():
-    assert parity_info(SignedPermutation([1, 2, 3])) == (0, True)
-    assert parity_info(SignedPermutation([-1, 2, -3])) == (2, True)
-    assert parity_info(SignedPermutation([-1, 2, 3])) == (1, False)
-    assert parity_info(SignedPermutation([])) == (0, True)
+    def info(s):
+        return s.negative_count(), s.in_D()
+    assert info(SignedPermutation([1, 2, 3])) == (0, True)
+    assert info(SignedPermutation([-1, 2, -3])) == (2, True)
+    assert info(SignedPermutation([-1, 2, 3])) == (1, False)
+    assert info(SignedPermutation([])) == (0, True)
 
 
 def test_degree_zero():
     e = SignedPermutation([])
     assert e == SignedPermutation.identity(0)
     assert compose(e, e) == e
-    assert inverse(e) == e
+    assert e.inverse() == e
 
 
 @settings(deadline=None, max_examples=150)
 @given(signed_perms(max_n=7))
 def test_inverse_roundtrip(s):
-    assert inverse(inverse(s)) == s
-    assert compose(s, inverse(s)) == SignedPermutation.identity(s.n)
+    assert s.inverse().inverse() == s
+    assert compose(s, s.inverse()) == SignedPermutation.identity(s.n)
 
 
 @settings(deadline=None, max_examples=150)
 @given(signed_perms(max_n=7))
 def test_negations_involutive_and_commute(s):
-    assert negate_all(negate_all(s)) == s
-    assert times_neg1(times_neg1(s)) == s
-    assert times_neg1(negate_all(s)) == negate_all(times_neg1(s))
+    assert s.negate_all().negate_all() == s
+    assert s.times_neg1().times_neg1() == s
+    assert s.negate_all().times_neg1() == s.times_neg1().negate_all()
 
 
 def test_group_closure_b2():

@@ -6,12 +6,13 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings
 
-from cyclic_descents.cycles import SignedCycle, to_canonical_cycles, is_cyclic
+from cyclic_descents.cycles import to_canonical_cycles, is_cyclic
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import descent_set, truncated_descent_set
 from cyclic_descents.transfer import (
-    TransferTrace, capital_phi, capital_psi_D, capital_psi_Dbar,
-    left_to_right_maxima, p_flag, phi_plus, preimage_quadruple, psi_plus,
+    TransferTrace, _capital_phi_pair, _capital_phi_word, capital_phi,
+    capital_psi_D, capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple,
+    psi_plus,
 )
 
 from conftest import all_cyclic_words, word_to_perm, signed_perms
@@ -93,8 +94,13 @@ def test_p_flag():
 
 
 def test_left_to_right_maxima():
-    c = SignedCycle((1, -4, 8, -6, 11, 2, -3, 7, -5, 10, 12, 9, 13))
-    assert left_to_right_maxima(c) == [1, 3, 5, 11, 13]
+    # phi_plus cuts the cycle word (1,-4,8,-6,11,2,-3,7,-5,10,12,9,13) at its
+    # left-to-right maxima, 1-based positions 1, 3, 5, 11 and the dropped
+    # final 13, into the working cycles of its first traced snapshot
+    pi = SignedPermutation([-4, -3, 7, 8, 10, 11, -5, -6, 13, 12, 2, 9, 1])
+    t = TransferTrace()
+    phi_plus(pi, trace=t)
+    assert str(t.iterations[0][1]) == "(1,-4)(8,-6)(11,2,-3,7,-5,10)(12,9)"
 
 
 # -- exhaustive structure at small degree ---------------------------------
@@ -149,6 +155,23 @@ def test_preimage_quadruple_classes():
             out = capital_phi(q)
             assert out in (s, s.times_neg1())
         assert len(classes) == 4
+
+
+def test_preimage_quadruple_needs_degree_one():
+    with pytest.raises(ValueError):
+        preimage_quadruple(SignedPermutation([]))
+    quad = preimage_quadruple(SignedPermutation([-1]))
+    assert len(set(quad)) == 4
+
+
+def test_capital_phi_pair_matches_single_words():
+    # one raw rewriting serves a positive word and its negation
+    for N in range(1, 8):
+        for w in all_cyclic_words(N):
+            if w[-1] > 0:
+                neg = tuple(-v for v in w)
+                assert _capital_phi_pair(w) == (_capital_phi_word(w),
+                                                _capital_phi_word(neg))
 
 
 # -- trace bookkeeping -----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cyclic_descents import transfer
 from cyclic_descents.verify import (CLAIMS, check_bijection, check_colored,
                                     check_corollary_counts,
                                     check_elizalde_equivalence,
@@ -80,3 +81,39 @@ def test_stat_gaps():
 def test_order_swap_properties_sampled():
     r = check_order_swap_properties(count=500, degree=9, seed=4)
     assert r.passed and r.checked == 500
+
+
+@pytest.mark.parametrize("t", [3, 7])
+def test_phi_descents_shards_split_sign_pairs(t):
+    # shard edges at total*i/t fall inside magnitude blocks, so some +- pairs
+    # straddle two shards and each half is checked alone
+    total = 2**5 * 24
+    whole = check_phi_descents(4)
+    assert whole.passed and whole.checked == total
+    parts = [check_phi_descents(4, shard=(i, t)) for i in range(t)]
+    assert all(r.passed for r in parts)
+    # each shard checks exactly the elements of its own rank range
+    assert [r.checked for r in parts] == [total * (i + 1) // t - total * i // t
+                                          for i in range(t)]
+    two = check_phi_descents(4, threads=2)
+    assert two.passed and two.checked == whole.checked
+
+
+def test_negative_class_faults_are_caught(monkeypatch):
+    real = transfer._phi_fixup
+
+    def corrupt(word, res):
+        out = real(word, res)
+        # negate the images of the negative class only
+        return [-v for v in out] if word[-1] < 0 else out
+
+    monkeypatch.setattr(transfer, "_phi_fixup", corrupt)
+    r = check_phi_descents(4)
+    assert not r.passed and r.failures
+    assert all(w[-1] == -5 for w in r.failures)
+    for i in range(7):
+        r = check_phi_descents(4, shard=(i, 7))
+        assert not r.passed and all(w[-1] == -5 for w in r.failures)
+    g = check_stat_gaps(4)
+    assert not g.passed and g.failures
+    assert all(-p.n in p.images for p, _, _ in g.failures)
