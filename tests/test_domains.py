@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from itertools import islice, permutations
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy import stats as sps
 
 from cyclic_descents.colored import ColoredPermutation, color_of
 from cyclic_descents.cycles import is_cyclic
-from cyclic_descents.domains import (BudgetError, DomainSpec, cardinality,
+from cyclic_descents.domains import (BudgetError, DomainSpec, _perm_rank,
+                                     _perm_unrank, _uniform_index, cardinality,
                                      iterate, iterate_words, make_rng, rank,
                                      sample, sample_stat_batch, unrank)
 from cyclic_descents.permutations import SignedPermutation
@@ -162,9 +164,9 @@ def test_csnr_iterate_is_pinned(color_filter, digest):
 def _row(kind, n, i):
     """The row at index i, straight from the encoding in the domains
     docstring."""
-    cyclic = kind in ("CB", "CD", "CDbar")
+    cyclic = kind in ("CB", "CD", "CDbar", "CS")
     parity = {"D": 0, "CD": 0, "CDbar": 1}.get(kind)
-    bits = n - (parity is not None)
+    bits = 0 if kind in ("S", "CS") else n - (parity is not None)
     q, code = divmod(i, 1 << bits)
     mags = list(next(islice(permutations(range(1, n + 1 - cyclic)), q, None)))
     mags += [n] * cyclic
@@ -324,3 +326,86 @@ def test_seeded_sample_stream_is_pinned(d, digest):
 def test_seeded_batch_stream_is_pinned(kind, digest):
     vals = sample_stat_batch(DomainSpec(kind, 9), "fmaj", 5000, seed=_GOLDEN_SEED)
     assert _sha(",".join(map(str, vals.tolist()))) == digest
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_perm_rank_follows_lex_order(k):
+    items = [3 * v + 1 for v in range(k)]
+    for q, p in enumerate(permutations(items)):
+        assert _perm_unrank(q, items) == list(p)
+        assert _perm_rank(list(p)) == q
+
+
+@pytest.mark.parametrize("k", [1000, 3000])
+def test_perm_rank_round_trips_at_large_k(k):
+    items = list(range(1, k + 1))
+    total = math.factorial(k)
+    rng = make_rng(k)
+    for q in (0, total - 1, *(_uniform_index(rng, total) for _ in range(3))):
+        p = _perm_unrank(q, items)
+        assert sorted(p) == items and _perm_rank(p) == q
+    assert _perm_unrank(total - 1, items) == items[::-1]
+
+
+def _word_by_word_index(rng, k):
+    """Uniform index in [0, k) drawn one 64-bit word per call, most
+    significant word first, rejecting draws of k or more."""
+    if k <= 1:
+        return 0
+    bits = (k - 1).bit_length()
+    mask = (1 << bits) - 1
+    while True:
+        v = 0
+        for _ in range((bits + 63) // 64):
+            v = v << 64 | int(rng.integers(0, 1 << 64, dtype=np.uint64))
+        v &= mask
+        if v < k:
+            return v
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 3, 10 ** 6, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+    3 << 100, math.factorial(1000) << 1000,
+], ids=lambda k: f"{k.bit_length()}bits")
+def test_uniform_index_keeps_the_word_stream(k):
+    # the values and the next raw draw after them match a word-by-word loop
+    for seed in range(6):
+        a, b = make_rng(seed), make_rng(seed)
+        assert [_uniform_index(a, k) for _ in range(4)] == \
+            [_word_by_word_index(b, k) for _ in range(4)]
+        assert a.integers(0, 1 << 64, dtype=np.uint64) == \
+            b.integers(0, 1 << 64, dtype=np.uint64)
+
+
+def test_degree_1001_sample_and_rank_are_pinned():
+    # 20 seeded draws need multi-word indices (about 149 words each), which
+    # the degree-6 streams above never reach
+    cd, cb = DomainSpec("CD", 1001), DomainSpec("CB", 1001)
+    rng = make_rng(_GOLDEN_SEED)
+    lines = []
+    for _ in range(20):
+        x = sample(cd, rng)
+        lines.append(f"{x} {rank(cb, x)}")
+    assert _sha("\n".join(lines)) == \
+        "fdb0a226701d4d688afba2bba2089a50e3cc7cafb93275447f41e3e606f329db"
+
+
+@pytest.mark.parametrize("kind,n", [("S", 7), ("CS", 8), ("B", 5), ("CDbar", 6)])
+def test_iterate_words_steps_through_ranges(kind, n):
+    d = DomainSpec(kind, n)
+    total = cardinality(d)
+    want = [_row(kind, n, i) for i in range(total)]
+    assert list(iterate_words(d)) == want
+    for lo, hi in ((0, 1), (5, 9), (total // 3 - 1, 2 * total // 3 + 1),
+                   (total - 2, total)):
+        assert list(iterate_words(d, lo, hi)) == want[lo:hi]
+
+
+def test_batch_sampler_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        sample_stat_batch(DomainSpec("CB", 800), "fmaj", 4096, seed=_GOLDEN_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 from cyclic_descents.domains import (BudgetError, DomainSpec, cardinality,
@@ -182,3 +183,28 @@ def test_normality_diagnostics_guards():
         normality_diagnostics("CB", "des", 10, 10, seed=0)
     with pytest.raises(ValueError):
         normality_diagnostics("CB", "neg", 10, 2000, seed=0)
+
+
+def _ks_per_sample(z):
+    """KS distance with the normal CDF evaluated at every sorted sample."""
+    z = np.sort(np.asarray(z, dtype=np.float64))
+    N = len(z)
+    best = 0.0
+    for i in range(N):
+        F = 0.5 * math.erfc(-z[i] / math.sqrt(2.0))
+        best = max(best, F - i / N, (i + 1) / N - F)
+    return best
+
+
+@pytest.mark.parametrize("stat,n", [("des", 50), ("fmaj", 50), ("des", 800)])
+def test_ks_distance_is_exact_over_ties(stat, n):
+    # integer statistics repeat values, so the CDF is evaluated once per
+    # distinct value; the distance must equal the per-sample loop's bit for bit
+    mu, var = (float(v) for v in (theoretical_moments(stat, n).mean,
+                                  theoretical_moments(stat, n).variance))
+    vals = sample_stat_batch(DomainSpec("CD", n), stat, 20_000, seed=4)
+    z = (vals - mu) / math.sqrt(var)
+    assert ks_against_normal(z) == _ks_per_sample(z)
+    cont = np.random.default_rng(1).standard_normal(5000)
+    assert ks_against_normal(cont) == _ks_per_sample(cont)
+    assert ks_against_normal([]) == 0.0
