@@ -9,20 +9,21 @@ this script diff empty.  The families are:
 - unrank over every index of the eight families at n <= 6, and seeded
   sample/rank/unrank at degree 1001 (the script exits non-zero if
   rank(unrank(i)) != i anywhere);
-- seeded sample streams;
-- sample_stat_batch streams;
+- seeded sample streams, and _uniform_index at 1, 2, 3 and 149 words;
+- sample_stat_batch streams, also at counts that end mid-chunk;
 - each claim's (params, passed, checked, failures), its time left out.
 """
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cyclic_descents.domains import (DomainSpec, cardinality, iterate,
-                                     iterate_words, make_rng, rank, sample,
-                                     sample_stat_batch, unrank)
+from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
+                                     iterate, iterate_words, make_rng, rank,
+                                     sample, sample_stat_batch, unrank)
 from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_corollary_counts,
                                     check_elizalde_equivalence,
@@ -32,6 +33,8 @@ from cyclic_descents.verify import (check_bijection, check_colored,
 
 SEED = 20261018
 ROW_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS")
+# bounds of 1, 2, 3 and 149 64-bit words
+INDEX_BOUNDS = (2 ** 63 + 1, 3 << 100, 5 << 180, math.factorial(1000) << 1000)
 
 
 def digest(items):
@@ -62,6 +65,13 @@ def round_trip(d, indices):
 def sample_stream(d, count=100):
     rng = make_rng(SEED)
     return [str(sample(d, rng)) for _ in range(count)]
+
+
+def index_stream(k, count=50):
+    """count seeded draws below k, then the next raw 64-bit word."""
+    rng = make_rng(SEED)
+    return [_uniform_index(rng, k) for _ in range(count)] + [
+        int(rng.bit_generator.random_raw())]
 
 
 def large(kind):
@@ -101,11 +111,17 @@ def main():
         lines.append((f"sample {kind}", digest(
             x for n in (5, 9, 30) for x in sample_stream(
                 DomainSpec(kind, n, r=3 if kind == "CSnr" else None)))))
+    for k in INDEX_BOUNDS:
+        words = -(-(k - 1).bit_length() // 64)
+        lines.append((f"_uniform_index {words} words", digest(index_stream(k))))
     for kind in ("CB", "CD", "CDbar"):
         for stat in ("des", "maj", "neg", "fmaj"):
             lines.append((f"sample_stat_batch {kind} {stat}", digest(
                 sample_stat_batch(DomainSpec(kind, n), stat, 5000, SEED).tolist()
                 for n in (1, 2, 3, 5, 50, 801))))
+            lines.append((f"sample_stat_batch {kind} {stat} odd", digest(
+                sample_stat_batch(DomainSpec(kind, n), stat, count, SEED).tolist()
+                for n, count in ((9, 300), (801, 4097)))))
     by_claim = {}
     for c in claims():
         by_claim.setdefault(c.claim, []).append(

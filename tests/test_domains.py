@@ -11,10 +11,11 @@ from scipy import stats as sps
 
 from cyclic_descents.colored import ColoredPermutation, color_of
 from cyclic_descents.cycles import is_cyclic
-from cyclic_descents.domains import (BudgetError, DomainSpec, _perm_rank,
-                                     _perm_unrank, _uniform_index, cardinality,
-                                     iterate, iterate_words, make_rng, rank,
-                                     sample, sample_stat_batch, unrank)
+from cyclic_descents.domains import (SAMPLE_CHUNK, BudgetError, DomainSpec,
+                                     _perm_rank, _perm_unrank, _sign_bits,
+                                     _uniform_index, cardinality, iterate,
+                                     iterate_words, make_rng, rank, sample,
+                                     sample_stat_batch, unrank)
 from cyclic_descents.permutations import SignedPermutation
 
 
@@ -328,6 +329,43 @@ def test_seeded_batch_stream_is_pinned(kind, digest):
     assert _sha(",".join(map(str, vals.tolist()))) == digest
 
 
+# 300 rows end inside a shuffle block; 4097 rows of degree 801 spill one
+# row into a second chunk, which makes an odd number (801) of sign draws
+_UNEVEN_BATCHES = [
+    ("CB", 9, 300, "cca2ccad51082f4ee4cd66d7997d0ddbb5bf9f9dd45b6281b3f3a81a22eaf161"),
+    ("CD", 9, 300, "2cdbe052e98c6f50f619049164b6cfe58878daa4f30f3badf51e91b2d5938c1f"),
+    ("CDbar", 9, 300, "16f50c7e9e6e8f984a51da1b45a3e1a000a8c959899643ae68b270f413373f97"),
+    ("CB", 801, 4097, "86b44c11331550f548be1f71a9ebe880fc709e5fdacab71a0a20d663dad44a0b"),
+    ("CD", 801, 4097, "00088a6d2e19a359580fb5fa4922be2716665aacc517a72a5ae94137ece44343"),
+    ("CDbar", 801, 4097, "e1a3fea839c86a14cb6ed3cf59acc1ed6c45af1c60a9c714446dfcac1a338023"),
+]
+
+
+@pytest.mark.parametrize("kind,n,count,digest", _UNEVEN_BATCHES,
+                         ids=[f"{k}-{n}x{c}" for k, n, c, _ in _UNEVEN_BATCHES])
+def test_batch_stream_is_pinned_at_uneven_sizes(kind, n, count, digest):
+    vals = sample_stat_batch(DomainSpec(kind, n), "fmaj", count, seed=_GOLDEN_SEED)
+    assert _sha(",".join(map(str, vals.tolist()))) == digest
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 4096 * 801])
+def test_sign_bits_match_numpy_bounded_draw(m, pending):
+    for seed in range(3):
+        a, b = make_rng(seed), make_rng(seed)
+        if pending:
+            # a 32-bit draw leaves the high half of its word pending
+            a.integers(0, 7)
+            b.integers(0, 7)
+        assert a.bit_generator.state["has_uint32"] == pending
+        want = b.integers(0, 2, size=m, dtype=np.int64).astype(bool)
+        assert np.array_equal(_sign_bits(a, m), want)
+        assert a.integers(0, 1 << 32, dtype=np.uint32) == \
+            b.integers(0, 1 << 32, dtype=np.uint32)
+        assert a.integers(0, 1 << 64, dtype=np.uint64) == \
+            b.integers(0, 1 << 64, dtype=np.uint64)
+
+
 @pytest.mark.parametrize("k", range(8))
 def test_perm_rank_follows_lex_order(k):
     items = [3 * v + 1 for v in range(k)]
@@ -402,9 +440,11 @@ def test_iterate_words_steps_through_ranges(kind, n):
 
 
 def test_batch_sampler_memory_stays_bounded():
+    # three chunks: each frees its arrays before the next one draws
     tracemalloc.start()
     try:
-        sample_stat_batch(DomainSpec("CB", 800), "fmaj", 4096, seed=_GOLDEN_SEED)
+        sample_stat_batch(DomainSpec("CD", 800), "fmaj", 3 * SAMPLE_CHUNK,
+                          seed=_GOLDEN_SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
