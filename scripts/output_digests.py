@@ -11,16 +11,24 @@ this script diff empty.  The families are:
   rank(unrank(i)) != i anywhere);
 - seeded sample streams, and _uniform_index at 1, 2, 3 and 149 words;
 - sample_stat_batch streams, also at counts that end mid-chunk;
+- the transfer maps: capital_phi over CB(<=6), phi_plus over its positive
+  class, psi_plus, capital_psi_D, capital_psi_Dbar and preimage_quadruple
+  over B(<=5), colored_phi over cyclic colored degree 4 and colored_psi
+  over colored degree 3 with r = 2 and every target color, and
+  to_canonical_cycles and is_cyclic over B(<=5);
 - each claim's (params, passed, checked, failures), its time left out.
 """
 
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
+from cyclic_descents.cycles import is_cyclic, to_canonical_cycles
 from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
                                      iterate, iterate_words, make_rng, rank,
                                      sample, sample_stat_batch, unrank)
@@ -30,6 +38,9 @@ from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_inverses, check_moments,
                                     check_order_swap_properties,
                                     check_phi_descents, check_stat_gaps)
+from cyclic_descents.transfer import (capital_phi, capital_psi_D,
+                                      capital_psi_Dbar, phi_plus,
+                                      preimage_quadruple, psi_plus)
 
 SEED = 20261018
 ROW_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS")
@@ -78,6 +89,34 @@ def large(kind):
     return DomainSpec(kind, 1001, r=3 if kind == "CSnr" else None)
 
 
+def elements(kind, degrees):
+    return (x for n in degrees for x in iterate(DomainSpec(kind, n)))
+
+
+def map_lines():
+    """(label, digest) per transfer map, over small domains."""
+    yield "capital_phi CB<=6", digest(
+        str(capital_phi(x)) for x in elements("CB", range(1, 7)))
+    yield "phi_plus CB<=6 positive", digest(
+        str(phi_plus(x)) for x in elements("CB", range(1, 7))
+        if x.images.count(-x.n) == 0)
+    for f in (psi_plus, capital_psi_D, capital_psi_Dbar):
+        yield f"{f.__name__} B<=5", digest(
+            str(f(x)) for x in elements("B", range(6)))
+    yield "preimage_quadruple B<=5", digest(
+        [str(y) for y in preimage_quadruple(x)] for x in elements("B", range(1, 6)))
+    yield "colored_phi CSnr 4 r=2", digest(
+        str(colored_phi(p)) for p in iterate(DomainSpec("CSnr", 4, r=2)))
+    yield "colored_psi 3 r=2", digest(
+        str(colored_psi(ColoredPermutation(3, 2, w.images, tau), c))
+        for w in iterate(DomainSpec("S", 3))
+        for tau in itertools.product(range(2), repeat=3) for c in range(2))
+    yield "to_canonical_cycles B<=5", digest(
+        str(to_canonical_cycles(x)) for x in elements("B", range(6)))
+    yield "is_cyclic B<=5", digest(
+        is_cyclic(x) for x in elements("B", range(1, 6)))
+
+
 def claims():
     yield from (check_phi_descents(n) for n in range(1, 6))
     for n in range(1, 5):
@@ -122,6 +161,7 @@ def main():
             lines.append((f"sample_stat_batch {kind} {stat} odd", digest(
                 sample_stat_batch(DomainSpec(kind, n), stat, count, SEED).tolist()
                 for n, count in ((9, 300), (801, 4097)))))
+    lines += list(map_lines())
     by_claim = {}
     for c in claims():
         by_claim.setdefault(c.claim, []).append(

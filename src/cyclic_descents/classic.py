@@ -5,7 +5,8 @@ Its swap trigger reads the two permutations directly (an inversion of the
 input against a non-inversion of the working state) instead of comparing
 descent sets, and a swap chain keeps running while the preceding entries
 differ by exactly one.  The code path is deliberately separate from the
-signed rewriting so the two can be checked against each other.
+signed rewriting so the two can be checked against each other; it serves
+only the elizalde-equivalence check, `cycdes map --fn phiS` and the tests.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ lexicographically by that key, so color-0 values come first; no root of
 unity is ever materialized.  Descents live in {1,...,n} with position n
 compared against a fixed point n+1 of color 0.
 
-The transfer map to and from cyclic colored permutations acts through the
-unsigned rewriting on omega and carries the colors along: the removed
+The transfer map to and from cyclic colored permutations runs the signed
+rewriting of `transfer` on omega and carries the colors along: the removed
 position's color is folded into the total so each fixed-color class maps
-bijectively.
+bijectively.  `classic.phi_classic`, the separate unsigned rewriting, now
+serves only the elizalde-equivalence check, `--fn phiS` and the tests.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .classic import phi_classic
-from .cycles import _word_to_images
-from .permutations import SignedPermutation
-from .transfer import _psi_plus_word
+from .cycles import _images_to_word, _orbit, _word_to_images
+from .transfer import _phi_plus_word, _psi_plus_word
 
 
 @dataclass(frozen=True)
@@ -93,22 +92,15 @@ def is_cyclic_colored(p: ColoredPermutation) -> bool:
     n = p.n
     if n == 0:
         raise ValueError("degree 0 has no cycle")
-    seen = 1
-    a = p.omega[0]
-    while a != 1:
-        a = p.omega[a - 1]
-        seen += 1
-    return seen == n
+    return len(_orbit(p.omega, n)) == n
 
 
 def colored_phi(p: ColoredPermutation) -> ColoredPermutation:
     """Descent-preserving map from cyclic colored permutations of degree n+1
     to degree n: rewrite omega, keep the first n colors.  Descents in
     {1,...,n-1} are preserved; each fixed-color class maps bijectively."""
-    if not is_cyclic_colored(p):
-        raise ValueError(f"{p} is not cyclic")
-    omega = phi_classic(SignedPermutation(list(p.omega)))
-    return ColoredPermutation(p.n - 1, p.r, tuple(omega.images), p.tau[:-1])
+    omega = _phi_plus_word(_images_to_word(p.omega))
+    return ColoredPermutation(p.n - 1, p.r, tuple(omega[1:]), p.tau[:-1])
 
 
 def colored_psi(p: ColoredPermutation, target_color: int) -> ColoredPermutation:

@@ -91,6 +91,19 @@ class CycleNotation:
         return "".join(str(c) for c in self.cycles)
 
 
+def _orbit(images, a):
+    """The cycle of magnitude a under one-line images as a word: the entries
+    met walking from a, ending at +-a."""
+    w = []
+    m = a
+    while True:
+        v = images[m - 1]
+        w.append(v)
+        m = -v if v < 0 else v
+        if m == a:
+            return w
+
+
 def _canonical_cycles(images):
     """Cycles of a one-line image sequence as plain lists, each rotated so
     its largest entry comes first, sorted by first entry."""
@@ -100,20 +113,11 @@ def _canonical_cycles(images):
     for start in range(1, n + 1):
         if visited[start]:
             continue
-        # walk the orbit of the magnitude `start`; the walk yields the cycle
-        # entries beginning one step after +-start
-        walk = []
-        m = start
-        while True:
-            visited[m] = True
-            v = images[m - 1]
-            walk.append(v)
-            m = abs(v)
-            if m == start:
-                break
-        entries = [walk[-1]] + walk[:-1]
-        big = max(range(len(entries)), key=entries.__getitem__)
-        cycles.append(entries[big:] + entries[:big])
+        c = _orbit(images, start)
+        for v in c:
+            visited[abs(v)] = True
+        big = c.index(max(c))
+        cycles.append(c[big:] + c[:big])
     cycles.sort(key=lambda c: c[0])
     return cycles
 
@@ -134,22 +138,15 @@ def _word_to_images(w):
     return img
 
 
-def _images_to_word(s: SignedPermutation):
-    """Cycle word of a cyclic permutation with the magnitude-n entry last."""
-    n = s.n
+def _images_to_word(images):
+    """Cycle word of a cyclic permutation's one-line images, with the
+    magnitude-n entry last."""
+    n = len(images)
     if n < 1:
         raise ValueError("need degree >= 1")
-    images = s.images
-    w = []
-    a = n
-    while True:
-        v = images[a - 1]
-        w.append(v)
-        a = -v if v < 0 else v
-        if a == n:
-            break
+    w = _orbit(images, n)
     if len(w) != n:
-        raise ValueError(f"{s} is not cyclic")
+        raise ValueError(f"[{','.join(map(str, images))}] is not cyclic")
     return w
 
 
@@ -169,34 +166,4 @@ def is_cyclic(sigma: SignedPermutation) -> bool:
     n = sigma.n
     if n < 1:
         raise ValueError("cyclicity needs degree >= 1")
-    images = sigma.images
-    m = 1
-    for count in range(1, n + 1):
-        m = abs(images[m - 1])
-        if m == 1:
-            return count == n
-    return False
-
-
-def rotate_cycle_to_end(c: SignedCycle, magnitude: int) -> SignedCycle:
-    """Rotate so the entry with the given magnitude is last."""
-    ent = c.entries
-    for i, v in enumerate(ent):
-        if abs(v) == magnitude:
-            return SignedCycle(ent[i + 1:] + ent[: i + 1])
-    raise ValueError(f"magnitude {magnitude} not in cycle {ent}")
-
-
-def concat_with_sentinel(cycles, sentinel: int) -> SignedCycle:
-    """Concatenate the cycles' entries in order and append the sentinel."""
-    if sentinel < 1:
-        raise ValueError("sentinel must be positive")
-    flat = []
-    for c in cycles:
-        ent = c.entries if isinstance(c, SignedCycle) else tuple(c)
-        for v in ent:
-            if abs(v) == sentinel:
-                raise ValueError(f"sentinel {sentinel} collides with entry {v}")
-            flat.append(v)
-    flat.append(sentinel)
-    return SignedCycle(flat)
+    return len(_orbit(sigma.images, n)) == n

@@ -353,7 +353,7 @@ def rank(d: DomainSpec, element) -> int:
     if not isinstance(element, SignedPermutation) or element.n != n:
         raise ValueError(f"{element} is not an element of {d}")
     cyclic, bits, parity = _layout(d)
-    row = _images_to_word(element) if cyclic else element.images
+    row = _images_to_word(element.images) if cyclic else element.images
     signs = "".join("1" if v < 0 else "0" for v in reversed(row[:bits]))
     code = int(signs or "0", 2)
     negs = sum(v < 0 for v in row)

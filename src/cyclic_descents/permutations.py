@@ -9,14 +9,6 @@ one-line notation contains an even number of negative entries.
 from __future__ import annotations
 
 
-def sgn(x):
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 class SignedPermutation:
     """Immutable signed permutation stored as a tuple of images of 1..n.
 

@@ -24,6 +24,12 @@ inverse, the big cycle (all entries read as one cycle, closed by +N) moves
 and the input signed permutation stays fixed.  Only a constant number of
 image/descent slots change per swap, so every repair step is O(1).
 
+Both directions share one set-up pass, `_setup`, on a word closed by +N.
+Inverse, the word is the input's canonical cycles laid end to end: each
+cycle's first entry is its largest and exceeds every earlier first entry,
+so its left-to-right maxima cut it exactly into the input's cycles (the
+fact behind Foata's fundamental transformation).
+
 An optional TransferTrace records the intermediate states and swap events.
 On the forward pass it also asserts the structural invariants of the
 rewriting (the order properties of the working permutation at every loop
@@ -47,10 +53,9 @@ class TransferTrace:
 
     iterations holds one (loop index, working snapshot, swap events) triple
     per outer-loop iteration; each swap event is (x, y, (pos_x, pos_y)) with
-    the pre-swap entry values.  With enabled=False the trace is inert.
+    the pre-swap entry values.
     """
 
-    enabled: bool = True
     iterations: list = field(default_factory=list)
 
     def swap_count(self):
@@ -72,24 +77,6 @@ def p_flag(pi: SignedPermutation, sigma: SignedPermutation, x: int, y: int) -> b
         return False
     delta = _descent_mask(pi.images) ^ _descent_mask(sigma.images)
     return delta >> mn & 1 == 1
-
-
-def _chunk_layout(ent, starts, n):
-    """Layout of the first n slots of a flat entry list cut into chunks at
-    `starts`: the last slot of each chunk, each slot's predecessor read
-    cyclically within its chunk, and the slot of each magnitude."""
-    m = len(starts)
-    ends = [0] * m
-    pred = list(range(-1, n - 1))
-    for j in range(m):
-        lo = starts[j]
-        hi = starts[j + 1] - 1 if j + 1 < m else n - 1
-        ends[j] = hi
-        pred[lo] = hi
-    pos_of = [0] * (n + 1)
-    for p in range(n):
-        pos_of[abs(ent[p])] = p
-    return ends, pred, pos_of
 
 
 def _rewrite(ent, chunks, order, moving, fixed, pick, sign, rec):
@@ -186,23 +173,17 @@ def _rewrite(ent, chunks, order, moving, fixed, pick, sign, rec):
                 rec.end_batch(j)
 
 
-def _phi_plus_word(word, trace=None):
-    """Run the cyclic-to-signed rewriting on a cycle word ending in +N.
+def _setup(ent, n):
+    """The one-pass set-up shared by both rewriting directions.
 
-    Returns the one-line images of the output as a list indexed 1..N-1
-    (slot 0 unused).  The word is not modified.
+    Reads the first n entries of ent, closed by +(n+1), as one cycle pi_img
+    (a function on magnitudes) and, cut at their left-to-right maxima, as
+    chunks: each chunk's first and last slot (starts, ends), each slot's
+    neighbours within its chunk (pred, succ), the slot of each magnitude
+    (pos_of) and the chunks read as cycles, sig (slot 0 unused).  desP and
+    desS are the descent flags at 0..n-1 of pi_img and sig.
     """
-    N = len(word)
-    n = N - 1
-    if word[n] != N:
-        raise ValueError("cycle word must end with its positive largest entry")
-
-    # One pass over the word, with the final +N dropped, builds the input as
-    # a function on magnitudes (pi_img) and cuts the entries at their
-    # left-to-right maxima into the cycles of the working permutation: each
-    # chunk's slots (starts, ends, pred/succ read cyclically within it), the
-    # slot of each magnitude and the working images sig.
-    ent = list(word[:n])
+    N = n + 1
     pi_img = [0] * (N + 1)
     sig = [0] * N
     pos_of = [0] * N
@@ -236,12 +217,29 @@ def _phi_plus_word(word, trace=None):
         pred[lo] = n - 1
         succ[n - 1] = lo
         sig[a] = ent[lo]
-    # descent flags at 0..n-1 of the input and of the working permutation
     desP = [x > y for x, y in zip(pi_img, pi_img[1:N])]
     desS = [x > y for x, y in zip(sig, sig[1:])]
+    return pi_img, sig, desP, desS, pos_of, pred, succ, starts, ends
+
+
+def _phi_plus_word(word, trace=None):
+    """Run the cyclic-to-signed rewriting on a cycle word ending in +N.
+
+    Returns the one-line images of the output as a list indexed 1..N-1
+    (slot 0 unused).  The word is not modified.
+    """
+    N = len(word)
+    n = N - 1
+    if word[n] != N:
+        raise ValueError("cycle word must end with its positive largest entry")
+
+    # the final +N is dropped: the input is pi_img, and the chunks of the
+    # word read as cycles are the working permutation sig
+    ent = list(word[:n])
+    pi_img, sig, desP, desS, pos_of, pred, succ, starts, ends = _setup(ent, n)
 
     ctx = None
-    if trace is not None and trace.enabled:
+    if trace is not None:
         ctx = _PhiContext(trace, ent, starts, ends, pos_of, sig, desS, desP, pi_img)
     # the working cycles move, read chunk by chunk, left to right
     _rewrite(ent, (starts, ends, pos_of, pred), range(len(starts)),
@@ -254,7 +252,7 @@ def _phi_plus_word(word, trace=None):
 def phi_plus(pi: SignedPermutation, trace: TransferTrace | None = None) -> SignedPermutation:
     """The cyclic-to-signed map on the positive class (the +-largest entry
     must appear with a plus sign).  Output degree is one less than input."""
-    word = _images_to_word(pi)
+    word = _images_to_word(pi.images)
     if word[-1] != pi.n:
         raise ValueError(f"{pi} contains -{pi.n}; only the positive class is accepted")
     sig = _phi_plus_word(word, trace)
@@ -307,7 +305,7 @@ def _capital_phi_word(word):
 def capital_phi(pi: SignedPermutation) -> SignedPermutation:
     """Descent-preserving map from cyclic permutations of degree n+1 to B_n:
     descents at 0..n-1 are preserved exactly."""
-    return SignedPermutation(_capital_phi_word(_images_to_word(pi)))
+    return SignedPermutation(_capital_phi_word(_images_to_word(pi.images)))
 
 
 def _psi_plus_word(images, trace=None):
@@ -317,23 +315,14 @@ def _psi_plus_word(images, trace=None):
     """
     n = len(images)
     N = n + 1
-    # the canonical cycles laid end to end, closed by the new entry +N
-    went = []
-    starts = []
-    for c in _canonical_cycles(images):
-        starts.append(len(went))
-        went.extend(c)
-    went.append(N)
-    ends, cpred, pos_of = _chunk_layout(went, starts, n)
-
-    # fixed descent flags of the input
-    desS = [x > y for x, y in zip([0, *images], images)]
-    # evolving big cycle as a function, with its descent flags 0..n-1
-    pi_img = [0] + _word_to_images(went)
-    desP = [x > y for x, y in zip(pi_img, pi_img[1:N])]
+    # the canonical cycles laid end to end, closed by the new entry +N: the
+    # chunks read as cycles are sigma itself, whose flags desS stay fixed,
+    # and the big cycle pi_img evolves
+    went = [v for c in _canonical_cycles(images) for v in c] + [N]
+    pi_img, _, desP, desS, pos_of, cpred, _, starts, ends = _setup(went, n)
 
     rec = None
-    if trace is not None and trace.enabled:
+    if trace is not None:
         rec = _Recorder(trace, went, starts, ends)
     # the big cycle moves, read as one cycle over all N slots; chunks are
     # visited right to left, skipping the last, and eps takes the smallest

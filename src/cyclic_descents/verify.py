@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
-from .classic import phi_classic
+from .classic import _phi_classic_word
 from .colored import (ColoredPermutation, color_of, colored_descent_set,
                       colored_phi, colored_psi)
 from .cycles import _word_to_images
@@ -23,8 +24,7 @@ from .lab import exact_distribution, exact_moments, refined_descent_table, theor
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
-                       _capital_psi_word, _phi_plus_word, _psi_plus_word,
-                       capital_phi, phi_plus)
+                       _capital_psi_word, _phi_plus_word, _psi_plus_word)
 
 MAX_REPORTED = 5
 
@@ -74,6 +74,17 @@ def _sign_pairs(N, start, stop):
         i = end
 
 
+def _show(images):
+    """An image list rendered as SignedPermutation renders it: [a,b,...]."""
+    return "[" + ",".join(map(str, images)) + "]"
+
+
+def _report(bad, item):
+    """Append item to bad while fewer than MAX_REPORTED are kept."""
+    if len(bad) < MAX_REPORTED:
+        bad.append(item)
+
+
 def _note(bad, key, item):
     """Keep in bad the MAX_REPORTED (key, item) pairs of smallest key, so a
     paired sweep reports the same first failures as a sweep in key order."""
@@ -110,7 +121,7 @@ def _descents_range(N, start, stop):
 def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
     """Descents at 0..n-1 agree between each cyclic permutation of degree
     n+1 and its image in B_n; exhaustive over the (sharded) domain."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     N = n + 1
     total = cardinality(DomainSpec("CB", N))
     if shard is None:
@@ -134,7 +145,7 @@ def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
         checked, bad = _descents_range(N, lo, hi)
     return ClaimResult(
         "phi-descents", {"n": n, "shard": shard, "threads": threads},
-        not bad, checked, time.time() - t0,
+        not bad, checked, time.perf_counter() - t0,
         "" if not bad else f"first bad words {bad[:MAX_REPORTED]}", bad[:MAX_REPORTED])
 
 
@@ -145,65 +156,60 @@ def _descents_worker(args):
 def check_bijection(n, parity="D") -> ClaimResult:
     """The map restricted to one parity class of cyclic degree-(n+1)
     permutations hits every element of B_n exactly once."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     kind = "CD" if parity == "D" else "CDbar"
     seen = set()
     checked = 0
     dup = []
     for w in iterate_words(DomainSpec(kind, n + 1)):
         out = tuple(_capital_phi_word(list(w)))
-        if out in seen and len(dup) < MAX_REPORTED:
-            dup.append(w)
+        if out in seen:
+            _report(dup, w)
         seen.add(out)
         checked += 1
     want = cardinality(DomainSpec("B", n))
     ok = not dup and len(seen) == want
     return ClaimResult(
-        "bijection-" + parity, {"n": n}, ok, checked, time.time() - t0,
+        "bijection-" + parity, {"n": n}, ok, checked, time.perf_counter() - t0,
         f"{len(seen)}/{want} distinct images", dup)
 
 
 def check_inverses(n) -> ClaimResult:
     """Six composition laws: the parity-class maps invert each other in both
     orders, and the raw positive-class maps do as well."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
     bad = []
-
-    def note(tag, x):
-        if len(bad) < MAX_REPORTED:
-            bad.append((tag, x))
-
     N = n + 1
     for row in iterate_words(DomainSpec("B", n)):
         sigma = list(row)
         for tag, even in (("D-left", True), ("Dbar-left", False)):
             up = _capital_psi_word(row, even)
             if (sum(v < 0 for v in up) % 2 == 0) != even or _capital_phi_word(up) != sigma:
-                note(tag, SignedPermutation(row))
+                _report(bad, (tag, SignedPermutation(row)))
         up = _psi_plus_word(row)
         if up[-1] != N or _phi_plus_word(up)[1:] != sigma:
-            note("plus-left", SignedPermutation(row))
+            _report(bad, ("plus-left", SignedPermutation(row)))
         checked += 3
     for kind, even in (("CD", True), ("CDbar", False)):
         for w in iterate_words(DomainSpec(kind, N)):
             if _capital_psi_word(_capital_phi_word(w), even) != list(w):
-                note(kind + "-right", SignedPermutation(_word_to_images(w)))
+                _report(bad, (kind + "-right", SignedPermutation(_word_to_images(w))))
             checked += 1
     for w in iterate_words(DomainSpec("CB", N)):
         if w[-1] < 0:
             continue
         if _psi_plus_word(_phi_plus_word(w)[1:]) != list(w):
-            note("plus-right", SignedPermutation(_word_to_images(w)))
+            _report(bad, ("plus-right", SignedPermutation(_word_to_images(w))))
         checked += 1
     return ClaimResult("inverses", {"n": n}, not bad, checked,
-                       time.time() - t0, "", bad)
+                       time.perf_counter() - t0, "", bad)
 
 
 def check_corollary_counts(n) -> ClaimResult:
     """Refined descent tables agree: B_n equals both parity classes of
     cyclic degree n+1 under descent-set truncation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tb = refined_descent_table(DomainSpec("B", n))
     tc = refined_descent_table(DomainSpec("CD", n + 1))
     tcb = refined_descent_table(DomainSpec("CDbar", n + 1))
@@ -211,35 +217,34 @@ def check_corollary_counts(n) -> ClaimResult:
     checked = sum(tb.counts.values()) + sum(tc.counts.values()) + sum(tcb.counts.values())
     detail = "" if ok else "tables differ"
     return ClaimResult("corollary-counts", {"n": n}, ok, checked,
-                       time.time() - t0, detail)
+                       time.perf_counter() - t0, detail)
 
 
 def check_elizalde_equivalence(n) -> ClaimResult:
     """The unsigned rewriting agrees with the signed map on every cyclic
     plain permutation of degree n+1, with its internal cross-checks armed."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
     bad = []
     for w in iterate_words(DomainSpec("CS", n + 1)):
-        pi = SignedPermutation(_word_to_images(w))
         try:
-            a = phi_classic(pi, check=True)
+            a = _phi_classic_word(list(w), check=True)[1:]
         except AssertionError as e:
-            bad.append((w, f"cross-check: {e}"))
+            _report(bad, (w, f"cross-check: {e}"))
             continue
-        c = capital_phi(pi)
-        if a != c and len(bad) < MAX_REPORTED:
-            bad.append((w, f"{a} != {c}"))
+        c = _capital_phi_word(w)
+        if a != c:
+            _report(bad, (w, f"{_show(a)} != {_show(c)}"))
         checked += 1
     return ClaimResult("elizalde-equivalence", {"n": n}, not bad, checked,
-                       time.time() - t0, "", bad)
+                       time.perf_counter() - t0, "", bad)
 
 
 def check_colored(n, r) -> ClaimResult:
     """Colored transfer: descents in [n-1] preserved, each fixed-color class
     of cyclic degree-(n+1) elements maps bijectively, and the lift with a
     target color inverts it."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
     bad = []
     by_color = {c: set() for c in range(r)}
@@ -250,31 +255,29 @@ def check_colored(n, r) -> ClaimResult:
             p = ColoredPermutation(n + 1, r, img, tau)
             out = colored_phi(p)
             if colored_descent_set(p) & keep != colored_descent_set(out) & keep:
-                if len(bad) < MAX_REPORTED:
-                    bad.append(("descents", p))
+                _report(bad, ("descents", p))
             by_color[color_of(p)].add((out.omega, out.tau))
             checked += 1
     full = r ** n * math.factorial(n)
     for c, hit in by_color.items():
         if len(hit) != full:
-            bad.append(("color-class", (c, len(hit), full)))
+            _report(bad, ("color-class", (c, len(hit), full)))
     for ww in iterate_words(DomainSpec("S", n)):
         for tau in product(range(r), repeat=n):
             p = ColoredPermutation(n, r, ww, tau)
             for c in range(r):
                 up = colored_psi(p, c)
                 if color_of(up) != c or colored_phi(up) != p:
-                    if len(bad) < MAX_REPORTED:
-                        bad.append(("roundtrip", (p, c)))
+                    _report(bad, ("roundtrip", (p, c)))
                 checked += 1
     return ClaimResult("colored", {"n": n, "r": r}, not bad, checked,
-                       time.time() - t0, "", bad)
+                       time.perf_counter() - t0, "", bad)
 
 
 def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
     """Exact des/fmaj moments on the three cyclic signed domains equal the
     closed forms, as rationals, for every degree in [n_lo, n_hi]."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
     bad = []
     for n in range(n_lo, n_hi + 1):
@@ -283,16 +286,16 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
                 m = exact_moments(exact_distribution(DomainSpec(kind, n), stat))
                 th = theoretical_moments(stat, n)
                 if (m.mean, m.variance) != (th.mean, th.variance):
-                    bad.append((kind, n, stat, str(m.mean), str(m.variance)))
+                    _report(bad, (kind, n, stat, str(m.mean), str(m.variance)))
                 checked += 1
     return ClaimResult("moments", {"n": f"{n_lo}..{n_hi}"}, not bad, checked,
-                       time.time() - t0, "", bad)
+                       time.perf_counter() - t0, "", bad)
 
 
 def check_stat_gaps(n_hi=7) -> ClaimResult:
     """Per-element statistic gaps across the map: descents drop by 0 or 1,
     the flag major index by 0 to 2n+1, over cyclic degree-n domains."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
     bad = []
     for n in range(1, n_hi + 1):
@@ -317,13 +320,13 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
             gaps(i ^ mask, img, -1, n - des_p, n * (n - 1) // 2 - maj_p, n - neg_p, neg)
             checked += 2
     return ClaimResult("stat-gaps", {"n": f"1..{n_hi}"}, not bad, checked,
-                       time.time() - t0, "", [x for _, x in bad])
+                       time.perf_counter() - t0, "", [x for _, x in bad])
 
 
 def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     """Instrumented runs on random positive-class cyclic words: all working
     order/swap invariants hold, and tracing never changes the output."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = make_rng(seed)
     perms = math.factorial(degree - 1)
     checked = 0
@@ -333,27 +336,23 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
         s = _uniform_index(rng, 1 << (degree - 1))
         # sign bit degree-1 stays clear, so the word ends in +degree
         w = _unrank_word(DomainSpec("CB", degree), q << degree | s)
-        pi = SignedPermutation(_word_to_images(w))
-        trace = TransferTrace()
         try:
-            with_trace = phi_plus(pi, trace=trace)
+            with_trace = _phi_plus_word(w, TransferTrace())
         except AssertionError as e:
-            if len(bad) < MAX_REPORTED:
-                bad.append((w, f"invariant: {e}"))
+            _report(bad, (w, f"invariant: {e}"))
             continue
-        plain = phi_plus(pi)
-        if with_trace != plain and len(bad) < MAX_REPORTED:
-            bad.append((w, "trace changed the output"))
+        if with_trace != _phi_plus_word(w):
+            _report(bad, (w, "trace changed the output"))
         checked += 1
     return ClaimResult("order-swap-properties",
                        {"count": count, "degree": degree, "seed": seed},
-                       not bad, checked, time.time() - t0, "", bad)
+                       not bad, checked, time.perf_counter() - t0, "", bad)
 
 
 CLAIMS = {
     "phi-descents": check_phi_descents,
-    "bijection-D": lambda n, **kw: check_bijection(n, "D"),
-    "bijection-Dbar": lambda n, **kw: check_bijection(n, "Dbar"),
+    "bijection-D": partial(check_bijection, parity="D"),
+    "bijection-Dbar": partial(check_bijection, parity="Dbar"),
     "inverses": check_inverses,
     "corollary-counts": check_corollary_counts,
     "elizalde-equivalence": check_elizalde_equivalence,

@@ -63,11 +63,21 @@ def test_cyclicity_ignores_colors():
 
 
 def test_colorless_reduces_to_classic():
-    for p in cyclic_colored(4, 1):
-        out = colored_phi(p)
-        w = phi_classic(SignedPermutation(list(p.omega)))
-        assert out.omega == w.images
-        assert out.tau == (0, 0, 0)
+    # colored_phi runs the signed rewriting; the unsigned oracle must agree
+    for N in range(1, 7):
+        for r in (1, 2):
+            for p in cyclic_colored(N, r):
+                out = colored_phi(p)
+                w = phi_classic(SignedPermutation(list(p.omega)))
+                assert out.omega == w.images
+                assert out.tau == p.tau[:-1]
+
+
+def test_colored_phi_rejects_non_cyclic():
+    with pytest.raises(ValueError):
+        colored_phi(ColoredPermutation(3, 2, (1, 3, 2), (1, 0, 1)))
+    with pytest.raises(ValueError):
+        colored_phi(ColoredPermutation(0, 2, (), ()))
 
 
 def test_descent_agreement():

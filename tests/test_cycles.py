@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from cyclic_descents.cycles import (
-    CycleNotation, SignedCycle, concat_with_sentinel, from_cycles, is_cyclic,
-    rotate_cycle_to_end, to_canonical_cycles,
+    CycleNotation, SignedCycle, from_cycles, is_cyclic, to_canonical_cycles,
 )
 from cyclic_descents.permutations import SignedPermutation
 
@@ -53,22 +52,6 @@ def test_cyclic_count_matches_formula():
     for n in (1, 2, 3, 4):
         got = sum(1 for s in all_signed(n) if is_cyclic(s))
         assert got == 2 ** n * math.factorial(n - 1)
-
-
-def test_rotate_cycle_to_end():
-    c = SignedCycle((5, -3, -6))
-    assert rotate_cycle_to_end(c, 3).entries == (-6, 5, -3)
-    assert rotate_cycle_to_end(c, 5).entries == (-3, -6, 5)
-    with pytest.raises(ValueError):
-        rotate_cycle_to_end(c, 4)
-
-
-def test_concat_with_sentinel():
-    cycles = [SignedCycle((2, -1)), SignedCycle((3,))]
-    c = concat_with_sentinel(cycles, 4)
-    assert c.entries == (2, -1, 3, 4)
-    with pytest.raises(ValueError):
-        concat_with_sentinel(cycles, 3)
 
 
 def test_validation():

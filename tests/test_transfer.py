@@ -6,16 +6,16 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings
 
-from cyclic_descents.cycles import to_canonical_cycles, is_cyclic
+from cyclic_descents.cycles import _canonical_cycles, to_canonical_cycles, is_cyclic
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import descent_set, truncated_descent_set
 from cyclic_descents.transfer import (
-    TransferTrace, _capital_phi_pair, _capital_phi_word, capital_phi,
+    TransferTrace, _capital_phi_pair, _capital_phi_word, _setup, capital_phi,
     capital_psi_D, capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple,
     psi_plus,
 )
 
-from conftest import all_cyclic_words, word_to_perm, signed_perms
+from conftest import all_cyclic_words, all_signed, word_to_perm, signed_perms
 
 
 # -- frozen worked examples ------------------------------------------------
@@ -174,14 +174,23 @@ def test_capital_phi_pair_matches_single_words():
                                                 _capital_phi_word(neg))
 
 
+def test_setup_cuts_canonical_word_into_the_cycles():
+    # the inverse direction's set-up: the canonical cycles laid end to end
+    # are cut at their left-to-right maxima exactly into sigma's cycles
+    for n in range(7):
+        for s in all_signed(n):
+            cycles = _canonical_cycles(s.images)
+            word = [v for c in cycles for v in c] + [n + 1]
+            _, sig, _, _, _, _, _, starts, ends = _setup(word, n)
+            assert tuple(sig[1:]) == s.images
+            bounds = [0]
+            for c in cycles:
+                bounds.append(bounds[-1] + len(c))
+            assert starts == bounds[:-1]
+            assert ends == [b - 1 for b in bounds[1:]]
+
+
 # -- trace bookkeeping -----------------------------------------------------
-
-def test_trace_disabled_records_nothing():
-    pi = SignedPermutation([-4, -3, 7, 8, 10, 11, -5, -6, 13, 12, 2, 9, 1])
-    t = TransferTrace(enabled=False)
-    phi_plus(pi, trace=t)
-    assert t.iterations == []
-
 
 def test_trace_swaps_adjacent_magnitudes():
     pi = SignedPermutation([-4, -3, 7, 8, 10, 11, -5, -6, 13, 12, 2, 9, 1])

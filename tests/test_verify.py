@@ -1,10 +1,14 @@
 """The claim checkers themselves, at desk sizes."""
 
+import time
+
 import pytest
 
-from cyclic_descents import transfer
-from cyclic_descents.verify import (CLAIMS, check_bijection, check_colored,
-                                    check_corollary_counts,
+from cyclic_descents import classic, transfer, verify
+from cyclic_descents.colored import ColoredPermutation
+from cyclic_descents.lab import MomentReport
+from cyclic_descents.verify import (CLAIMS, MAX_REPORTED, check_bijection,
+                                    check_colored, check_corollary_counts,
                                     check_elizalde_equivalence,
                                     check_inverses, check_moments,
                                     check_order_swap_properties,
@@ -117,3 +121,47 @@ def test_negative_class_faults_are_caught(monkeypatch):
     g = check_stat_gaps(4)
     assert not g.passed and g.failures
     assert all(-p.n in p.images for p, _, _ in g.failures)
+
+
+def test_cross_check_failures_are_capped(monkeypatch):
+    # a trigger oracle that always disagrees trips the cross-check on every word
+    real = classic._descent_trigger
+    monkeypatch.setattr(classic, "_descent_trigger", lambda *args: not real(*args))
+    r = check_elizalde_equivalence(4)
+    assert not r.passed
+    assert 0 < len(r.failures) <= MAX_REPORTED
+    assert all(msg.startswith("cross-check: ") for _, msg in r.failures)
+
+
+def test_color_class_failures_are_capped(monkeypatch):
+    # every element mapped to one output fails descents and every color class
+    monkeypatch.setattr(verify, "colored_phi", lambda p: ColoredPermutation(
+        p.n - 1, p.r, tuple(range(1, p.n)), (0,) * (p.n - 1)))
+    r = check_colored(3, 2)
+    assert not r.passed
+    assert 0 < len(r.failures) <= MAX_REPORTED
+
+
+def test_moment_failures_are_capped(monkeypatch):
+    monkeypatch.setattr(verify, "theoretical_moments",
+                        lambda stat, n: MomentReport(-1, 0))
+    r = check_moments(2, 4)
+    assert not r.passed
+    assert 0 < len(r.failures) <= MAX_REPORTED
+
+
+def test_elapsed_ignores_the_wall_clock(monkeypatch):
+    # a wall clock stepped back mid-run must not give a negative time
+    readings = iter(range(10 ** 6, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(readings)))
+    for r in (check_phi_descents(2), check_bijection(2), check_inverses(2),
+              check_elizalde_equivalence(3)):
+        assert r.passed and r.elapsed >= 0
+
+
+def test_bijection_claims_reject_unknown_keywords():
+    assert CLAIMS["bijection-D"](n=2).passed
+    assert CLAIMS["bijection-Dbar"](2).claim == "bijection-Dbar"
+    for name in ("bijection-D", "bijection-Dbar"):
+        with pytest.raises(TypeError):
+            CLAIMS[name](n=2, r=3)
