@@ -16,17 +16,24 @@ this script diff empty.  The families are:
   over B(<=5), colored_phi over cyclic colored degree 4 and colored_psi
   over colored degree 3 with r = 2 and every target color, and
   to_canonical_cycles and is_cyclic over B(<=5);
-- each claim's (params, passed, checked, failures), its time left out.
+- each claim's (params, passed, checked, failures), its time left out;
+- the command line, run in-process through cli.main: one line per
+  subcommand case and --format, each the (argv, exit code, stdout, stderr)
+  of its calls, with verify's elapsed time left out.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
+import re
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cyclic_descents import cli
 from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
 from cyclic_descents.cycles import is_cyclic, to_canonical_cycles
 from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
@@ -46,6 +53,8 @@ SEED = 20261018
 ROW_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS")
 # bounds of 1, 2, 3 and 149 64-bit words
 INDEX_BOUNDS = (2 ** 63 + 1, 3 << 100, 5 << 180, math.factorial(1000) << 1000)
+FORMATS = ("text", "json", "csv")
+ELAPSED = re.compile(r" checks in \d+\.\d\ds")
 
 
 def digest(items):
@@ -117,6 +126,78 @@ def map_lines():
         is_cyclic(x) for x in elements("B", range(1, 6)))
 
 
+def cli_cases():
+    """(label, argument lists) per subcommand case; each runs in every
+    format."""
+    cb4 = list(iterate(DomainSpec("CB", 4)))
+    positive = [str(x) for x in cb4 if x.images.count(-4) == 0]
+    cyclic = [str(x) for x in cb4] + ["(-4,-1,2,5,-3,-6,7)"]
+    signed = [str(x) for x in iterate(DomainSpec("B", 3))] + ["(-4,-5)(2,1,-3)(6)"]
+    plain = [str(x) for x in iterate(DomainSpec("CS", 4))]
+    colored = [str(p) for p in iterate(DomainSpec("CSnr", 3, r=2))]
+    lifts = [str(ColoredPermutation(2, 2, w.images, tau))
+             for w in iterate(DomainSpec("S", 2))
+             for tau in itertools.product(range(2), repeat=2)]
+    views = ([], ["--cycles"], ["--cycles", "--pretty"])
+    traced = ([], ["--instrument"], ["--cycles"])
+    yield "map phi", [["map", "--fn", "phi", t, *v]
+                      for t in positive for v in views + (["--instrument"],)]
+    yield "map Phi", [["map", "--fn", "Phi", t, *v] for t in cyclic for v in views]
+    yield "map phiS", [["map", "--fn", "phiS", t, *v]
+                       for t in plain for v in traced]
+    yield "map PhiColored", [["map", "--fn", "PhiColored", "--r", "2", t]
+                             for t in colored]
+    for sub in ("map", "invert"):
+        yield f"{sub} psi", [[sub, "--fn", "psi", t, *v] for t in signed for v in traced]
+        for fn in ("PsiD", "PsiDbar"):
+            yield f"{sub} {fn}", [[sub, "--fn", fn, t, *v] for t in signed for v in views]
+        yield f"{sub} PsiColored", [[sub, "--fn", "PsiColored", "--r", "2",
+                                     "--color", str(c), t]
+                                    for t in lifts for c in range(2)]
+    yield "stats", [["stats", t] for t in signed + ["[-1]", "[1,2,3,4,5]"]]
+    yield "stats colored", [["stats", t] for t in colored + ["[2^1,1,3^2]"]] + [
+        ["stats", "--r", "3", t] for t in lifts]
+    yield "tabulate", [["tabulate", "--domain", k, "--n", "4", "--stat", st]
+                       for k in ("B", "D", "CB", "CD", "CDbar", "S", "CS")
+                       for st in ("des", "maj", "neg", "fmaj")] + [
+        ["tabulate", "--domain", "CSnr", "--n", "4", "--r", "2", "--stat", st, *c]
+        for st in ("des", "maj", "col", "fmaj") for c in ([], ["--color", "1"])]
+    yield "tabulate --refined", [["tabulate", "--domain", k, "--n", "4", "--refined"]
+                                 for k in ("B", "D", "CB", "CD", "CDbar", "S", "CS")]
+    yield "verify", [["verify", "--claim", "phi-descents", "--n", "4"]]
+    yield "sample", [["sample", "--domain", "CB", "--n", "8", "--seed", "7",
+                      "--samples", "4"]] + [
+        ["sample", "--domain", k, "--n", "5", "--seed", "3", "--r", "2"]
+        if k == "CSnr" else ["sample", "--domain", k, "--n", "5", "--seed", "3"]
+        for k in ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")]
+    yield "clt", [["clt", "--domain", k, "--n", "20", "--samples", "1500",
+                   "--seed", "2", "--stat", st]
+                  for k in ("CB", "CD", "CDbar") for st in ("des", "fmaj")]
+    yield "refusals", [
+        ["tabulate", "--domain", "B", "--n", "40"],
+        ["tabulate", "--domain", "CB", "--n", "14", "--refined"],
+        ["stats", "[1,,2]"], ["stats", "[1,1]"], ["map", "--fn", "phi", "[1,2,3]"],
+        ["map", "--fn", "Phi", "--instrument", "[2,1]"],
+        ["map", "--fn", "PhiColored", "[2^1,1]"],
+        ["map", "--fn", "PhiColored", "--r", "2", "[2,1]"],
+        ["verify", "--claim", "inverses"]]
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, ELAPSED.sub(" checks in -", out.getvalue()), err.getvalue()
+
+
+def cli_lines():
+    for label, cases in cli_cases():
+        for fmt in FORMATS:
+            yield f"cli {label} {fmt}", digest(
+                (argv, *run_cli(argv + ["--format", fmt])) for argv in cases)
+
+
 def claims():
     yield from (check_phi_descents(n) for n in range(1, 6))
     for n in range(1, 5):
@@ -162,6 +243,7 @@ def main():
                 sample_stat_batch(DomainSpec(kind, n), stat, count, SEED).tolist()
                 for n, count in ((9, 300), (801, 4097)))))
     lines += list(map_lines())
+    lines += list(cli_lines())
     by_claim = {}
     for c in claims():
         by_claim.setdefault(c.claim, []).append(

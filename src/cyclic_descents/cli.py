@@ -9,21 +9,19 @@ violation, 2 usage or input error, 3 budget refusal.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from dataclasses import asdict
 
-from .classic import phi_classic
-from .colored import ColoredPermutation, colored_phi, colored_psi, colored_stats
 from .cycles import CycleNotation, from_cycles, to_canonical_cycles
-from .domains import KINDS, BudgetError, DomainSpec, make_rng, sample
-from .lab import exact_distribution, normality_diagnostics, refined_descent_table
 from .permutations import SignedPermutation
-from .statistics import descent_set, stats
-from .transfer import (TransferTrace, capital_phi, capital_psi_D,
-                       capital_psi_Dbar, phi_plus, psi_plus)
-from .verify import CLAIMS
+
+# Each command imports the library modules it runs, so a process pays only
+# for its own subcommand.  The parser's choice lists are copies of
+# verify.CLAIMS and domains.KINDS, which a test keeps equal, so that
+# building the parser loads neither module.
+CLAIM_NAMES = ("bijection-D", "bijection-Dbar", "colored", "corollary-counts",
+               "elizalde-equivalence", "inverses", "moments",
+               "order-swap-properties", "phi-descents", "stat-gaps")
+DOMAIN_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -95,6 +93,8 @@ def parse_permutation_text(s, r=None):
             raise ParseError("trailing input", i)
         colored = r is not None or any(c is not None for c in (c for _, c in entries))
         if colored:
+            from .colored import ColoredPermutation
+
             mod = r if r is not None else max((c or 0) for _, c in entries) + 1
             omega = tuple(v for v, _ in entries)
             if any(v <= 0 for v in omega):
@@ -129,13 +129,13 @@ def render_cycles(sigma, pretty=False):
     return "".join(str(cy) for cy in kept) if kept else "()"
 
 
+# --fn -> (map in transfer, whether it takes a trace); phiS is the classic map
 _MAP_FNS = {
-    "phi": lambda p, trace: phi_plus(p, trace=trace),
-    "Phi": lambda p, trace: capital_phi(p),
-    "psi": lambda p, trace: psi_plus(p, trace=trace),
-    "PsiD": lambda p, trace: capital_psi_D(p),
-    "PsiDbar": lambda p, trace: capital_psi_Dbar(p),
-    "phiS": lambda p, trace: phi_classic(p, check=trace is not None),
+    "phi": ("phi_plus", True),
+    "Phi": ("capital_phi", False),
+    "psi": ("psi_plus", True),
+    "PsiD": ("capital_psi_D", False),
+    "PsiDbar": ("capital_psi_Dbar", False),
 }
 
 
@@ -144,9 +144,13 @@ def _emit(cfg, payload, text_lines, csv_rows):
     object, text_lines the text rendering, csv_rows (header, rows)."""
     out = sys.stdout
     if cfg.format == "json":
+        import json
+
         json.dump(payload, out, indent=2)
         out.write("\n")
     elif cfg.format == "csv":
+        import csv
+
         head, rows = csv_rows
         w = csv.writer(out, lineterminator="\n")
         w.writerow(head)
@@ -163,8 +167,10 @@ def _cmd_map(cfg):
             print("colored maps need --r", file=sys.stderr)
             return EXIT_USAGE
         p = parse_permutation_text(cfg.text, r=cfg.r)
-        if not isinstance(p, ColoredPermutation):
+        if isinstance(p, (SignedPermutation, CycleNotation)):
             raise ValueError("colored map needs a colored one-line input")
+        from .colored import colored_phi, colored_psi
+
         out = colored_phi(p) if fn == "PhiColored" else colored_psi(p, cfg.color or 0)
         payload = {"fn": fn, "input": str(p), "output": str(out)}
         return _finish_map(cfg, payload, str(out))
@@ -172,8 +178,17 @@ def _cmd_map(cfg):
         print("--instrument applies to phi, psi and phiS only", file=sys.stderr)
         return EXIT_USAGE
     p = _as_permutation(parse_permutation_text(cfg.text))
-    trace = TransferTrace() if cfg.instrument else None
-    out = _MAP_FNS[fn](p, trace)
+    from . import transfer
+
+    trace = transfer.TransferTrace() if cfg.instrument else None
+    if fn == "phiS":
+        from .classic import phi_classic
+
+        out = phi_classic(p, check=trace is not None)
+    else:
+        name, traced = _MAP_FNS[fn]
+        f = getattr(transfer, name)
+        out = f(p, trace=trace) if traced else f(p)
     rendered = render_cycles(out, cfg.pretty) if cfg.cycles else str(out)
     payload = {"fn": fn, "input": str(p), "output": rendered}
     if trace is not None and fn != "phiS":
@@ -194,19 +209,22 @@ def _finish_map(cfg, payload, rendered):
 
 def _cmd_stats(cfg):
     p = parse_permutation_text(cfg.text, r=cfg.r)
-    if isinstance(p, ColoredPermutation):
+    if not isinstance(p, (SignedPermutation, CycleNotation)):
+        from .colored import colored_stats
+
         des, maj, col, fmaj = colored_stats(p)
         payload = {"des": des, "maj": maj, "col": col, "fmaj": fmaj}
     else:
+        from .statistics import descent_set, stats
+
         p = _as_permutation(p)
         rec = stats(p)
         payload = {"des": rec.des, "maj": rec.maj, "neg": rec.neg,
                    "fmaj": rec.fmaj,
                    "descents": sorted(descent_set(p).members)}
     line = " ".join(f"{k}={v}" for k, v in payload.items() if k != "descents")
-    _emit(cfg, payload, [line],
-          (list(payload), [[json.dumps(v) if isinstance(v, list) else v
-                            for v in payload.values()]]))
+    # a list of ints renders as JSON would: "[0, 3]"
+    _emit(cfg, payload, [line], (list(payload), [list(map(str, payload.values()))]))
     return EXIT_PASS
 
 
@@ -229,6 +247,8 @@ def _cmd_verify(cfg):
     if "n" in kw and kw["n"] is None:
         print(f"--claim {claim} needs --n", file=sys.stderr)
         return EXIT_USAGE
+    from .verify import CLAIMS
+
     res = CLAIMS[claim](**kw)
     payload = {"claim": res.claim, "params": res.params,
                "passed": res.passed, "checked": res.checked,
@@ -243,6 +263,8 @@ def _cmd_verify(cfg):
 
 
 def _domain_from(cfg):
+    from .domains import DomainSpec
+
     if cfg.domain == "CSnr":
         return DomainSpec("CSnr", cfg.n, r=cfg.r if cfg.r is not None else 2,
                           color_filter=cfg.color)
@@ -252,6 +274,8 @@ def _domain_from(cfg):
 def _cmd_tabulate(cfg):
     d = _domain_from(cfg)
     if cfg.refined:
+        from .lab import refined_descent_table
+
         t = refined_descent_table(d, allow_big=cfg.allow_big)
         items = sorted(((tuple(sorted(k.members)), v) for k, v in t.counts.items()))
         payload = {"domain": d.kind, "n": d.n, "stat": "descent-set",
@@ -260,6 +284,8 @@ def _cmd_tabulate(cfg):
         lines = [f"{' '.join(map(str, k)) or '-':>16}  {v}" for k, v in items]
         _emit(cfg, payload, lines, (["descents", "count"], rows))
         return EXIT_PASS
+    from .lab import exact_distribution
+
     t = exact_distribution(d, cfg.stat, allow_big=cfg.allow_big)
     items = sorted(t.counts.items())
     payload = {"domain": d.kind, "n": d.n, "stat": cfg.stat,
@@ -271,6 +297,8 @@ def _cmd_tabulate(cfg):
 
 
 def _cmd_sample(cfg):
+    from .domains import make_rng, sample
+
     d = _domain_from(cfg)
     rng = make_rng(cfg.seed)
     xs = [str(sample(d, rng)) for _ in range(cfg.samples)]
@@ -281,6 +309,10 @@ def _cmd_sample(cfg):
 
 
 def _cmd_clt(cfg):
+    from dataclasses import asdict
+
+    from .lab import normality_diagnostics
+
     rep = normality_diagnostics(cfg.domain, cfg.stat, cfg.n, cfg.samples, cfg.seed)
     payload = asdict(rep)
     _emit(cfg, payload,
@@ -332,7 +364,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run one claim suite")
     common(p)
-    p.add_argument("--claim", required=True, choices=sorted(CLAIMS))
+    p.add_argument("--claim", required=True, choices=CLAIM_NAMES)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--samples", type=int, default=10000)
@@ -343,7 +375,7 @@ def build_parser():
 
     p = sub.add_parser("tabulate", help="exact statistic distribution")
     common(p)
-    p.add_argument("--domain", required=True, choices=KINDS)
+    p.add_argument("--domain", required=True, choices=DOMAIN_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=("des", "maj", "neg", "fmaj", "col"), default="des")
     p.add_argument("--r", type=int)
@@ -355,7 +387,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw uniform elements")
     common(p)
-    p.add_argument("--domain", required=True, choices=KINDS)
+    p.add_argument("--domain", required=True, choices=DOMAIN_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--color", type=int)
@@ -380,12 +412,16 @@ def main(argv=None):
     cfg = ap.parse_args(argv)
     try:
         return cfg.run(cfg)
-    except BudgetError as e:
-        print(f"budget: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as e:
+        # only domains raises BudgetError, so if it is not loaded, this is not one
+        domains = sys.modules.get(f"{__package__}.domains")
+        if domains is None or not isinstance(e, domains.BudgetError):
+            raise
+        print(f"budget: {e}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ from itertools import islice, product
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .colored import ColoredPermutation, color_of
 from .cycles import _images_to_word, _word_to_images
 from .permutations import SignedPermutation
 
@@ -316,7 +315,9 @@ def _unrank(d: DomainSpec, index):
     """unrank on an index known to lie in range."""
     if d.kind != "CSnr":
         row = _unrank_word(d, index)
-        return SignedPermutation(_word_to_images(row) if _layout(d)[0] else row)
+        return SignedPermutation._trusted(_word_to_images(row) if _layout(d)[0] else row)
+    from .colored import ColoredPermutation
+
     n = d.n
     free = n if d.color_filter is None else n - 1
     q, c = divmod(index, d.r ** free)
@@ -340,6 +341,8 @@ def rank(d: DomainSpec, element) -> int:
     """Inverse of unrank; raises ValueError for an element outside d."""
     n = d.n
     if d.kind == "CSnr":
+        from .colored import ColoredPermutation, color_of
+
         if (not isinstance(element, ColoredPermutation)
                 or (element.n, element.r) != (n, d.r)
                 or d.color_filter not in (None, color_of(element))):
@@ -377,8 +380,10 @@ def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
     start/stop restrict to an unrank index range for sharding.
     """
     if d.kind != "CSnr":
-        yield from map(SignedPermutation, _image_rows(d, start, stop, allow_big))
+        yield from map(SignedPermutation._trusted, _image_rows(d, start, stop, allow_big))
         return
+    from .colored import ColoredPermutation
+
     # each cycle word once, then its color codes with tau[0] varying fastest
     stop = _checked_range(d, start, stop, allow_big)
     free = d.n if d.color_filter is None else d.n - 1

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .colored import colored_stats
 from .domains import DomainSpec, _image_rows, _layout, cardinality, iterate
 from .statistics import DescentSet, _des_maj_neg, _descent_mask
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 _SIGNED_STATS = ("des", "maj", "neg", "fmaj")
@@ -91,6 +91,8 @@ def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
         raise ValueError(f"statistic {stat!r} not defined on {d.kind}")
     pos = allowed.index(stat)
     if d.kind == "CSnr":
+        from .colored import colored_stats
+
         return Counter(colored_stats(p)[pos]
                        for p in iterate(d, allow_big, start, stop))
     triples = Counter(map(_des_maj_neg, _image_rows(d, start, stop, allow_big)))
@@ -119,6 +121,8 @@ def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
 
 def exact_moments(t: DistributionTable) -> MomentReport:
     """Exact rational mean and variance of the table's uniform law."""
+    from fractions import Fraction
+
     total = t.total()
     if total == 0:
         raise ValueError("empty table")
@@ -134,6 +138,8 @@ def theoretical_moments(stat: str, n: int) -> MomentReport:
 
     The same values hold for the cyclic classes once n >= 5.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("need n >= 1")
     if stat == "des":

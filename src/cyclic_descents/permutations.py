@@ -35,6 +35,16 @@ class SignedPermutation:
         self.n = n
 
     @classmethod
+    def _trusted(cls, images):
+        """Build from images the library produced itself, skipping the
+        checks of __init__; the images must already be a signed
+        permutation."""
+        self = object.__new__(cls)
+        self.images = tuple(images)
+        self.n = len(self.images)
+        return self
+
+    @classmethod
     def identity(cls, n):
         return cls(range(1, n + 1))
 

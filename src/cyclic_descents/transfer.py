@@ -34,15 +34,15 @@ An optional TransferTrace records the intermediate states and swap events.
 On the forward pass it also asserts the structural invariants of the
 rewriting (the order properties of the working permutation at every loop
 boundary and the swap properties of every completed swap batch).  Enabling
-the trace never changes the output.
+the trace never changes the output.  The hooks that fill and check a trace
+live in `tracing` and load only when a trace is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cycles import (CycleNotation, SignedCycle, _canonical_cycles,
-                     _images_to_word, _word_to_images)
+from .cycles import _canonical_cycles, _images_to_word, _word_to_images
 from .permutations import SignedPermutation
 from .statistics import _descent_mask
 
@@ -240,6 +240,8 @@ def _phi_plus_word(word, trace=None):
 
     ctx = None
     if trace is not None:
+        from .tracing import _PhiContext
+
         ctx = _PhiContext(trace, ent, starts, ends, pos_of, sig, desS, desP, pi_img)
     # the working cycles move, read chunk by chunk, left to right
     _rewrite(ent, (starts, ends, pos_of, pred), range(len(starts)),
@@ -256,7 +258,7 @@ def phi_plus(pi: SignedPermutation, trace: TransferTrace | None = None) -> Signe
     if word[-1] != pi.n:
         raise ValueError(f"{pi} contains -{pi.n}; only the positive class is accepted")
     sig = _phi_plus_word(word, trace)
-    return SignedPermutation(sig[1:])
+    return SignedPermutation._trusted(sig[1:])
 
 
 def _phi_fixup(word, res):
@@ -305,7 +307,7 @@ def _capital_phi_word(word):
 def capital_phi(pi: SignedPermutation) -> SignedPermutation:
     """Descent-preserving map from cyclic permutations of degree n+1 to B_n:
     descents at 0..n-1 are preserved exactly."""
-    return SignedPermutation(_capital_phi_word(_images_to_word(pi.images)))
+    return SignedPermutation._trusted(_capital_phi_word(_images_to_word(pi.images)))
 
 
 def _psi_plus_word(images, trace=None):
@@ -323,6 +325,8 @@ def _psi_plus_word(images, trace=None):
 
     rec = None
     if trace is not None:
+        from .tracing import _Recorder
+
         rec = _Recorder(trace, went, starts, ends)
     # the big cycle moves, read as one cycle over all N slots; chunks are
     # visited right to left, skipping the last, and eps takes the smallest
@@ -336,7 +340,7 @@ def _psi_plus_word(images, trace=None):
 def psi_plus(sigma: SignedPermutation, trace: TransferTrace | None = None) -> SignedPermutation:
     """The signed-to-cyclic map: inverse of phi_plus, landing in the positive
     class of cyclic permutations one degree up."""
-    return SignedPermutation(_word_to_images(_psi_plus_word(sigma.images, trace)))
+    return SignedPermutation._trusted(_word_to_images(_psi_plus_word(sigma.images, trace)))
 
 
 def _capital_psi_word(images, want_even):
@@ -360,13 +364,13 @@ def _capital_psi_word(images, want_even):
 def capital_psi_D(sigma: SignedPermutation) -> SignedPermutation:
     """Inverse of the descent-preserving map restricted to cyclic permutations
     with an even number of negative entries."""
-    return SignedPermutation(_word_to_images(_capital_psi_word(sigma.images, True)))
+    return SignedPermutation._trusted(_word_to_images(_capital_psi_word(sigma.images, True)))
 
 
 def capital_psi_Dbar(sigma: SignedPermutation) -> SignedPermutation:
     """Inverse of the descent-preserving map restricted to cyclic permutations
     with an odd number of negative entries."""
-    return SignedPermutation(_word_to_images(_capital_psi_word(sigma.images, False)))
+    return SignedPermutation._trusted(_word_to_images(_capital_psi_word(sigma.images, False)))
 
 
 def preimage_quadruple(sigma: SignedPermutation):
@@ -385,195 +389,4 @@ def preimage_quadruple(sigma: SignedPermutation):
             neg = w[-1] < 0
             keyed.append(((neg, (want != even) != neg), w))
     keyed.sort(key=lambda kw: kw[0])
-    return tuple(SignedPermutation(_word_to_images(w)) for _, w in keyed)
-
-
-class _Recorder:
-    """Fills a TransferTrace: one (loop index, working snapshot, swaps)
-    entry per outer-loop iteration of a rewriting pass."""
-
-    def __init__(self, trace, ent, starts, ends):
-        self.trace = trace
-        self.ent = ent
-        self.starts = starts
-        self.ends = ends
-        self.cur_swaps = []
-
-    def _snapshot(self):
-        ent = self.ent
-        cycs = [SignedCycle(tuple(ent[lo:hi + 1])) for lo, hi in zip(self.starts, self.ends)]
-        if len(ent) > self.ends[-1] + 1:
-            # the inverse pass: the big cycle's closing entry +N
-            cycs.append(SignedCycle(tuple(ent[self.ends[-1] + 1:])))
-        return CycleNotation(len(ent), cycs)
-
-    def begin_iteration(self, j):
-        self.cur_swaps = []
-        self.trace.iterations.append((j + 1, self._snapshot(), self.cur_swaps))
-
-    def begin_batch(self, j, zv, eps, y_pos):
-        pass
-
-    def record_swap(self, xv, yv, xp, yp):
-        assert abs(abs(xv) - abs(yv)) == 1, "swap magnitudes must be adjacent"
-        self.cur_swaps.append((xv, yv, (xp, yp)))
-
-    def end_batch(self, j):
-        pass
-
-
-class _PhiContext(_Recorder):
-    """Structural checks for the instrumented forward rewriting.
-
-    Asserts, at the start of every outer-loop iteration and after every swap
-    batch, the order properties of the working permutation, and for every
-    batch the locality and descent-effect properties of its swaps.
-    """
-
-    def __init__(self, trace, ent, starts, ends, pos_of, sig, desS, desP, pi_img):
-        super().__init__(trace, ent, starts, ends)
-        self.chunk_of = [j for j in range(len(starts)) for _ in range(starts[j], ends[j] + 1)]
-        self.pos_of = pos_of
-        self.sig = sig
-        self.desS = desS
-        self.desP = desP
-        self.pi_img = pi_img
-        self.n = len(ent)
-        self.m = len(starts)
-        self.init_ent = tuple(ent)
-        self.init_first = [ent[p] for p in starts]
-        self.touched = [False] * self.n
-        self.batch = None
-        self.batches_this_iter = 0
-
-    def begin_iteration(self, j):
-        super().begin_iteration(j)
-        self.batches_this_iter = 0
-        self.check_order(j)
-
-    def begin_batch(self, j, zv, eps, y_pos):
-        if self.batches_this_iter:
-            # the start of every later round of the outer loop is a boundary
-            self.check_order(j)
-        self.batches_this_iter += 1
-        self.batch = {
-            "z": zv,
-            "eps": eps,
-            "first_y": y_pos,
-            "ent0": list(self.ent),
-            "sig0": list(self.sig),
-            "desS0": list(self.desS),
-            "affected": set(),
-            "swaps": [],
-        }
-
-    def record_swap(self, xv, yv, xp, yp):
-        super().record_swap(xv, yv, xp, yp)
-        b = self.batch
-        b["affected"].update((xp, yp))
-        b["swaps"].append((xp, yp))
-        self.touched[xp] = True
-        self.touched[yp] = True
-
-    def end_batch(self, j):
-        b = self.batch
-        n, m = self.n, self.m
-        chunk_of, ends = self.chunk_of, self.ends
-        affected = b["affected"]
-
-        # (I) each swap joins the current cycle to one on its right
-        for xp, yp in b["swaps"]:
-            cs = {chunk_of[xp], chunk_of[yp]}
-            assert j in cs and max(cs) > j, f"swap {xp},{yp} not between cycle {j} and a later one"
-
-        # (II) last entries of later cycles survive, and nothing right of the
-        # first partner moves
-        for k in range(j + 1, m):
-            assert ends[k] not in affected, f"last entry of cycle {k} was swapped"
-        for q in affected:
-            assert q <= b["first_y"], "swap reached right of the first partner"
-
-        # (III) entries whose image reaches the next cycle's leader survive
-        if j + 1 < m:
-            first_val = b["ent0"][self.starts[j + 1]]
-            for p in range(n):
-                if b["sig0"][abs(b["ent0"][p])] >= first_val:
-                    assert p not in affected, f"large entry at {p} was swapped"
-
-        # (IV) the cumulative effect on the descent mismatches
-        desP, desS0, desS1 = self.desP, b["desS0"], self.desS
-        delta0 = {d for d in range(1, n) if desP[d] != desS0[d]}
-        delta1 = {d for d in range(1, n) if desP[d] != desS1[d]}
-        z, eps = b["z"], b["eps"]
-        d0 = min(abs(z), abs(z + eps))
-        assert d0 in delta0 and d0 not in delta1, "target descent not settled"
-        d1 = min(abs(z), abs(z - eps))
-        if 1 <= d1 <= n - 1:
-            assert d1 not in delta1, "descent behind z not settled"
-        d2 = min(abs(z + eps), abs(z + 2 * eps))
-        d2_ok = 1 <= d2 <= n - 1
-        if d2_ok:
-            if d2 in delta0:
-                assert d2 not in delta1, "descent ahead of the partner not settled"
-            elif b["sig0"][abs(z + 2 * eps)] > b["sig0"][abs(z + eps)]:
-                assert d2 not in delta1, "descent ahead of the partner introduced"
-        introduced = delta1 - delta0
-        assert introduced <= ({d2} if d2_ok else set()), f"stray descents {introduced}"
-        self.batch = None
-
-    def check_order(self, j):
-        ent, sig, pi_img = self.ent, self.sig, self.pi_img
-        starts, ends, chunk_of = self.starts, self.ends, self.chunk_of
-        n, m = self.n, self.m
-
-        # (A) entries of each cycle keep their original relative order
-        for k in range(m):
-            lo, hi = starts[k], ends[k]
-            for p in range(lo, hi + 1):
-                for q in range(p + 1, hi + 1):
-                    assert (ent[p] < ent[q]) == (self.init_ent[p] < self.init_ent[q]), \
-                        f"relative order broken in cycle {k}"
-
-        # (B) cycle leaders increase and dominate everything before them
-        for k in range(m):
-            if k:
-                assert ent[starts[k]] > ent[starts[k - 1]], "cycle leaders out of order"
-            assert ent[starts[k]] == max(ent[: ends[k] + 1]), \
-                f"leader of cycle {k} not dominant"
-
-        # (C) the image order against later leaders pins down untouched entries
-        for k in range(j + 1, m):
-            pk1 = self.init_first[k]
-            sk1 = ent[starts[k]]
-            for p in range(n):
-                x = ent[p]
-                a = -x if x < 0 else x
-                lhs = pi_img[a] > pk1
-                rhs = sig[a] >= sk1
-                assert lhs == rhs, f"image-order mismatch at entry {x} vs cycle {k}"
-                if lhs:
-                    assert (sig[a] == sk1) == (p == ends[k]), \
-                        "equality must mark the last entry"
-                    assert not self.touched[p], f"swapped entry {x} claims exemption"
-
-        # (D) every descent mismatch is an adjacent last/non-last pair
-        desP, desS = self.desP, self.desS
-        for d in range(1, n):
-            if desP[d] == desS[d]:
-                continue
-            pd = self.pos_of[d]
-            pd1 = self.pos_of[d + 1]
-            last_d = pd == ends[chunk_of[pd]] and chunk_of[pd] >= j
-            last_d1 = pd1 == ends[chunk_of[pd1]] and chunk_of[pd1] >= j
-            assert last_d != last_d1, f"mismatch {d}: need exactly one trailing entry"
-            xpos, opos = (pd, pd1) if last_d else (pd1, pd)
-            assert chunk_of[opos] > chunk_of[xpos], f"mismatch {d}: partner not to the right"
-            assert opos != ends[chunk_of[opos]], f"mismatch {d}: partner trails its cycle"
-            xm = abs(ent[xpos])
-            om = abs(ent[opos])
-            assert pi_img[xm] > pi_img[om], f"mismatch {d}: input images not descending"
-            assert sig[xm] < sig[om], f"mismatch {d}: working images not ascending"
-
-    def final_check(self):
-        self.check_order(self.m)
-        self.batch = None
+    return tuple(SignedPermutation._trusted(_word_to_images(w)) for _, w in keyed)

@@ -4,6 +4,8 @@ Each checker exhaustively sweeps (or, where stated, randomly samples) its
 domain and returns a ClaimResult; nothing is asserted so callers decide how
 to report.  The descent-preservation sweep can be sharded by unrank range
 and spread over processes, and shard results merge deterministically.
+The classic, colored and lab modules are imported by the claims that use
+them, when they run.
 """
 
 from __future__ import annotations
@@ -14,17 +16,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
-from .classic import _phi_classic_word
-from .colored import (ColoredPermutation, color_of, colored_descent_set,
-                      colored_phi, colored_psi)
 from .cycles import _word_to_images
 from .domains import (DomainSpec, _uniform_index, _unrank_word, cardinality,
                       iterate_words, make_rng)
-from .lab import exact_distribution, exact_moments, refined_descent_table, theoretical_moments
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
-                       _capital_psi_word, _phi_plus_word, _psi_plus_word)
+                       _capital_psi_word, _phi_fixup, _phi_plus_word,
+                       _psi_plus_word)
 
 MAX_REPORTED = 5
 
@@ -183,12 +182,20 @@ def check_inverses(n) -> ClaimResult:
     N = n + 1
     for row in iterate_words(DomainSpec("B", n)):
         sigma = list(row)
-        for tag, even in (("D-left", True), ("Dbar-left", False)):
-            up = _capital_psi_word(row, even)
-            if (sum(v < 0 for v in up) % 2 == 0) != even or _capital_phi_word(up) != sigma:
-                _report(bad, (tag, SignedPermutation(row)))
         up = _psi_plus_word(row)
-        if up[-1] != N or _phi_plus_word(up)[1:] != sigma:
+        raw = _phi_plus_word(up) if up[-1] == N else None
+        # unless sigma(1) = -1, the parity-class inverse of sigma's own
+        # parity is the plus-class word up, and Phi of it the fix-up of raw
+        own = None if row[:1] == (-1,) else sum(v < 0 for v in row) % 2 == 0
+        for tag, even in (("D-left", True), ("Dbar-left", False)):
+            if even == own and raw is not None:
+                w, back = up, _phi_fixup(up, raw[:])
+            else:
+                w = _capital_psi_word(row, even)
+                back = _capital_phi_word(w)
+            if (sum(v < 0 for v in w) % 2 == 0) != even or back != sigma:
+                _report(bad, (tag, SignedPermutation(row)))
+        if raw is None or raw[1:] != sigma:
             _report(bad, ("plus-left", SignedPermutation(row)))
         checked += 3
     for kind, even in (("CD", True), ("CDbar", False)):
@@ -209,6 +216,8 @@ def check_inverses(n) -> ClaimResult:
 def check_corollary_counts(n) -> ClaimResult:
     """Refined descent tables agree: B_n equals both parity classes of
     cyclic degree n+1 under descent-set truncation."""
+    from .lab import refined_descent_table
+
     t0 = time.perf_counter()
     tb = refined_descent_table(DomainSpec("B", n))
     tc = refined_descent_table(DomainSpec("CD", n + 1))
@@ -223,6 +232,8 @@ def check_corollary_counts(n) -> ClaimResult:
 def check_elizalde_equivalence(n) -> ClaimResult:
     """The unsigned rewriting agrees with the signed map on every cyclic
     plain permutation of degree n+1, with its internal cross-checks armed."""
+    from .classic import _phi_classic_word
+
     t0 = time.perf_counter()
     checked = 0
     bad = []
@@ -244,6 +255,9 @@ def check_colored(n, r) -> ClaimResult:
     """Colored transfer: descents in [n-1] preserved, each fixed-color class
     of cyclic degree-(n+1) elements maps bijectively, and the lift with a
     target color inverts it."""
+    from .colored import (ColoredPermutation, color_of, colored_descent_set,
+                          colored_phi, colored_psi)
+
     t0 = time.perf_counter()
     checked = 0
     bad = []
@@ -277,6 +291,8 @@ def check_colored(n, r) -> ClaimResult:
 def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
     """Exact des/fmaj moments on the three cyclic signed domains equal the
     closed forms, as rationals, for every degree in [n_lo, n_hi]."""
+    from .lab import exact_distribution, exact_moments, theoretical_moments
+
     t0 = time.perf_counter()
     checked = 0
     bad = []

@@ -1,5 +1,6 @@
 """Command line behavior: grammars, schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_descents.cli import ParseError, main, parse_permutation_text, render_cycles
+from cyclic_descents.cli import (ParseError, build_parser, main,
+                                 parse_permutation_text, render_cycles)
 from cyclic_descents.colored import ColoredPermutation
 from cyclic_descents.cycles import CycleNotation, from_cycles
 from cyclic_descents.permutations import SignedPermutation
@@ -227,20 +229,92 @@ def test_verify_json_params_keep_types(capsys):
     assert out.startswith("[PASS] phi-descents(n=3,shard=None,threads=1): 96 checks in ")
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def fresh(*args):
+    """Run python with args in a fresh interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_cli_imports_without_numpy():
     # numpy loads only when a command samples; the sampled stream is pinned
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, cyclic_descents.cli\n"
-             "print('numpy' in sys.modules)\n")
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=60)
+    res = fresh("-c", "import sys, cyclic_descents.cli\n"
+                      "print('numpy' in sys.modules)\n")
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
-    res = subprocess.run([sys.executable, "-m", "cyclic_descents.cli", "sample",
-                          "--domain", "CB", "--n", "8", "--seed", "7",
-                          "--samples", "4"],
-                         env=env, capture_output=True, text=True, timeout=60)
+    res = fresh("-m", "cyclic_descents.cli", "sample", "--domain", "CB", "--n", "8",
+                "--seed", "7", "--samples", "4")
     assert res.returncode == 0, res.stderr
     assert res.stdout == ("[-8,3,7,5,-2,1,-6,4]\n[5,-4,-2,6,-8,7,1,-3]\n"
                           "[3,1,-8,6,-7,5,-2,4]\n[3,-7,-4,-5,-8,-2,1,6]\n")
+
+
+def test_package_namespace_is_lazy():
+    res = fresh("-c", (
+        "import sys, cyclic_descents as c\n"
+        "print([m for m in sys.modules if m.startswith('cyclic_descents.')])\n"
+        "ns = {}\n"
+        "exec('from cyclic_descents import *', ns)\n"
+        "print(sorted(set(c.__all__) - set(ns)), len(c.__all__))\n"
+        "from cyclic_descents import lab, verify, DomainSpec\n"
+        "print(DomainSpec is sys.modules['cyclic_descents.domains'].DomainSpec)\n"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n[] 49\nTrue\n"
+
+
+HEAVY = ("cyclic_descents.lab", "cyclic_descents.verify",
+         "cyclic_descents.domains", "cyclic_descents.classic",
+         "cyclic_descents.colored", "cyclic_descents.tracing", "numpy",
+         "fractions")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["stats", "[-3,1,2,-5,-4,6]"], HEAVY),
+    (["stats", "--format", "csv", "[-3,1,2,-5,-4,6]"], HEAVY),
+    (["map", "--fn", "Phi", "(-4,-1,2,5,-3,-6,7)"], HEAVY),
+    (["invert", "--fn", "PsiD", "--format", "json", "[1,2,-6,-3,-5,4]"], HEAVY),
+    (["tabulate", "--domain", "CB", "--n", "4"],
+     ("cyclic_descents.colored", "cyclic_descents.transfer",
+      "cyclic_descents.verify", "numpy", "fractions")),
+    (["verify", "--claim", "phi-descents", "--n", "3"],
+     ("cyclic_descents.lab", "cyclic_descents.classic",
+      "cyclic_descents.colored", "cyclic_descents.tracing", "numpy",
+      "fractions")),
+], ids=["stats", "stats-csv", "map", "invert-json", "tabulate", "verify"])
+def test_commands_import_only_what_they_run(argv, absent):
+    res = fresh("-c", (
+        "import contextlib, io, sys\n"
+        "from cyclic_descents import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        f"print([m for m in {absent!r} if m in sys.modules])\n"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_parser_choices_match_the_library():
+    from cyclic_descents import domains, verify
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(sub, flag):
+        return next(a.choices for a in subs[sub]._actions if flag in a.option_strings)
+
+    assert list(choices("verify", "--claim")) == sorted(verify.CLAIMS)
+    assert tuple(choices("tabulate", "--domain")) == domains.KINDS
+    assert tuple(choices("sample", "--domain")) == domains.KINDS
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["tabulate", "--domain", "B", "--n", "40"], 3, "budget: "),
+    (["tabulate", "--domain", "CB", "--n", "14", "--refined"], 3, "budget: "),
+    (["stats", "[1,,2]"], 2, "error: syntax error at position 3"),
+    (["map", "--fn", "Phi", "[1,1]"], 2, "error: magnitude 1 repeated"),
+], ids=["budget", "budget-refined", "syntax", "repeated"])
+def test_exit_codes_in_a_fresh_process(argv, code, err):
+    # the budget error class lives in a module the CLI imports lazily
+    res = fresh("-m", "cyclic_descents.cli", *argv)
+    assert res.returncode == code and res.stderr.startswith(err), res.stderr

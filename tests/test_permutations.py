@@ -19,6 +19,18 @@ def test_validation():
         SignedPermutation([1.5, 2])
 
 
+def test_validation_at_large_degree():
+    # the library's own outputs skip these checks; the constructor keeps them
+    good = list(range(1001, 0, -1))
+    assert SignedPermutation(good).n == 1001
+    for bad in (good[:-1] + [1001], good[:-1] + [-1001], good[:-1] + [0],
+                good[:-1] + [1002]):
+        with pytest.raises(ValueError):
+            SignedPermutation(bad)
+    with pytest.raises(TypeError):
+        SignedPermutation(good[:-1] + [1.0])
+
+
 def test_apply_sign_rule():
     s = SignedPermutation([2, -3, 1, -4])
     assert s(1) == 2 and s(2) == -3 and s(4) == -4

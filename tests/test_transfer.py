@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from cyclic_descents.cycles import _canonical_cycles, to_canonical_cycles, is_cyclic
+from cyclic_descents.domains import DomainSpec, iterate, make_rng, sample, unrank
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import descent_set, truncated_descent_set
 from cyclic_descents.transfer import (
@@ -268,3 +269,41 @@ def test_golden_traces():
         "2f4896e1b9424896c35dd687592300012cc275f61981a1e6dbbde8a92b40af14")
     assert _trace_digest(psi_plus, perms) == (
         "b34cef2a8af3f544d23fb1825688738a63db4f42ef9af6c0d7d35d053bd39b6a")
+
+
+def checked_copy(x):
+    """x rebuilt through the validating constructor, which raises if the
+    library built an invalid element without checks."""
+    assert isinstance(x.images, tuple) and x.n == len(x.images)
+    return SignedPermutation(list(x.images))
+
+
+def test_unchecked_outputs_are_valid():
+    for n in range(1, 7):
+        for x in iterate(DomainSpec("CB", n)):
+            for y in [x, capital_phi(x)] + ([phi_plus(x)] if x.images.count(-n) == 0 else []):
+                assert checked_copy(y) == y
+        for x in iterate(DomainSpec("B", n - 1)):
+            ys = [psi_plus(x), capital_psi_D(x), capital_psi_Dbar(x)]
+            if n > 1:
+                ys += preimage_quadruple(x)
+            for y in ys:
+                assert checked_copy(y) == y
+
+
+def test_unchecked_outputs_are_valid_at_degree_1001():
+    rng = make_rng(1001)
+    for kind in ("CB", "CD", "CDbar", "B"):
+        d = DomainSpec(kind, 1001)
+        for _ in range(3):
+            x = sample(d, rng)
+            ys = [x, unrank(d, 12345)]
+            if kind == "B":
+                ys += [psi_plus(x), capital_psi_D(x), capital_psi_Dbar(x),
+                       *preimage_quadruple(x)]
+            else:
+                ys += [capital_phi(x)]
+                if x.images.count(-1001) == 0:
+                    ys += [phi_plus(x)]
+            for y in ys:
+                assert checked_copy(y) == y

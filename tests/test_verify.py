@@ -1,11 +1,13 @@
 """The claim checkers themselves, at desk sizes."""
 
 import time
+from collections import Counter
 
 import pytest
 
-from cyclic_descents import classic, transfer, verify
+from cyclic_descents import classic, colored, lab, transfer, verify
 from cyclic_descents.colored import ColoredPermutation
+from cyclic_descents.domains import DomainSpec, iterate
 from cyclic_descents.lab import MomentReport
 from cyclic_descents.verify import (CLAIMS, MAX_REPORTED, check_bijection,
                                     check_colored, check_corollary_counts,
@@ -123,6 +125,28 @@ def test_negative_class_faults_are_caught(monkeypatch):
     assert all(-p.n in p.images for p, _, _ in g.failures)
 
 
+def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
+    # a psi rewrite that swaps the first two word entries breaks every law
+    # on every element, so each of the six laws must report every element
+    real = transfer._psi_plus_word
+
+    def faulty(images, trace=None):
+        w = real(images, trace)
+        return w[1::-1] + w[2:]
+
+    monkeypatch.setattr(transfer, "_psi_plus_word", faulty)
+    monkeypatch.setattr(verify, "_psi_plus_word", faulty)
+    monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
+    r = check_inverses(3)
+    assert r.checked == 288 and not r.passed
+    assert Counter(tag for tag, _ in r.failures) == dict.fromkeys(
+        ("D-left", "Dbar-left", "plus-left", "CD-right", "CDbar-right",
+         "plus-right"), 48)
+    # each left law reports the row itself, in row order
+    rows = [p for tag, p in r.failures if tag == "plus-left"]
+    assert rows == list(iterate(DomainSpec("B", 3)))
+
+
 def test_cross_check_failures_are_capped(monkeypatch):
     # a trigger oracle that always disagrees trips the cross-check on every word
     real = classic._descent_trigger
@@ -135,7 +159,7 @@ def test_cross_check_failures_are_capped(monkeypatch):
 
 def test_color_class_failures_are_capped(monkeypatch):
     # every element mapped to one output fails descents and every color class
-    monkeypatch.setattr(verify, "colored_phi", lambda p: ColoredPermutation(
+    monkeypatch.setattr(colored, "colored_phi", lambda p: ColoredPermutation(
         p.n - 1, p.r, tuple(range(1, p.n)), (0,) * (p.n - 1)))
     r = check_colored(3, 2)
     assert not r.passed
@@ -143,7 +167,7 @@ def test_color_class_failures_are_capped(monkeypatch):
 
 
 def test_moment_failures_are_capped(monkeypatch):
-    monkeypatch.setattr(verify, "theoretical_moments",
+    monkeypatch.setattr(lab, "theoretical_moments",
                         lambda stat, n: MomentReport(-1, 0))
     r = check_moments(2, 4)
     assert not r.passed
