@@ -16,6 +16,9 @@ this script diff empty.  The families are:
   over B(<=5), colored_phi over cyclic colored degree 4 and colored_psi
   over colored degree 3 with r = 2 and every target color, and
   to_canonical_cycles and is_cyclic over B(<=5);
+- the swap-heavy words W_N at N = 8, 12, 101 and 1001 with both signs of
+  1: capital_phi, the parity-class inverse of its image, and the
+  instrumented `map --fn phi` (iterations and swaps) in text format;
 - each claim's (params, passed, checked, failures), its time left out;
 - the command line, run in-process through cli.main: one line per
   subcommand case and --format, each the (argv, exit code, stdout, stderr)
@@ -35,10 +38,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyclic_descents import cli
 from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
-from cyclic_descents.cycles import is_cyclic, to_canonical_cycles
+from cyclic_descents.cycles import _word_to_images, is_cyclic, to_canonical_cycles
 from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
                                      iterate, iterate_words, make_rng, rank,
                                      sample, sample_stat_batch, unrank)
+from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_corollary_counts,
                                     check_elizalde_equivalence,
@@ -54,6 +58,7 @@ ROW_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS")
 # bounds of 1, 2, 3 and 149 64-bit words
 INDEX_BOUNDS = (2 ** 63 + 1, 3 << 100, 5 << 180, math.factorial(1000) << 1000)
 FORMATS = ("text", "json", "csv")
+STRESS_DEGREES = (8, 12, 101, 1001)
 ELAPSED = re.compile(r" checks in \d+\.\d\ds")
 
 
@@ -102,6 +107,17 @@ def elements(kind, degrees):
     return (x for n in degrees for x in iterate(DomainSpec(kind, n)))
 
 
+def stress_word(N, one):
+    """W_N = [-4, -2, N-1, -(N-2), ..., -5, -3, one, N], one = +-1: a cycle
+    word whose forward rewriting makes 2N - 9 swaps."""
+    return [-4, -2, N - 1, *range(-(N - 2), -4), -3, one, N]
+
+
+def stress_elements():
+    return [SignedPermutation(_word_to_images(stress_word(N, one)))
+            for N in STRESS_DEGREES for one in (1, -1)]
+
+
 def map_lines():
     """(label, digest) per transfer map, over small domains."""
     yield "capital_phi CB<=6", digest(
@@ -120,6 +136,11 @@ def map_lines():
         str(colored_psi(ColoredPermutation(3, 2, w.images, tau), c))
         for w in iterate(DomainSpec("S", 3))
         for tau in itertools.product(range(2), repeat=3) for c in range(2))
+    stress = stress_elements()
+    yield "capital_phi W_N", digest(str(capital_phi(x)) for x in stress)
+    yield "capital_psi W_N", digest(
+        str((capital_psi_D if x.negative_count() % 2 == 0 else capital_psi_Dbar)(
+            capital_phi(x))) for x in stress)
     yield "to_canonical_cycles B<=5", digest(
         str(to_canonical_cycles(x)) for x in elements("B", range(6)))
     yield "is_cyclic B<=5", digest(
@@ -196,6 +217,11 @@ def cli_lines():
         for fmt in FORMATS:
             yield f"cli {label} {fmt}", digest(
                 (argv, *run_cli(argv + ["--format", fmt])) for argv in cases)
+    # text format only: the instrumented run checks the working order at
+    # every loop boundary in time quadratic in the longest cycle, about a
+    # minute per word at N = 1001
+    argvs = [["map", "--fn", "phi", str(x), "--instrument"] for x in stress_elements()]
+    yield "cli map phi W_N text", digest((argv, *run_cli(argv)) for argv in argvs)
 
 
 def claims():

@@ -62,14 +62,16 @@ class ColoredPermutation:
 def colored_descent_set(p: ColoredPermutation):
     """Descent positions in {1,...,n}; position n descends when its color
     is nonzero (the fixed point n+1 carries color 0)."""
-    n = p.n
-    out = set()
-    for i in range(1, n):
-        if (p.tau[i - 1], p.omega[i - 1]) > (p.tau[i], p.omega[i]):
-            out.add(i)
-    if n and p.tau[n - 1] != 0:
-        out.add(n)
+    out = _inner_descents(p.omega, p.tau)
+    if p.n and p.tau[-1] != 0:
+        out.add(p.n)
     return out
+
+
+def _inner_descents(omega, tau):
+    """The descent positions in {1,...,n-1} of (omega, tau), n = len(omega)."""
+    return {i for i in range(1, len(omega))
+            if (tau[i - 1], omega[i - 1]) > (tau[i], omega[i])}
 
 
 def colored_stats(p: ColoredPermutation):

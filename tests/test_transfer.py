@@ -6,14 +6,16 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings
 
-from cyclic_descents.cycles import _canonical_cycles, to_canonical_cycles, is_cyclic
+from cyclic_descents import transfer
+from cyclic_descents.cycles import (_canonical_cycles, _word_to_images,
+                                    is_cyclic, to_canonical_cycles)
 from cyclic_descents.domains import DomainSpec, iterate, make_rng, sample, unrank
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import descent_set, truncated_descent_set
 from cyclic_descents.transfer import (
-    TransferTrace, _capital_phi_pair, _capital_phi_word, _setup, capital_phi,
-    capital_psi_D, capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple,
-    psi_plus,
+    TransferTrace, _capital_phi_pair, _capital_phi_word, _chunk_tables,
+    _phi_plus_word, _psi_plus_word, _setup, capital_phi, capital_psi_D,
+    capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple, psi_plus,
 )
 
 from conftest import all_cyclic_words, all_signed, word_to_perm, signed_perms
@@ -182,13 +184,83 @@ def test_setup_cuts_canonical_word_into_the_cycles():
         for s in all_signed(n):
             cycles = _canonical_cycles(s.images)
             word = [v for c in cycles for v in c] + [n + 1]
-            _, sig, _, _, _, _, _, starts, ends = _setup(word, n)
+            _, sig, _, _, _, starts = _setup(word, n)
+            ends, _, _ = _chunk_tables(n, starts)
             assert tuple(sig[1:]) == s.images
             bounds = [0]
             for c in cycles:
                 bounds.append(bounds[-1] + len(c))
             assert starts == bounds[:-1]
             assert ends == [b - 1 for b in bounds[1:]]
+
+
+# -- the early exit --------------------------------------------------------
+
+def _exits(monkeypatch):
+    """Record, per untraced call, whether the rewriting left after the
+    first set-up pass (the chunk tables were never built)."""
+    built = []
+    real = transfer._chunk_tables
+
+    def spy(n, starts):
+        built.append(True)
+        return real(n, starts)
+
+    monkeypatch.setattr(transfer, "_chunk_tables", spy)
+
+    def exited(run, x):
+        del built[:]
+        out = run(x)
+        return out, not built
+
+    return exited
+
+
+def test_forward_early_exit_equals_the_full_loop(monkeypatch):
+    # taken exactly when the traced run, which always walks every chunk,
+    # records no swap, and then with the traced run's output
+    exited = _exits(monkeypatch)
+    for N in range(1, 7):
+        for w in all_cyclic_words(N):
+            if w[-1] < 0:
+                continue
+            t = TransferTrace()
+            traced = _phi_plus_word(w, t)
+            out, took = exited(_phi_plus_word, w)
+            assert out == traced
+            assert took == (t.swap_count() == 0)
+
+
+def test_inverse_early_exit_equals_the_full_loop(monkeypatch):
+    exited = _exits(monkeypatch)
+    for n in range(6):
+        for s in all_signed(n):
+            t = TransferTrace()
+            traced = psi_plus(s, trace=t)
+            out, took = exited(_psi_plus_word, s.images)
+            assert SignedPermutation(_word_to_images(out)) == traced
+            assert took == (t.swap_count() == 0)
+
+
+def stress_word(N, one):
+    """W_N = [-4, -2, N-1, -(N-2), ..., -5, -3, one, N] for one = +-1."""
+    return [-4, -2, N - 1, *range(-(N - 2), -4), -3, one, N]
+
+
+@pytest.mark.parametrize("one", (1, -1))
+def test_stress_words_swap_most_and_round_trip(one):
+    assert stress_word(8, 1) == [-4, -2, 7, -6, -5, -3, 1, 8]
+    for N in (8, 12, 101, 1001):
+        w = stress_word(N, one)
+        if N < 1000:
+            # the traced run checks its invariants in quadratic time
+            t = TransferTrace()
+            _phi_plus_word(w, t)
+            assert t.swap_count() == 2 * N - 9
+        x = SignedPermutation(_word_to_images(w))
+        assert psi_plus(phi_plus(x)) == x
+        psi = capital_psi_D if x.negative_count() % 2 == 0 else capital_psi_Dbar
+        assert psi(capital_phi(x)) == x
 
 
 # -- trace bookkeeping -----------------------------------------------------
