@@ -20,6 +20,9 @@ this script diff empty.  The families are:
   1: capital_phi, the parity-class inverse of its image, and the
   instrumented `map --fn phi` (iterations and swaps) in text format;
 - each claim's (params, passed, checked, failures), its time left out;
+- one line per injected fault: each claim's (params, passed, checked,
+  details, failures) with MAX_REPORTED at 5 and at 10^6, with the
+  descent sweep also sharded and on two processes;
 - the command line, run in-process through cli.main: one line per
   subcommand case and --format, each the (argv, exit code, stdout, stderr)
   of its calls, with verify's elapsed time left out.
@@ -32,16 +35,19 @@ import itertools
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cyclic_descents import cli
+from cyclic_descents import classic, cli, colored, lab, transfer, verify
 from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
 from cyclic_descents.cycles import _word_to_images, is_cyclic, to_canonical_cycles
 from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
                                      iterate, iterate_words, make_rng, rank,
                                      sample, sample_stat_batch, unrank)
+from cyclic_descents.lab import MomentReport
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_corollary_counts,
@@ -217,25 +223,90 @@ def cli_lines():
         for fmt in FORMATS:
             yield f"cli {label} {fmt}", digest(
                 (argv, *run_cli(argv + ["--format", fmt])) for argv in cases)
-    # text format only: the instrumented run checks the working order at
-    # every loop boundary in time quadratic in the longest cycle, about a
-    # minute per word at N = 1001
+    # text format only, one line over all eight words
     argvs = [["map", "--fn", "phi", str(x), "--instrument"] for x in stress_elements()]
     yield "cli map phi W_N text", digest((argv, *run_cli(argv)) for argv in argvs)
 
 
-def claims():
-    yield from (check_phi_descents(n) for n in range(1, 6))
+def claim_calls():
+    """The claim runs of the digest, each a call not yet made."""
+    calls = [partial(check_phi_descents, n) for n in range(1, 6)]
     for n in range(1, 5):
-        yield check_bijection(n, "D")
-        yield check_bijection(n, "Dbar")
-        yield check_inverses(n)
-        yield check_corollary_counts(n)
-    yield from (check_elizalde_equivalence(n) for n in range(1, 6))
-    yield from (check_colored(n, r) for n in range(1, 4) for r in range(1, 4))
-    yield check_moments(5, 6)
-    yield check_stat_gaps(5)
-    yield check_order_swap_properties(count=1000, degree=10, seed=SEED)
+        calls += [partial(check_bijection, n, "D"), partial(check_bijection, n, "Dbar"),
+                  partial(check_inverses, n), partial(check_corollary_counts, n)]
+    calls += [partial(check_elizalde_equivalence, n) for n in range(1, 6)]
+    calls += [partial(check_colored, n, r) for n in range(1, 4) for r in range(1, 4)]
+    return calls + [partial(check_moments, 5, 6), partial(check_stat_gaps, 5),
+                    partial(check_order_swap_properties, count=1000, degree=10,
+                            seed=SEED)]
+
+
+def fault_calls():
+    # the two worker processes inherit the patches under the fork start
+    # method, the Linux default before Python 3.14
+    return claim_calls() + [partial(check_phi_descents, 4, shard=(i, 7))
+                            for i in range(7)] + [
+        partial(check_phi_descents, 4, threads=2)]
+
+
+def fault_row(call):
+    """A claim's report, or the error a fault made it raise."""
+    try:
+        c = call()
+    except Exception as e:
+        return call.func.__name__, call.args, call.keywords, repr(e)
+    return c.claim, c.params, c.passed, c.checked, c.details, c.failures
+
+
+def _negative_class_fixup(word, res, real=transfer._phi_fixup):
+    out = real(word, res)
+    return [-v for v in out] if word[-1] < 0 else out
+
+
+def _first_two_swapped(images, trace=None, real=transfer._psi_plus_word):
+    w = real(images, trace)
+    return w[1::-1] + w[2:]
+
+
+def _first_sign_dropped(word, real=transfer._capital_phi_word):
+    out = real(word)
+    return [abs(v) for v in out[:1]] + out[1:]
+
+
+def _traced_output_changed(word, trace=None, real=transfer._phi_plus_word):
+    out = real(word, trace)
+    if trace is not None and len(out) > 1:
+        out[1] = -out[1]
+    return out
+
+
+FAULTS = {
+    "fixup negative class": ("_phi_fixup", _negative_class_fixup),
+    "psi_plus first two swapped": ("_psi_plus_word", _first_two_swapped),
+    "descent trigger inverted": (
+        "_descent_trigger", lambda *a, real=classic._descent_trigger: not real(*a)),
+    "colored_phi constant": ("colored_phi", lambda p: ColoredPermutation(
+        p.n - 1, p.r, tuple(range(1, p.n)), (0,) * (p.n - 1))),
+    "theoretical_moments wrong": (
+        "theoretical_moments", lambda stat, n: MomentReport(-1, 0)),
+    "capital_phi many-to-one": ("_capital_phi_word", _first_sign_dropped),
+    "phi_plus traced output": ("_phi_plus_word", _traced_output_changed),
+}
+
+
+def fault_lines():
+    """One line per fault, patched into every library module that binds
+    its name; every patch is undone on leaving."""
+    for label, (name, fake) in FAULTS.items():
+        rows = []
+        with contextlib.ExitStack() as stack:
+            for mod in (transfer, verify, classic, colored, lab):
+                if hasattr(mod, name):
+                    stack.enter_context(mock.patch.object(mod, name, fake))
+            for cap in (5, 10 ** 6):
+                with mock.patch.object(verify, "MAX_REPORTED", cap):
+                    rows += [(cap, *fault_row(call)) for call in fault_calls()]
+        yield f"fault {label}", digest(rows)
 
 
 def main():
@@ -271,10 +342,11 @@ def main():
     lines += list(map_lines())
     lines += list(cli_lines())
     by_claim = {}
-    for c in claims():
+    for c in (call() for call in claim_calls()):
         by_claim.setdefault(c.claim, []).append(
             (c.params, c.passed, c.checked, c.failures))
     lines += [(f"claim {name}", digest(rs)) for name, rs in by_claim.items()]
+    lines += list(fault_lines())
     for label, h in lines:
         print(f"{label:<32} {h}")
 

@@ -233,6 +233,9 @@ def _cmd_verify(cfg):
     claim = cfg.claim
     if claim == "phi-descents":
         kw = {"n": cfg.n, "shard": cfg.shard, "threads": cfg.threads}
+    elif cfg.shard is not None or cfg.threads != 1:
+        print(f"--claim {claim} takes neither --shard nor --threads", file=sys.stderr)
+        return EXIT_USAGE
     elif claim in ("bijection-D", "bijection-Dbar", "inverses",
                    "corollary-counts", "elizalde-equivalence"):
         kw = {"n": cfg.n}

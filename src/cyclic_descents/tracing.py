@@ -63,7 +63,9 @@ class _PhiContext(_Recorder):
         self.pi_img = pi_img
         self.n = len(ent)
         self.m = len(starts)
-        self.init_ent = tuple(ent)
+        # each chunk's slots in the order of their initial entries
+        self.ranked = [sorted(range(lo, hi + 1), key=ent.__getitem__)
+                       for lo, hi in zip(starts, ends)]
         self.init_first = [ent[p] for p in starts]
         self.touched = [False] * self.n
         self.batch = None
@@ -150,12 +152,9 @@ class _PhiContext(_Recorder):
         n, m = self.n, self.m
 
         # (A) entries of each cycle keep their original relative order
-        for k in range(m):
-            lo, hi = starts[k], ends[k]
-            for p in range(lo, hi + 1):
-                for q in range(p + 1, hi + 1):
-                    assert (ent[p] < ent[q]) == (self.init_ent[p] < self.init_ent[q]), \
-                        f"relative order broken in cycle {k}"
+        for k, order in enumerate(self.ranked):
+            assert sorted(order, key=ent.__getitem__) == order, \
+                f"relative order broken in cycle {k}"
 
         # (B) cycle leaders increase and dominate everything before them
         for k in range(m):

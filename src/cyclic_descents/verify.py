@@ -2,8 +2,10 @@
 
 Each checker exhaustively sweeps (or, where stated, randomly samples) its
 domain and returns a ClaimResult; nothing is asserted so callers decide how
-to report.  The descent-preservation sweep can be sharded by unrank range
-and spread over processes, and shard results merge deterministically.
+to report.  Each claim keys every failure by its rank or visit index and
+reports the MAX_REPORTED failures of smallest key, in key order.  Only the
+descent-preservation sweep can be sharded by unrank range and spread over
+processes, and the processes never change what a sweep reports.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -73,29 +76,25 @@ def _sign_pairs(N, start, stop):
         i = end
 
 
-def _show(images):
-    """An image list rendered as SignedPermutation renders it: [a,b,...]."""
-    return "[" + ",".join(map(str, images)) + "]"
-
-
-def _report(bad, item):
-    """Append item to bad while fewer than MAX_REPORTED are kept."""
-    if len(bad) < MAX_REPORTED:
-        bad.append(item)
-
-
 def _note(bad, key, item):
     """Keep in bad the MAX_REPORTED (key, item) pairs of smallest key, so a
-    paired sweep reports the same first failures as a sweep in key order."""
+    sweep in any order reports the same first failures as a sweep in key
+    order."""
     if len(bad) < MAX_REPORTED or key < bad[-1][0]:
-        bad.append((key, item))
-        bad.sort(key=lambda kv: kv[0])
+        insort(bad, (key, item), key=lambda kv: kv[0])
         del bad[MAX_REPORTED:]
+
+
+def _result(claim, params, t0, checked, bad, details="", ok=True):
+    """The result of a run started at t0 that kept its failures in bad
+    through _note; it passes when ok holds and nothing failed."""
+    return ClaimResult(claim, params, ok and not bad, checked,
+                       time.perf_counter() - t0, details, [x for _, x in bad])
 
 
 def _descents_range(N, start, stop):
     """Worker for the descent-preservation sweep over one unrank range;
-    returns the count and the first bad words, in index order."""
+    returns the count and the (rank, word) pairs of the first bad words."""
     cap = (1 << (N - 1)) - 1
     mask = (1 << N) - 1
     bad = []
@@ -114,13 +113,15 @@ def _descents_range(N, start, stop):
         if m != _descent_mask(res):
             _note(bad, i, w)
         count += 1
-    return count, [w for _, w in bad]
+    return count, bad
 
 
 def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
     """Descents at 0..n-1 agree between each cyclic permutation of degree
     n+1 and its image in B_n; exhaustive over the (sharded) domain."""
     t0 = time.perf_counter()
+    if threads < 1:
+        raise ValueError(f"bad thread count {threads}")
     N = n + 1
     total = cardinality(DomainSpec("CB", N))
     if shard is None:
@@ -130,26 +131,18 @@ def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
         if not 0 <= i < t:
             raise ValueError(f"bad shard {i}/{t}")
         lo, hi = total * i // t, total * (i + 1) // t
-    checked = 0
-    bad = []
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
-        bounds = [(lo + (hi - lo) * k // threads, lo + (hi - lo) * (k + 1) // threads)
-                  for k in range(threads)]
+        cuts = [lo + (hi - lo) * k // threads for k in range(threads + 1)]
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            for cnt, b in ex.map(_descents_worker, [(N, a, b) for a, b in bounds]):
-                checked += cnt
-                bad.extend(b)
+            parts = list(ex.map(_descents_range, [N] * threads, cuts, cuts[1:]))
     else:
-        checked, bad = _descents_range(N, lo, hi)
-    return ClaimResult(
-        "phi-descents", {"n": n, "shard": shard, "threads": threads},
-        not bad, checked, time.perf_counter() - t0,
-        "" if not bad else f"first bad words {bad[:MAX_REPORTED]}", bad[:MAX_REPORTED])
-
-
-def _descents_worker(args):
-    return _descents_range(*args)
+        parts = [_descents_range(N, lo, hi)]
+    # the parts cover consecutive ranks, each reported in rank order
+    bad = [kw for _, b in parts for kw in b][:MAX_REPORTED]
+    return _result("phi-descents", {"n": n, "shard": shard, "threads": threads},
+                   t0, sum(c for c, _ in parts), bad,
+                   f"first bad words {[w for _, w in bad]}" if bad else "")
 
 
 def check_bijection(n, parity="D") -> ClaimResult:
@@ -163,14 +156,12 @@ def check_bijection(n, parity="D") -> ClaimResult:
     for w in iterate_words(DomainSpec(kind, n + 1)):
         out = tuple(_capital_phi_word(w))
         if out in seen:
-            _report(dup, w)
+            _note(dup, checked, w)
         seen.add(out)
         checked += 1
     want = cardinality(DomainSpec("B", n))
-    ok = not dup and len(seen) == want
-    return ClaimResult(
-        "bijection-" + parity, {"n": n}, ok, checked, time.perf_counter() - t0,
-        f"{len(seen)}/{want} distinct images", dup)
+    return _result("bijection-" + parity, {"n": n}, t0, checked, dup,
+                   f"{len(seen)}/{want} distinct images", len(seen) == want)
 
 
 def check_inverses(n) -> ClaimResult:
@@ -218,8 +209,7 @@ def check_inverses(n) -> ClaimResult:
                       ("CD-right" if even else "CDbar-right",
                        SignedPermutation(_word_to_images(x))))
         checked += 3
-    return ClaimResult("inverses", {"n": n}, not bad, checked,
-                       time.perf_counter() - t0, "", [x for _, x in bad])
+    return _result("inverses", {"n": n}, t0, checked, bad)
 
 
 def check_corollary_counts(n) -> ClaimResult:
@@ -233,9 +223,8 @@ def check_corollary_counts(n) -> ClaimResult:
     tcb = refined_descent_table(DomainSpec("CDbar", n + 1))
     ok = tb.counts == tc.counts == tcb.counts
     checked = sum(tb.counts.values()) + sum(tc.counts.values()) + sum(tcb.counts.values())
-    detail = "" if ok else "tables differ"
-    return ClaimResult("corollary-counts", {"n": n}, ok, checked,
-                       time.perf_counter() - t0, detail)
+    return _result("corollary-counts", {"n": n}, t0, checked, [],
+                   "" if ok else "tables differ", ok)
 
 
 def check_elizalde_equivalence(n) -> ClaimResult:
@@ -246,18 +235,18 @@ def check_elizalde_equivalence(n) -> ClaimResult:
     t0 = time.perf_counter()
     checked = 0
     bad = []
-    for w in iterate_words(DomainSpec("CS", n + 1)):
+    for k, w in enumerate(iterate_words(DomainSpec("CS", n + 1))):
         try:
             a = _phi_classic_word(list(w), check=True)[1:]
         except AssertionError as e:
-            _report(bad, (w, f"cross-check: {e}"))
+            _note(bad, k, (w, f"cross-check: {e}"))
             continue
         c = _capital_phi_word(w)
         if a != c:
-            _report(bad, (w, f"{_show(a)} != {_show(c)}"))
+            _note(bad, k, (w, f"{SignedPermutation._trusted(a)} != "
+                              f"{SignedPermutation._trusted(c)}"))
         checked += 1
-    return ClaimResult("elizalde-equivalence", {"n": n}, not bad, checked,
-                       time.perf_counter() - t0, "", bad)
+    return _result("elizalde-equivalence", {"n": n}, t0, checked, bad)
 
 
 def check_colored(n, r) -> ClaimResult:
@@ -275,6 +264,8 @@ def check_colored(n, r) -> ClaimResult:
 
     t0 = time.perf_counter()
     checked = 0
+    # failures are keyed (phase, visit index): descents, color classes and
+    # round trips, in that order
     bad = []
     by_color = {c: set() for c in range(r)}
     keep = set(range(1, n))
@@ -284,23 +275,23 @@ def check_colored(n, r) -> ClaimResult:
         for tau in product(range(r), repeat=n + 1):
             low = tau[:-1]
             if _inner_descents(img, tau) & keep != _inner_descents(out, low):
-                _report(bad, ("descents", ColoredPermutation(n + 1, r, img, tau)))
+                _note(bad, (0, checked),
+                      ("descents", ColoredPermutation(n + 1, r, img, tau)))
             by_color[sum(tau) % r].add((out, low))
             checked += 1
     full = r ** n * math.factorial(n)
     for c, hit in by_color.items():
         if len(hit) != full:
-            _report(bad, ("color-class", (c, len(hit), full)))
+            _note(bad, (1, c), ("color-class", (c, len(hit), full)))
     for ww in iterate_words(DomainSpec("S", n)):
         p = ColoredPermutation(n, r, ww, (0,) * n)
         up = colored_psi(p, 0)
         if color_of(up) != 0 or colored_phi(up) != p:
-            for tau in product(range(r), repeat=n):
-                for c in range(r):
-                    _report(bad, ("roundtrip", (ColoredPermutation(n, r, ww, tau), c)))
+            lifts = product(product(range(r), repeat=n), range(r))
+            for k, (tau, c) in enumerate(lifts, checked):
+                _note(bad, (2, k), ("roundtrip", (ColoredPermutation(n, r, ww, tau), c)))
         checked += r ** (n + 1)
-    return ClaimResult("colored", {"n": n, "r": r}, not bad, checked,
-                       time.perf_counter() - t0, "", bad)
+    return _result("colored", {"n": n, "r": r}, t0, checked, bad)
 
 
 def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
@@ -317,10 +308,9 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
                 m = exact_moments(exact_distribution(DomainSpec(kind, n), stat))
                 th = theoretical_moments(stat, n)
                 if (m.mean, m.variance) != (th.mean, th.variance):
-                    _report(bad, (kind, n, stat, str(m.mean), str(m.variance)))
+                    _note(bad, checked, (kind, n, stat, str(m.mean), str(m.variance)))
                 checked += 1
-    return ClaimResult("moments", {"n": f"{n_lo}..{n_hi}"}, not bad, checked,
-                       time.perf_counter() - t0, "", bad)
+    return _result("moments", {"n": f"{n_lo}..{n_hi}"}, t0, checked, bad)
 
 
 def check_stat_gaps(n_hi=7) -> ClaimResult:
@@ -350,8 +340,7 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
             # the set of negative entries
             gaps(i ^ mask, img, -1, n - des_p, n * (n - 1) // 2 - maj_p, n - neg_p, neg)
             checked += 2
-    return ClaimResult("stat-gaps", {"n": f"1..{n_hi}"}, not bad, checked,
-                       time.perf_counter() - t0, "", [x for _, x in bad])
+    return _result("stat-gaps", {"n": f"1..{n_hi}"}, t0, checked, bad)
 
 
 def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
@@ -362,7 +351,7 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     perms = math.factorial(degree - 1)
     checked = 0
     bad = []
-    for _ in range(count):
+    for k in range(count):
         q = _uniform_index(rng, perms)
         s = _uniform_index(rng, 1 << (degree - 1))
         # sign bit degree-1 stays clear, so the word ends in +degree
@@ -370,14 +359,14 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
         try:
             with_trace = _phi_plus_word(w, TransferTrace())
         except AssertionError as e:
-            _report(bad, (w, f"invariant: {e}"))
+            _note(bad, k, (w, f"invariant: {e}"))
             continue
         if with_trace != _phi_plus_word(w):
-            _report(bad, (w, "trace changed the output"))
+            _note(bad, k, (w, "trace changed the output"))
         checked += 1
-    return ClaimResult("order-swap-properties",
-                       {"count": count, "degree": degree, "seed": seed},
-                       not bad, checked, time.perf_counter() - t0, "", bad)
+    return _result("order-swap-properties",
+                   {"count": count, "degree": degree, "seed": seed},
+                   t0, checked, bad)
 
 
 CLAIMS = {

@@ -122,6 +122,16 @@ def test_verify_missing_n_is_usage(capsys):
     assert code == 2 and "--n" in err
 
 
+def test_verify_shards_and_threads_only_the_descent_sweep(capsys):
+    for extra in (["--shard", "1/4"], ["--threads", "2"], ["--threads", "0"]):
+        code, out, err = run(capsys, "verify", "--claim", "inverses", "--n", "3", *extra)
+        assert code == 2 and not out and "--shard nor --threads" in err
+    for threads in ("0", "-1"):
+        code, out, _ = run(capsys, "verify", "--claim", "phi-descents", "--n", "3",
+                           "--threads", threads)
+        assert code == 2 and not out
+
+
 def test_tabulate_json_counts_are_strings(capsys):
     code, out, _ = run(capsys, "tabulate", "--domain", "CB", "--n", "4",
                        "--stat", "des", "--format", "json")

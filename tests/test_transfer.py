@@ -251,16 +251,32 @@ def stress_word(N, one):
 def test_stress_words_swap_most_and_round_trip(one):
     assert stress_word(8, 1) == [-4, -2, 7, -6, -5, -3, 1, 8]
     for N in (8, 12, 101, 1001):
-        w = stress_word(N, one)
-        if N < 1000:
-            # the traced run checks its invariants in quadratic time
-            t = TransferTrace()
-            _phi_plus_word(w, t)
-            assert t.swap_count() == 2 * N - 9
-        x = SignedPermutation(_word_to_images(w))
-        assert psi_plus(phi_plus(x)) == x
+        x = SignedPermutation(_word_to_images(stress_word(N, one)))
+        # the traced run checks every invariant of the rewriting as it goes
+        t = TransferTrace()
+        y = phi_plus(x, t)
+        assert y == phi_plus(x) and t.swap_count() == 2 * N - 9
+        assert psi_plus(y) == x
         psi = capital_psi_D if x.negative_count() % 2 == 0 else capital_psi_Dbar
         assert psi(capital_phi(x)) == x
+
+
+def test_order_check_catches_two_entries_swapped_in_one_chunk():
+    from cyclic_descents.tracing import _PhiContext
+
+    w = stress_word(12, 1)
+    n = len(w) - 1
+    pi_img, sig, desP, desS, pos_of, starts = _setup(w, n)
+    ends, _, _ = _chunk_tables(n, starts)
+    ent = list(w[:n])
+    ctx = _PhiContext(TransferTrace(), ent, starts, ends, pos_of, sig, desS,
+                      desP, pi_img)
+    ctx.check_order(0)
+    k = max(k for k, (lo, hi) in enumerate(zip(starts, ends)) if hi > lo)
+    lo = starts[k]
+    ent[lo], ent[lo + 1] = ent[lo + 1], ent[lo]
+    with pytest.raises(AssertionError, match=f"relative order broken in cycle {k}$"):
+        ctx.check_order(0)
 
 
 # -- trace bookkeeping -----------------------------------------------------

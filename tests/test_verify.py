@@ -39,6 +39,9 @@ def test_phi_descents_shards_partition():
     assert total == 2**5 * 24
     with pytest.raises(ValueError):
         check_phi_descents(4, shard=(4, 4))
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            check_phi_descents(4, threads=threads)
 
 
 def test_phi_descents_threads_agree():
@@ -117,6 +120,8 @@ def test_negative_class_faults_are_caught(monkeypatch):
     r = check_phi_descents(4)
     assert not r.passed and r.failures
     assert all(w[-1] == -5 for w in r.failures)
+    two = check_phi_descents(4, threads=2)
+    assert (two.failures, two.details) == (r.failures, r.details)
     for i in range(7):
         r = check_phi_descents(4, shard=(i, 7))
         assert not r.passed and all(w[-1] == -5 for w in r.failures)
@@ -147,31 +152,86 @@ def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
     assert rows == list(iterate(DomainSpec("B", 3)))
 
 
-def test_cross_check_failures_are_capped(monkeypatch):
+# each fault patches the library and returns the claim run that reports it
+
+def _inverted_trigger(monkeypatch):
     # a trigger oracle that always disagrees trips the cross-check on every word
     real = classic._descent_trigger
     monkeypatch.setattr(classic, "_descent_trigger", lambda *args: not real(*args))
-    r = check_elizalde_equivalence(4)
-    assert not r.passed
-    assert 0 < len(r.failures) <= MAX_REPORTED
-    assert all(msg.startswith("cross-check: ") for _, msg in r.failures)
+
+    def run():
+        r = check_elizalde_equivalence(4)
+        assert all(msg.startswith("cross-check: ") for _, msg in r.failures)
+        return r
+
+    return run
 
 
-def test_color_class_failures_are_capped(monkeypatch):
+def _constant_colored_phi(monkeypatch):
     # every element mapped to one output fails descents and every color class
     monkeypatch.setattr(colored, "colored_phi", lambda p: ColoredPermutation(
         p.n - 1, p.r, tuple(range(1, p.n)), (0,) * (p.n - 1)))
-    r = check_colored(3, 2)
-    assert not r.passed
-    assert 0 < len(r.failures) <= MAX_REPORTED
+    return lambda: check_colored(3, 2)
 
 
-def test_moment_failures_are_capped(monkeypatch):
+def _wrong_moments(monkeypatch):
     monkeypatch.setattr(lab, "theoretical_moments",
                         lambda stat, n: MomentReport(-1, 0))
-    r = check_moments(2, 4)
-    assert not r.passed
-    assert 0 < len(r.failures) <= MAX_REPORTED
+    return lambda: check_moments(2, 4)
+
+
+def _many_to_one(monkeypatch):
+    # dropping the sign of the first image merges the images in pairs
+    real = transfer._capital_phi_word
+
+    def merged(w):
+        out = real(w)
+        return [abs(out[0]), *out[1:]]
+
+    monkeypatch.setattr(verify, "_capital_phi_word", merged)
+
+    def run():
+        r = check_bijection(3)
+        assert r.details == "24/48 distinct images"
+        return r
+
+    return run
+
+
+def _trace_changes_output(monkeypatch):
+    real = transfer._phi_plus_word
+
+    def traced_differs(word, trace=None):
+        out = real(word, trace)
+        if trace is not None:
+            out[1] = -out[1]
+        return out
+
+    monkeypatch.setattr(verify, "_phi_plus_word", traced_differs)
+
+    def run():
+        r = check_order_swap_properties(count=50, degree=8, seed=1)
+        assert all(msg == "trace changed the output" for _, msg in r.failures)
+        return r
+
+    return run
+
+
+@pytest.mark.parametrize("fault", [_inverted_trigger, _constant_colored_phi,
+                                   _wrong_moments, _many_to_one,
+                                   _trace_changes_output],
+                         ids=["cross-check", "color-class", "moments",
+                              "bijection", "order-swap"])
+def test_failures_are_capped(monkeypatch, fault):
+    # the report is the first MAX_REPORTED failures of the full list
+    run = fault(monkeypatch)
+    r = run()
+    assert not r.passed and len(r.failures) == MAX_REPORTED
+    monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
+    every = run()
+    assert len(every.failures) > MAX_REPORTED
+    assert every.failures[:MAX_REPORTED] == r.failures
+    assert (every.checked, every.details) == (r.checked, r.details)
 
 
 def test_elapsed_ignores_the_wall_clock(monkeypatch):
