@@ -25,7 +25,8 @@ this script diff empty.  The families are:
   descent sweep also sharded and on two processes;
 - the command line, run in-process through cli.main: one line per
   subcommand case and --format, each the (argv, exit code, stdout, stderr)
-  of its calls, with verify's elapsed time left out.
+  of its calls, with verify's elapsed time left out, and one line over
+  every format for the flags a command refuses.
 """
 
 import contextlib
@@ -210,6 +211,19 @@ def cli_cases():
         ["verify", "--claim", "inverses"]]
 
 
+# verify flags a claim does not take, and color parameters off CSnr
+FLAG_REFUSALS = [
+    *(["verify", "--claim", "inverses", "--n", "3", *extra]
+      for extra in (["--shard", "1/4"], ["--threads", "2"], ["--threads", "0"],
+                    ["--threads", "1"], ["--r", "5"], ["--seed", "9"],
+                    ["--samples", "3"])),
+    ["verify", "--claim", "inverses", "--n", "2", "--r", "5", "--seed", "9",
+     "--samples", "3"],
+    ["verify", "--claim", "order-swap-properties", "--n", "3"],
+    ["tabulate", "--domain", "CB", "--n", "4", "--r", "3"],
+    ["sample", "--domain", "B", "--n", "3", "--color", "1"]]
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
@@ -223,6 +237,9 @@ def cli_lines():
         for fmt in FORMATS:
             yield f"cli {label} {fmt}", digest(
                 (argv, *run_cli(argv + ["--format", fmt])) for argv in cases)
+    yield "cli flag refusals", digest(
+        (argv, fmt, *run_cli(argv + ["--format", fmt]))
+        for argv in FLAG_REFUSALS for fmt in FORMATS)
     # text format only, one line over all eight words
     argvs = [["map", "--fn", "phi", str(x), "--instrument"] for x in stress_elements()]
     yield "cli map phi W_N text", digest((argv, *run_cli(argv)) for argv in argvs)

@@ -11,6 +11,7 @@ only the elizalde-equivalence check, `cycdes map --fn phiS` and the tests.
 
 from __future__ import annotations
 
+from .cycles import _images_to_word
 from .permutations import SignedPermutation
 
 
@@ -133,21 +134,7 @@ def _descent_trigger(pi_img, sig, n, a, b):
 def phi_classic(pi: SignedPermutation, check: bool = False) -> SignedPermutation:
     """Descent-preserving map from cyclic permutations of [n+1] with all
     images positive onto permutations of [n] (descents at 1..n-1 agree)."""
-    N = pi.n
-    if N < 1:
-        raise ValueError("need degree >= 1")
-    images = pi.images
-    if any(v < 0 for v in images):
+    if any(v < 0 for v in pi.images):
         raise ValueError("all images must be positive")
-    w = []
-    a = N
-    while True:
-        v = images[a - 1]
-        w.append(v)
-        a = v
-        if a == N:
-            break
-    if len(w) != N:
-        raise ValueError(f"{pi} is not cyclic")
-    sig = _phi_classic_word(w, check)
+    sig = _phi_classic_word(_images_to_word(pi.images), check)
     return SignedPermutation(sig[1:])

@@ -15,12 +15,23 @@ from .cycles import CycleNotation, from_cycles, to_canonical_cycles
 from .permutations import SignedPermutation
 
 # Each command imports the library modules it runs, so a process pays only
-# for its own subcommand.  The parser's choice lists are copies of
+# for its own subcommand.  CLAIM_FLAGS and DOMAIN_KINDS copy the names of
 # verify.CLAIMS and domains.KINDS, which a test keeps equal, so that
-# building the parser loads neither module.
-CLAIM_NAMES = ("bijection-D", "bijection-Dbar", "colored", "corollary-counts",
-               "elizalde-equivalence", "inverses", "moments",
-               "order-swap-properties", "phi-descents", "stat-gaps")
+# building the parser loads neither module.  Per claim, CLAIM_FLAGS maps
+# each verify flag it takes to the keywords that flag sets; a test keeps
+# those keywords parameters of the claim.
+CLAIM_FLAGS = {
+    "bijection-D": {"n": ("n",)},
+    "bijection-Dbar": {"n": ("n",)},
+    "colored": {"n": ("n",), "r": ("r",)},
+    "corollary-counts": {"n": ("n",)},
+    "elizalde-equivalence": {"n": ("n",)},
+    "inverses": {"n": ("n",)},
+    "moments": {"n": ("n_lo", "n_hi")},
+    "order-swap-properties": {"samples": ("count",), "seed": ("seed",)},
+    "phi-descents": {"n": ("n",), "shard": ("shard",), "threads": ("threads",)},
+    "stat-gaps": {"n": ("n_hi",)},
+}
 DOMAIN_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
 
 EXIT_PASS = 0
@@ -139,9 +150,10 @@ _MAP_FNS = {
 }
 
 
-def _emit(cfg, payload, text_lines, csv_rows):
+def _emit(cfg, payload, text_lines, csv_rows=None):
     """Write one report in the configured format.  payload is the JSON
-    object, text_lines the text rendering, csv_rows (header, rows)."""
+    object, text_lines the text rendering, csv_rows (header, rows), by
+    default the payload's keys over one row of its values."""
     out = sys.stdout
     if cfg.format == "json":
         import json
@@ -151,7 +163,7 @@ def _emit(cfg, payload, text_lines, csv_rows):
     elif cfg.format == "csv":
         import csv
 
-        head, rows = csv_rows
+        head, rows = csv_rows or (list(payload), [list(payload.values())])
         w = csv.writer(out, lineterminator="\n")
         w.writerow(head)
         w.writerows(rows)
@@ -201,9 +213,7 @@ def _finish_map(cfg, payload, rendered):
     lines = [rendered]
     if "swaps" in payload:
         lines.append(f"iterations={payload['iterations']} swaps={payload['swaps']}")
-    _emit(cfg, payload,
-          lines,
-          (list(payload), [list(payload.values())]))
+    _emit(cfg, payload, lines)
     return EXIT_PASS
 
 
@@ -223,31 +233,24 @@ def _cmd_stats(cfg):
                    "fmaj": rec.fmaj,
                    "descents": sorted(descent_set(p).members)}
     line = " ".join(f"{k}={v}" for k, v in payload.items() if k != "descents")
-    # a list of ints renders as JSON would: "[0, 3]"
-    _emit(cfg, payload, [line], (list(payload), [list(map(str, payload.values()))]))
+    _emit(cfg, payload, [line])
     return EXIT_PASS
 
 
 def _cmd_verify(cfg):
-    kw = {}
     claim = cfg.claim
-    if claim == "phi-descents":
-        kw = {"n": cfg.n, "shard": cfg.shard, "threads": cfg.threads}
-    elif cfg.shard is not None or cfg.threads != 1:
-        print(f"--claim {claim} takes neither --shard nor --threads", file=sys.stderr)
-        return EXIT_USAGE
-    elif claim in ("bijection-D", "bijection-Dbar", "inverses",
-                   "corollary-counts", "elizalde-equivalence"):
-        kw = {"n": cfg.n}
-    elif claim == "colored":
-        kw = {"n": cfg.n, "r": cfg.r if cfg.r is not None else 2}
-    elif claim == "moments":
-        kw = {"n_lo": cfg.n, "n_hi": cfg.n} if cfg.n is not None else {}
-    elif claim == "stat-gaps":
-        kw = {"n_hi": cfg.n} if cfg.n is not None else {}
-    elif claim == "order-swap-properties":
-        kw = {"count": cfg.samples, "seed": cfg.seed}
-    if "n" in kw and kw["n"] is None:
+    takes = CLAIM_FLAGS[claim]
+    kw = {}
+    for flag in ("n", "r", "samples", "seed", "shard", "threads"):
+        v = getattr(cfg, flag)
+        if v is None:
+            continue
+        if flag not in takes:
+            print(f"--claim {claim} does not take --{flag}", file=sys.stderr)
+            return EXIT_USAGE
+        kw.update(dict.fromkeys(takes[flag], v))
+    # a claim's own keyword n has no default, so --n that sets it is required
+    if takes.get("n") == ("n",) and cfg.n is None:
         print(f"--claim {claim} needs --n", file=sys.stderr)
         return EXIT_USAGE
     from .verify import CLAIMS
@@ -268,10 +271,9 @@ def _cmd_verify(cfg):
 def _domain_from(cfg):
     from .domains import DomainSpec
 
-    if cfg.domain == "CSnr":
-        return DomainSpec("CSnr", cfg.n, r=cfg.r if cfg.r is not None else 2,
-                          color_filter=cfg.color)
-    return DomainSpec(cfg.domain, cfg.n)
+    # DomainSpec refuses color parameters on every kind but CSnr
+    r = 2 if cfg.r is None and cfg.domain == "CSnr" else cfg.r
+    return DomainSpec(cfg.domain, cfg.n, r=r, color_filter=cfg.color)
 
 
 def _cmd_tabulate(cfg):
@@ -318,9 +320,7 @@ def _cmd_clt(cfg):
 
     rep = normality_diagnostics(cfg.domain, cfg.stat, cfg.n, cfg.samples, cfg.seed)
     payload = asdict(rep)
-    _emit(cfg, payload,
-          [f"{k}={v}" for k, v in payload.items()],
-          (list(payload), [list(payload.values())]))
+    _emit(cfg, payload, [f"{k}={v}" for k, v in payload.items()])
     return EXIT_PASS
 
 
@@ -367,13 +367,13 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run one claim suite")
     common(p)
-    p.add_argument("--claim", required=True, choices=CLAIM_NAMES)
+    p.add_argument("--claim", required=True, choices=CLAIM_FLAGS)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--shard", type=_shard_pair, metavar="i/t")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("tabulate", help="exact statistic distribution")

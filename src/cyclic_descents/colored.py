@@ -15,7 +15,6 @@ serves only the elizalde-equivalence check, `--fn phiS` and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .cycles import _images_to_word, _orbit, _word_to_images
 from .transfer import _phi_plus_word, _psi_plus_word
@@ -40,12 +39,9 @@ class ColoredPermutation:
 
     @classmethod
     def _over_omega(cls, n, r, omega, taus):
-        """One element per color tuple in taus, all sharing omega.  The first
-        goes through every check; the rest skip them, so each tau must hold
-        n colors in 0..r-1."""
-        taus = iter(taus)
-        for tau in islice(taus, 1):
-            yield cls(n, r, omega, tau)
+        """One element per color tuple in taus, all sharing omega, built
+        without the checks of __post_init__: omega must be a permutation of
+        [n], r at least 1 and each tau n colors in 0..r-1."""
         for tau in taus:
             p = object.__new__(cls)
             p.__dict__.update(n=n, r=r, omega=omega, tau=tau)

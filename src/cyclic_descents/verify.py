@@ -51,11 +51,11 @@ class ClaimResult:
 def _sign_pairs(N, start, stop):
     """The rows of CB(N) in [start, stop) with each +- pair visited once.
 
-    Yields (index, row, paired).  Negating every entry of a row flips all N
-    sign bits, so the partner of index i is i ^ (2^N - 1), in the other half
-    of the same magnitude block.  A positive row whose partner also lies in
-    the range comes with paired set and stands for both; a row whose partner
-    lies outside the range comes alone.
+    Yields (index, row, partner).  Negating every entry of a row flips all
+    N sign bits, so the partner of index i is i ^ (2^N - 1), in the other
+    half of the same magnitude block.  A positive row whose partner also
+    lies in the range comes with the partner's index and stands for both; a
+    row whose partner lies outside the range comes alone, with None.
     """
     d = DomainSpec("CB", N)
     block = 1 << N
@@ -67,12 +67,14 @@ def _sign_pairs(N, start, stop):
         if i == base and end == base + block:
             # a whole block: its first half is the positive rows
             for j, w in enumerate(iterate_words(d, base, base + block // 2), base):
-                yield j, w, True
+                yield j, w, j ^ mask
         else:
             for j, w in enumerate(iterate_words(d, i, end), i):
-                paired = start <= j ^ mask < stop
-                if w[-1] > 0 or not paired:
-                    yield j, w, paired
+                p = j ^ mask
+                if not start <= p < stop:
+                    yield j, w, None
+                elif w[-1] > 0:
+                    yield j, w, p
         i = end
 
 
@@ -96,17 +98,16 @@ def _descents_range(N, start, stop):
     """Worker for the descent-preservation sweep over one unrank range;
     returns the count and the (rank, word) pairs of the first bad words."""
     cap = (1 << (N - 1)) - 1
-    mask = (1 << N) - 1
     bad = []
     count = 0
-    for i, w, paired in _sign_pairs(N, start, stop):
+    for i, w, partner in _sign_pairs(N, start, stop):
         # the input mask comes from the row itself, never from the map
         m = _descent_mask(_word_to_images(w)) & cap
-        if paired:
+        if partner is not None:
             res, neg = _capital_phi_pair(w)
             # negating every entry complements the input's descent set
             if m ^ cap != _descent_mask(neg):
-                _note(bad, i ^ mask, tuple(-v for v in w))
+                _note(bad, partner, tuple(-v for v in w))
             count += 1
         else:
             res = _capital_phi_word(w)
@@ -183,7 +184,8 @@ def check_inverses(n) -> ClaimResult:
                 w, back = up, _phi_fixup(up, raw[:])
             else:
                 w = _capital_psi_word(row, even)
-                back = _capital_phi_word(w)
+                # a faulty inverse may give a word Phi cannot rewrite
+                back = _capital_phi_word(w) if abs(w[-1]) == N else None
             if (sum(v < 0 for v in w) % 2 == 0) != even or back != sigma:
                 _note(bad, (0, k, t), (tag, SignedPermutation(row)))
         if raw is None or raw[1:] != sigma:
@@ -193,16 +195,15 @@ def check_inverses(n) -> ClaimResult:
     # CD/CDbar-right for both words and plus-right for the positive one.
     # Failures are keyed by law, then by rank in the law's own domain (a
     # parity family drops the last sign bit), as a sweep of each in turn
-    mask = (1 << N) - 1
-    low = mask >> 1
-    for i, w, _ in _sign_pairs(N, 0, cardinality(DomainSpec("CB", N))):
+    low = (1 << (N - 1)) - 1
+    for i, w, partner in _sign_pairs(N, 0, cardinality(DomainSpec("CB", N))):
         raw = _phi_plus_word(w)
         if _psi_plus_word(raw[1:]) != list(w):
             _note(bad, (3, i), ("plus-right", SignedPermutation(_word_to_images(w))))
         neg = [-v for v in w]
         odd = sum(v < 0 for v in w) % 2
         for j, x, res, even in ((i, list(w), _phi_fixup(w, raw[:]), not odd),
-                                (i ^ mask, neg, _phi_fixup(neg, [-v for v in raw]),
+                                (partner, neg, _phi_fixup(neg, [-v for v in raw]),
                                  N % 2 == odd)):
             if _capital_psi_word(res, even) != x:
                 _note(bad, (1 if even else 2, j >> N << (N - 1) | j & low),
@@ -249,7 +250,7 @@ def check_elizalde_equivalence(n) -> ClaimResult:
     return _result("elizalde-equivalence", {"n": n}, t0, checked, bad)
 
 
-def check_colored(n, r) -> ClaimResult:
+def check_colored(n, r=2) -> ClaimResult:
     """Colored transfer: descents in [n-1] preserved, each fixed-color class
     of cyclic degree-(n+1) elements maps bijectively, and the lift with a
     target color inverts it.
@@ -320,7 +321,6 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
     checked = 0
     bad = []
     for n in range(1, n_hi + 1):
-        mask = (1 << n) - 1
         top = 2 * n + 1
 
         def gaps(key, img, sign, des_i, maj_i, neg_i, out):
@@ -331,14 +331,14 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
                 _note(bad, (n, key), (SignedPermutation([sign * v for v in img]), dd, df))
 
         # the whole domain is swept, so every row comes paired
-        for i, w, _ in _sign_pairs(n, 0, cardinality(DomainSpec("CB", n))):
+        for i, w, partner in _sign_pairs(n, 0, cardinality(DomainSpec("CB", n))):
             img = _word_to_images(w)
             des_p, maj_p, neg_p = _des_maj_neg(img)
             res, neg = _capital_phi_pair(w)
             gaps(i, img, 1, des_p, maj_p, neg_p, res)
             # negating every entry complements the descent set at 0..n-1 and
             # the set of negative entries
-            gaps(i ^ mask, img, -1, n - des_p, n * (n - 1) // 2 - maj_p, n - neg_p, neg)
+            gaps(partner, img, -1, n - des_p, n * (n - 1) // 2 - maj_p, n - neg_p, neg)
             checked += 2
     return _result("stat-gaps", {"n": f"1..{n_hi}"}, t0, checked, bad)
 

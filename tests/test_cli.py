@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_descents.cli import (ParseError, build_parser, main,
+from cyclic_descents.cli import (CLAIM_FLAGS, ParseError, build_parser, main,
                                  parse_permutation_text, render_cycles)
 from cyclic_descents.colored import ColoredPermutation
 from cyclic_descents.cycles import CycleNotation, from_cycles
@@ -123,9 +123,21 @@ def test_verify_missing_n_is_usage(capsys):
 
 
 def test_verify_shards_and_threads_only_the_descent_sweep(capsys):
-    for extra in (["--shard", "1/4"], ["--threads", "2"], ["--threads", "0"]):
+    for extra in (["--shard", "1/4"], ["--threads", "2"], ["--threads", "0"],
+                  ["--threads", "1"], ["--r", "5"], ["--seed", "9"],
+                  ["--samples", "3"]):
         code, out, err = run(capsys, "verify", "--claim", "inverses", "--n", "3", *extra)
-        assert code == 2 and not out and "--shard nor --threads" in err
+        assert code == 2 and not out
+        assert err == f"--claim inverses does not take {extra[0]}\n"
+    code, out, err = run(capsys, "verify", "--claim", "order-swap-properties",
+                         "--n", "3")
+    assert code == 2 and not out
+    assert err == "--claim order-swap-properties does not take --n\n"
+    # only CSnr takes color parameters
+    for argv in (["tabulate", "--domain", "CB", "--n", "4", "--r", "3"],
+                 ["sample", "--domain", "B", "--n", "3", "--color", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "takes no color parameters" in err
     for threads in ("0", "-1"):
         code, out, _ = run(capsys, "verify", "--claim", "phi-descents", "--n", "3",
                            "--threads", threads)
@@ -237,6 +249,13 @@ def test_verify_json_params_keep_types(capsys):
     assert json.loads(out)["params"] == {"n": 3, "shard": [3, 8], "threads": 1}
     code, out, _ = run(capsys, "verify", "--claim", "phi-descents", "--n", "3")
     assert out.startswith("[PASS] phi-descents(n=3,shard=None,threads=1): 96 checks in ")
+    # a flag left out takes the claim's own default
+    code, out, _ = run(capsys, "verify", "--claim", "order-swap-properties",
+                       "--samples", "50", "--format", "json")
+    assert json.loads(out)["params"] == {"count": 50, "degree": 10, "seed": 0}
+    code, out, _ = run(capsys, "verify", "--claim", "colored", "--n", "2",
+                       "--format", "json")
+    assert json.loads(out)["params"] == {"n": 2, "r": 2}
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -306,6 +325,8 @@ def test_commands_import_only_what_they_run(argv, absent):
 
 
 def test_parser_choices_match_the_library():
+    import inspect
+
     from cyclic_descents import domains, verify
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
@@ -316,6 +337,12 @@ def test_parser_choices_match_the_library():
     assert list(choices("verify", "--claim")) == sorted(verify.CLAIMS)
     assert tuple(choices("tabulate", "--domain")) == domains.KINDS
     assert tuple(choices("sample", "--domain")) == domains.KINDS
+    for name, flags in CLAIM_FLAGS.items():
+        params = inspect.signature(verify.CLAIMS[name]).parameters
+        assert {kw for kws in flags.values() for kw in kws} <= set(params), name
+        # the CLI demands --n exactly where the claim's n has no default
+        required = {k for k, v in params.items() if v.default is v.empty}
+        assert required == ({"n"} if flags.get("n") == ("n",) else set()), name
 
 
 @pytest.mark.parametrize("argv, code, err", [

@@ -133,14 +133,7 @@ def test_negative_class_faults_are_caught(monkeypatch):
 def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
     # a psi rewrite that swaps the first two word entries breaks every law
     # on every element, so each of the six laws must report every element
-    real = transfer._psi_plus_word
-
-    def faulty(images, trace=None):
-        w = real(images, trace)
-        return w[1::-1] + w[2:]
-
-    monkeypatch.setattr(transfer, "_psi_plus_word", faulty)
-    monkeypatch.setattr(verify, "_psi_plus_word", faulty)
+    _psi_first_two_swapped(monkeypatch)
     monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
     r = check_inverses(3)
     assert r.checked == 288 and not r.passed
@@ -217,11 +210,25 @@ def _trace_changes_output(monkeypatch):
     return run
 
 
+def _psi_first_two_swapped(monkeypatch):
+    # at degree 2 the swapped word no longer ends in +-N, so Phi cannot
+    # rewrite it and the law must fail without calling it
+    real = transfer._psi_plus_word
+
+    def faulty(images, trace=None):
+        w = real(images, trace)
+        return w[1::-1] + w[2:]
+
+    monkeypatch.setattr(transfer, "_psi_plus_word", faulty)
+    monkeypatch.setattr(verify, "_psi_plus_word", faulty)
+    return lambda: check_inverses(1)
+
+
 @pytest.mark.parametrize("fault", [_inverted_trigger, _constant_colored_phi,
                                    _wrong_moments, _many_to_one,
-                                   _trace_changes_output],
+                                   _trace_changes_output, _psi_first_two_swapped],
                          ids=["cross-check", "color-class", "moments",
-                              "bijection", "order-swap"])
+                              "bijection", "order-swap", "inverses"])
 def test_failures_are_capped(monkeypatch, fault):
     # the report is the first MAX_REPORTED failures of the full list
     run = fault(monkeypatch)
