@@ -19,14 +19,18 @@ this script diff empty.  The families are:
 - the swap-heavy words W_N at N = 8, 12, 101 and 1001 with both signs of
   1: capital_phi, the parity-class inverse of its image, and the
   instrumented `map --fn phi` (iterations and swaps) in text format;
+- the trace events, every (loop index, snapshot, swap events) triple of
+  phi_plus over the positive class of CB(<=6) and W_N at N <= 101, and of
+  psi_plus over B(<=5);
 - each claim's (params, passed, checked, failures), its time left out;
 - one line per injected fault: each claim's (params, passed, checked,
   details, failures) with MAX_REPORTED at 5 and at 10^6, with the
   descent sweep also sharded and on two processes;
 - the command line, run in-process through cli.main: one line per
   subcommand case and --format, each the (argv, exit code, stdout, stderr)
-  of its calls, with verify's elapsed time left out, and one line over
-  every format for the flags a command refuses.
+  of its calls, with verify's elapsed time left out, and one line each
+  over every format for the flags verify, tabulate and sample refuse and
+  for those map and invert refuse.
 """
 
 import contextlib
@@ -56,9 +60,9 @@ from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_inverses, check_moments,
                                     check_order_swap_properties,
                                     check_phi_descents, check_stat_gaps)
-from cyclic_descents.transfer import (capital_phi, capital_psi_D,
-                                      capital_psi_Dbar, phi_plus,
-                                      preimage_quadruple, psi_plus)
+from cyclic_descents.transfer import (TransferTrace, capital_phi,
+                                      capital_psi_D, capital_psi_Dbar,
+                                      phi_plus, preimage_quadruple, psi_plus)
 
 SEED = 20261018
 ROW_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS")
@@ -125,6 +129,14 @@ def stress_elements():
             for N in STRESS_DEGREES for one in (1, -1)]
 
 
+def trace_events(run, xs):
+    """The full trace of run on each element of xs."""
+    for x in xs:
+        t = TransferTrace()
+        run(x, trace=t)
+        yield [(it, str(snap), swaps) for it, snap, swaps in t.iterations]
+
+
 def map_lines():
     """(label, digest) per transfer map, over small domains."""
     yield "capital_phi CB<=6", digest(
@@ -148,6 +160,10 @@ def map_lines():
     yield "capital_psi W_N", digest(
         str((capital_psi_D if x.negative_count() % 2 == 0 else capital_psi_Dbar)(
             capital_phi(x))) for x in stress)
+    positive = [x for x in elements("CB", range(1, 7)) if x.images.count(-x.n) == 0]
+    yield "trace events", digest(itertools.chain(
+        trace_events(phi_plus, positive + [x for x in stress if x.n <= 101]),
+        trace_events(psi_plus, elements("B", range(6)))))
     yield "to_canonical_cycles B<=5", digest(
         str(to_canonical_cycles(x)) for x in elements("B", range(6)))
     yield "is_cyclic B<=5", digest(
@@ -223,6 +239,15 @@ FLAG_REFUSALS = [
     ["tabulate", "--domain", "CB", "--n", "4", "--r", "3"],
     ["sample", "--domain", "B", "--n", "3", "--color", "1"]]
 
+# map and invert flags an --fn does not take, and --pretty without --cycles
+MAP_FLAG_REFUSALS = [
+    ["map", "--fn", "PhiColored", "--r", "2", "--instrument", "--cycles", "--pretty",
+     "[2,1]"],
+    ["map", "--fn", "Phi", "--r", "3", "[2,1]"],
+    ["map", "--fn", "PhiColored", "--r", "2", "--color", "1", "[2,1]"],
+    ["invert", "--fn", "psi", "--r", "2", "[1]"],
+    ["map", "--fn", "Phi", "--pretty", "[2,1]"]]
+
 
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process call."""
@@ -240,6 +265,9 @@ def cli_lines():
     yield "cli flag refusals", digest(
         (argv, fmt, *run_cli(argv + ["--format", fmt]))
         for argv in FLAG_REFUSALS for fmt in FORMATS)
+    yield "cli map flag refusals", digest(
+        (argv, fmt, *run_cli(argv + ["--format", fmt]))
+        for argv in MAP_FLAG_REFUSALS for fmt in FORMATS)
     # text format only, one line over all eight words
     argvs = [["map", "--fn", "phi", str(x), "--instrument"] for x in stress_elements()]
     yield "cli map phi W_N text", digest((argv, *run_cli(argv)) for argv in argvs)

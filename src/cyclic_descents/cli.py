@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
 from .cycles import CycleNotation, from_cycles, to_canonical_cycles
 from .permutations import SignedPermutation
@@ -140,14 +141,28 @@ def render_cycles(sigma, pretty=False):
     return "".join(str(cy) for cy in kept) if kept else "()"
 
 
-# --fn -> (map in transfer, whether it takes a trace); phiS is the classic map
-_MAP_FNS = {
-    "phi": ("phi_plus", True),
-    "Phi": ("capital_phi", False),
-    "psi": ("psi_plus", True),
-    "PsiD": ("capital_psi_D", False),
-    "PsiDbar": ("capital_psi_Dbar", False),
+# --fn -> (module, map, the map and invert flags it takes)
+MAP_FNS = {
+    "phi": ("transfer", "phi_plus", ("instrument", "cycles", "pretty")),
+    "Phi": ("transfer", "capital_phi", ("cycles", "pretty")),
+    "psi": ("transfer", "psi_plus", ("instrument", "cycles", "pretty")),
+    "PsiD": ("transfer", "capital_psi_D", ("cycles", "pretty")),
+    "PsiDbar": ("transfer", "capital_psi_Dbar", ("cycles", "pretty")),
+    "phiS": ("classic", "phi_classic", ("instrument", "cycles", "pretty")),
+    "PhiColored": ("colored", "colored_phi", ("r",)),
+    "PsiColored": ("colored", "colored_psi", ("r", "color")),
 }
+
+
+def _given(cfg, owner, takes, flags):
+    """{flag: value} of the flags set on cfg, or None after refusing the
+    first one that `owner` does not take."""
+    given = {f: v for f in flags if (v := getattr(cfg, f)) is not None and v is not False}
+    for flag in given:
+        if flag not in takes:
+            print(f"{owner} does not take --{flag}", file=sys.stderr)
+            return None
+    return given
 
 
 def _emit(cfg, payload, text_lines, csv_rows=None):
@@ -174,44 +189,40 @@ def _emit(cfg, payload, text_lines, csv_rows=None):
 
 def _cmd_map(cfg):
     fn = cfg.fn
-    if fn in ("PhiColored", "PsiColored"):
+    module, name, takes = MAP_FNS[fn]
+    if _given(cfg, f"--fn {fn}", takes,
+              ("r", "color", "instrument", "cycles", "pretty")) is None:
+        return EXIT_USAGE
+    if cfg.pretty and not cfg.cycles:
+        print("--pretty needs --cycles", file=sys.stderr)
+        return EXIT_USAGE
+    f = getattr(import_module(f".{module}", __package__), name)
+    trace = None
+    if module == "colored":
         if cfg.r is None:
             print("colored maps need --r", file=sys.stderr)
             return EXIT_USAGE
         p = parse_permutation_text(cfg.text, r=cfg.r)
         if isinstance(p, (SignedPermutation, CycleNotation)):
             raise ValueError("colored map needs a colored one-line input")
-        from .colored import colored_phi, colored_psi
-
-        out = colored_phi(p) if fn == "PhiColored" else colored_psi(p, cfg.color or 0)
-        payload = {"fn": fn, "input": str(p), "output": str(out)}
-        return _finish_map(cfg, payload, str(out))
-    if cfg.instrument and fn not in ("phi", "psi", "phiS"):
-        print("--instrument applies to phi, psi and phiS only", file=sys.stderr)
-        return EXIT_USAGE
-    p = _as_permutation(parse_permutation_text(cfg.text))
-    from . import transfer
-
-    trace = transfer.TransferTrace() if cfg.instrument else None
-    if fn == "phiS":
-        from .classic import phi_classic
-
-        out = phi_classic(p, check=trace is not None)
+        out = f(p) if fn == "PhiColored" else f(p, cfg.color or 0)
     else:
-        name, traced = _MAP_FNS[fn]
-        f = getattr(transfer, name)
-        out = f(p, trace=trace) if traced else f(p)
+        p = _as_permutation(parse_permutation_text(cfg.text))
+        if not cfg.instrument:
+            out = f(p)
+        elif module == "classic":
+            out = f(p, check=True)
+        else:
+            from .transfer import TransferTrace
+
+            trace = TransferTrace()
+            out = f(p, trace=trace)
     rendered = render_cycles(out, cfg.pretty) if cfg.cycles else str(out)
     payload = {"fn": fn, "input": str(p), "output": rendered}
-    if trace is not None and fn != "phiS":
+    lines = [rendered]
+    if trace is not None:
         payload["iterations"] = len(trace.iterations)
         payload["swaps"] = trace.swap_count()
-    return _finish_map(cfg, payload, rendered)
-
-
-def _finish_map(cfg, payload, rendered):
-    lines = [rendered]
-    if "swaps" in payload:
         lines.append(f"iterations={payload['iterations']} swaps={payload['swaps']}")
     _emit(cfg, payload, lines)
     return EXIT_PASS
@@ -240,15 +251,11 @@ def _cmd_stats(cfg):
 def _cmd_verify(cfg):
     claim = cfg.claim
     takes = CLAIM_FLAGS[claim]
-    kw = {}
-    for flag in ("n", "r", "samples", "seed", "shard", "threads"):
-        v = getattr(cfg, flag)
-        if v is None:
-            continue
-        if flag not in takes:
-            print(f"--claim {claim} does not take --{flag}", file=sys.stderr)
-            return EXIT_USAGE
-        kw.update(dict.fromkeys(takes[flag], v))
+    given = _given(cfg, f"--claim {claim}", takes,
+                   ("n", "r", "samples", "seed", "shard", "threads"))
+    if given is None:
+        return EXIT_USAGE
+    kw = {k: v for flag, v in given.items() for k in takes[flag]}
     # a claim's own keyword n has no default, so --n that sets it is required
     if takes.get("n") == ("n",) and cfg.n is None:
         print(f"--claim {claim} needs --n", file=sys.stderr)
@@ -304,6 +311,8 @@ def _cmd_tabulate(cfg):
 def _cmd_sample(cfg):
     from .domains import make_rng, sample
 
+    if cfg.samples < 0:
+        raise ValueError(f"bad sample count {cfg.samples}")
     d = _domain_from(cfg)
     rng = make_rng(cfg.seed)
     xs = [str(sample(d, rng)) for _ in range(cfg.samples)]
@@ -355,8 +364,7 @@ def build_parser():
         p.add_argument("--pretty", action="store_true", help="omit length-1 cycles in text")
         p.set_defaults(run=_cmd_map)
 
-    transfer("map", "apply a transfer map to one permutation",
-             ("phi", "Phi", "psi", "PsiD", "PsiDbar", "phiS", "PhiColored", "PsiColored"))
+    transfer("map", "apply a transfer map to one permutation", MAP_FNS)
     transfer("invert", "apply an inverse-direction map",
              ("psi", "PsiD", "PsiDbar", "PsiColored"))
 

@@ -305,6 +305,36 @@ def _rows(d: DomainSpec, start, stop):
         _next_perm(mags)
 
 
+def _sign_pairs(N, start, stop):
+    """The rows of CB(N) in [start, stop) with each +- pair visited once.
+
+    Yields (index, row, partner).  Negating every entry of a row flips all
+    N sign bits, so the partner of index i is i ^ (2^N - 1), in the other
+    half of the same magnitude block.  A positive row whose partner also
+    lies in the range comes with the partner's index and stands for both; a
+    row whose partner lies outside the range comes alone, with None.
+    """
+    d = DomainSpec("CB", N)
+    block = 1 << N
+    mask = block - 1
+    i = start
+    while i < stop:
+        base = i - i % block
+        end = min(stop, base + block)
+        if i == base and end == base + block:
+            # a whole block: its first half is the positive rows
+            for j, w in enumerate(iterate_words(d, base, base + block // 2), base):
+                yield j, w, j ^ mask
+        else:
+            for j, w in enumerate(iterate_words(d, i, end), i):
+                p = j ^ mask
+                if not start <= p < stop:
+                    yield j, w, None
+                elif w[-1] > 0:
+                    yield j, w, p
+        i = end
+
+
 def _unrank_word(d: DomainSpec, index):
     """The row iterate_words yields at `index`, as a list; index must lie
     in range."""

@@ -11,14 +11,16 @@ undoes the rewriting.
 word itself or, for a word ending in -N, on its negation with the result
 negated back; then the position-0 fix-up `_phi_fixup`, which flips the
 image +-1 when the sign of the first image is wrong.  A word w and its
-negation -w share one raw rewriting, so `_capital_phi_pair` returns both
-images from one run; exhaustive sweeps use it on every +- pair, through the
+negation -w share one raw rewriting, so `_capital_phi_pair` returns it
+with both images; exhaustive sweeps use it on every +- pair, through the
 same two helpers as the single-word path.
 
 Both directions run one swap loop, `_rewrite`, on a flat entry list whose
-cycle boundaries never move.  A swap exchanges the magnitudes of two entries
-while each keeps its sign, and fires on a descent mismatch between the
-input and the working permutation.  Forward, the working permutation (the
+cycle boundaries never move.  A swap exchanges two adjacent magnitudes
+while each slot keeps its sign, and fires on a descent mismatch between the
+input and the working permutation, so in each iteration the chunk's last
+entry z steps by a fixed +-1 in magnitude (eps, the step in signed values,
+is negated for negative z).  Forward, the working permutation (the
 cycles read chunk by chunk) moves and the input big cycle stays fixed;
 inverse, the big cycle (all entries read as one cycle, closed by +N) moves
 and the input signed permutation stays fixed.  Only a constant number of
@@ -28,8 +30,8 @@ Both directions share a two-pass set-up on a word closed by +N.  The first
 pass, `_setup`, reads off the input and working permutations, their descent
 flags and the chunk starts; it also notes the slot of each magnitude, one
 store per entry, which costs less there than in a pass of its own.  A swap
-fires only on a flag mismatch at some m in 1..n-1, both when eps is chosen
-and inside a chain, and only a swap changes an image or a flag.  So when
+fires only on a flag mismatch at some m in 1..n-1, both when the step is
+chosen and in a chain, and only a swap changes an image or a flag.  So when
 the two flag lists already agree at 1..n-1, as they do for 72 % of the
 positive words of degree 7, an untraced run returns straight after the
 first pass: the working permutation is the output.  Otherwise the second
@@ -99,10 +101,12 @@ def _rewrite(ent, chunks, order, moving, fixed, pick, sign, rec):
     its chunk, which continues a chain of swaps.  Chunks are visited in
     `order`.  moving = (img, flags, pred, succ) is the image list the swaps
     rewrite, its descent flags and the slot order it is read in; `fixed` is
-    the other side's descent flags.  A swap fires on a descent mismatch
-    between the two flag lists, and eps picks the firing neighbour of the
-    chunk's last entry z whose pick[|z+eps|] times `sign` is largest.  rec,
-    when given, is told of every iteration, batch and swap.
+    the other side's descent flags.  A swap of magnitudes a and a+1 fires
+    on a flag mismatch at a, so z, the chunk's last entry, steps by +1 in
+    magnitude on a mismatch at |z|, by -1 on one at |z|-1, and if both,
+    towards the larger `sign` * pick[...].  A batch is a chain of swaps from
+    z; the iteration ends when a batch would make no swap.  rec, when
+    given, is told of every iteration, batch and swap.
     """
     starts, ends, pos_of, cpred = chunks
     img, flg, pred, succ = moving
@@ -114,51 +118,37 @@ def _rewrite(ent, chunks, order, moving, fixed, pick, sign, rec):
         jend = ends[j]
         zv = ent[jend]
         zm = -zv if zv < 0 else zv
-
-        eps = 0
-        best = 0
-        for e in (-1, 1):
-            t = zv + e
-            tm = -t if t < 0 else t
-            mn = tm if tm < zm else zm
-            if 1 <= mn < n and (tm - zm == 1 or zm - tm == 1) and flg[mn] != fixed[mn]:
-                pv = sign * pick[tm]
-                if eps == 0:
-                    eps, best = e, pv
-                else:
-                    # pick is injective on magnitudes, so no tie is possible
-                    assert pv != best
-                    if pv > best:
-                        eps, best = e, pv
-        if eps == 0:
+        up = zm < n and flg[zm] != fixed[zm]
+        if zm > 1 and flg[zm - 1] != fixed[zm - 1]:
+            if up:
+                # pick is injective on magnitudes, so no tie is possible
+                assert pick[zm + 1] != pick[zm - 1]
+                up = sign * pick[zm + 1] > sign * pick[zm - 1]
+        elif not up:
             continue
+        step = 1 if up else -1
 
         while True:
             zv = ent[jend]
-            zm = -zv if zv < 0 else zv
-            t = zv + eps
-            tm = -t if t < 0 else t
-            mn = tm if tm < zm else zm
-            if not (1 <= mn < n and (tm - zm == 1 or zm - tm == 1)
-                    and flg[mn] != fixed[mn]):
-                break
-            if rec is not None:
-                rec.begin_batch(j, zv, eps, pos_of[tm])
-
-            x_mag, y_mag = zm, tm
+            x_mag = -zv if zv < 0 else zv
+            y_mag = x_mag + step
+            swapped = False
             while True:
                 d = x_mag - y_mag
                 if d != 1 and d != -1:
                     break
-                mn2 = y_mag if d == 1 else x_mag
-                if not (1 <= mn2 < n) or flg[mn2] == fixed[mn2]:
+                mn = y_mag if d == 1 else x_mag
+                if not (1 <= mn < n) or flg[mn] == fixed[mn]:
                     break
                 xp = pos_of[x_mag]
                 yp = pos_of[y_mag]
                 xv = ent[xp]
                 yv = ent[yp]
                 if rec is not None:
+                    if not swapped:
+                        rec.begin_batch(j, zv, step if zv > 0 else -step, yp)
                     rec.record_swap(xv, yv, xp, yp)
+                swapped = True
                 ent[xp] = y_mag if xv > 0 else -y_mag
                 ent[yp] = x_mag if yv > 0 else -x_mag
                 pos_of[x_mag] = yp
@@ -180,7 +170,8 @@ def _rewrite(ent, chunks, order, moving, fixed, pick, sign, rec):
                     y_mag = -ny if ny < 0 else ny
                 # otherwise x and y keep their magnitudes; the swap just
                 # settled the descent between them, so the loop check fails
-
+            if not swapped:
+                break
             if rec is not None:
                 rec.end_batch(j)
 
@@ -303,11 +294,11 @@ def _phi_fixup(word, res):
 
 
 def _capital_phi_pair(word):
-    """The images of a word ending in +N and of its negation under the
-    descent-preserving map, from one run of the raw rewriting; each is a
-    0-based image list, as from _capital_phi_word."""
+    """(raw, Phi(word), Phi(-word)) for a word ending in +N: the raw
+    rewriting as from _phi_plus_word, and both images as from
+    _capital_phi_word, each fixed up from that one raw run."""
     raw = _phi_plus_word(word)
-    return (_phi_fixup(word, raw[:]),
+    return (raw, _phi_fixup(word, raw[:]),
             _phi_fixup([-v for v in word], [-v for v in raw]))
 
 
@@ -354,8 +345,8 @@ def _psi_plus_word(images, trace=None):
 
         rec = _Recorder(trace, went, starts, ends)
     # the big cycle moves, read as one cycle over all N slots; chunks are
-    # visited right to left, skipping the last, and eps takes the smallest
-    # big-cycle image
+    # visited right to left, skipping the last, and of two firing steps the
+    # one to the smaller big-cycle image wins
     _rewrite(went, (starts, ends, pos_of, cpred), range(len(starts) - 2, -1, -1),
              (pi_img, desP, [n] + list(range(n)), list(range(1, N)) + [0]),
              desS, pi_img, -1, rec)

@@ -20,8 +20,8 @@ from functools import partial
 from itertools import product
 
 from .cycles import _word_to_images
-from .domains import (DomainSpec, _uniform_index, _unrank_word, cardinality,
-                      iterate_words, make_rng)
+from .domains import (DomainSpec, _sign_pairs, _uniform_index, _unrank_word,
+                      cardinality, iterate_words, make_rng, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
@@ -46,36 +46,6 @@ class ClaimResult:
         ps = ",".join(f"{k}={v}" for k, v in self.params.items())
         msg = f" - {self.details}" if self.details else ""
         return f"[{mark}] {self.claim}({ps}): {self.checked} checks in {self.elapsed:.2f}s{msg}"
-
-
-def _sign_pairs(N, start, stop):
-    """The rows of CB(N) in [start, stop) with each +- pair visited once.
-
-    Yields (index, row, partner).  Negating every entry of a row flips all
-    N sign bits, so the partner of index i is i ^ (2^N - 1), in the other
-    half of the same magnitude block.  A positive row whose partner also
-    lies in the range comes with the partner's index and stands for both; a
-    row whose partner lies outside the range comes alone, with None.
-    """
-    d = DomainSpec("CB", N)
-    block = 1 << N
-    mask = block - 1
-    i = start
-    while i < stop:
-        base = i - i % block
-        end = min(stop, base + block)
-        if i == base and end == base + block:
-            # a whole block: its first half is the positive rows
-            for j, w in enumerate(iterate_words(d, base, base + block // 2), base):
-                yield j, w, j ^ mask
-        else:
-            for j, w in enumerate(iterate_words(d, i, end), i):
-                p = j ^ mask
-                if not start <= p < stop:
-                    yield j, w, None
-                elif w[-1] > 0:
-                    yield j, w, p
-        i = end
 
 
 def _note(bad, key, item):
@@ -104,7 +74,7 @@ def _descents_range(N, start, stop):
         # the input mask comes from the row itself, never from the map
         m = _descent_mask(_word_to_images(w)) & cap
         if partner is not None:
-            res, neg = _capital_phi_pair(w)
+            _, res, neg = _capital_phi_pair(w)
             # negating every entry complements the input's descent set
             if m ^ cap != _descent_mask(neg):
                 _note(bad, partner, tuple(-v for v in w))
@@ -193,22 +163,18 @@ def check_inverses(n) -> ClaimResult:
         checked += 3
     # the right-hand laws: one raw rewriting per +- pair of CB(N) serves
     # CD/CDbar-right for both words and plus-right for the positive one.
-    # Failures are keyed by law, then by rank in the law's own domain (a
-    # parity family drops the last sign bit), as a sweep of each in turn
-    low = (1 << (N - 1)) - 1
-    for i, w, partner in _sign_pairs(N, 0, cardinality(DomainSpec("CB", N))):
-        raw = _phi_plus_word(w)
+    # Failures are keyed by law, then by rank in the law's own domain, as a
+    # sweep of each in turn
+    for i, w, _ in _sign_pairs(N, 0, cardinality(DomainSpec("CB", N))):
+        raw, res, neg = _capital_phi_pair(w)
         if _psi_plus_word(raw[1:]) != list(w):
             _note(bad, (3, i), ("plus-right", SignedPermutation(_word_to_images(w))))
-        neg = [-v for v in w]
-        odd = sum(v < 0 for v in w) % 2
-        for j, x, res, even in ((i, list(w), _phi_fixup(w, raw[:]), not odd),
-                                (partner, neg, _phi_fixup(neg, [-v for v in raw]),
-                                 N % 2 == odd)):
-            if _capital_psi_word(res, even) != x:
-                _note(bad, (1 if even else 2, j >> N << (N - 1) | j & low),
-                      ("CD-right" if even else "CDbar-right",
-                       SignedPermutation(_word_to_images(x))))
+        for x, img in ((list(w), res), ([-v for v in w], neg)):
+            odd = sum(v < 0 for v in x) % 2
+            if _capital_psi_word(img, not odd) != x:
+                kind = ("CD", "CDbar")[odd]
+                p = SignedPermutation(_word_to_images(x))
+                _note(bad, (1 + odd, rank(DomainSpec(kind, N), p)), (kind + "-right", p))
         checked += 3
     return _result("inverses", {"n": n}, t0, checked, bad)
 
@@ -334,7 +300,7 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
         for i, w, partner in _sign_pairs(n, 0, cardinality(DomainSpec("CB", n))):
             img = _word_to_images(w)
             des_p, maj_p, neg_p = _des_maj_neg(img)
-            res, neg = _capital_phi_pair(w)
+            _, res, neg = _capital_phi_pair(w)
             gaps(i, img, 1, des_p, maj_p, neg_p, res)
             # negating every entry complements the descent set at 0..n-1 and
             # the set of negative entries
@@ -347,6 +313,8 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     """Instrumented runs on random positive-class cyclic words: all working
     order/swap invariants hold, and tracing never changes the output."""
     t0 = time.perf_counter()
+    if count < 0:
+        raise ValueError(f"bad sample count {count}")
     rng = make_rng(seed)
     perms = math.factorial(degree - 1)
     checked = 0

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_descents.cli import (CLAIM_FLAGS, ParseError, build_parser, main,
-                                 parse_permutation_text, render_cycles)
+from cyclic_descents.cli import (CLAIM_FLAGS, MAP_FNS, ParseError, build_parser,
+                                 main, parse_permutation_text, render_cycles)
 from cyclic_descents.colored import ColoredPermutation
 from cyclic_descents.cycles import CycleNotation, from_cycles
 from cyclic_descents.permutations import SignedPermutation
@@ -337,6 +337,10 @@ def test_parser_choices_match_the_library():
     assert list(choices("verify", "--claim")) == sorted(verify.CLAIMS)
     assert tuple(choices("tabulate", "--domain")) == domains.KINDS
     assert tuple(choices("sample", "--domain")) == domains.KINDS
+    # every map invert runs is one of map's, and takes only flags map parses
+    assert set(choices("invert", "--fn")) <= set(choices("map", "--fn")) == set(MAP_FNS)
+    dests = {a.dest for a in subs["map"]._actions}
+    assert {f for _, _, takes in MAP_FNS.values() for f in takes} <= dests
     for name, flags in CLAIM_FLAGS.items():
         params = inspect.signature(verify.CLAIMS[name]).parameters
         assert {kw for kws in flags.values() for kw in kws} <= set(params), name
@@ -350,8 +354,22 @@ def test_parser_choices_match_the_library():
     (["tabulate", "--domain", "CB", "--n", "14", "--refined"], 3, "budget: "),
     (["stats", "[1,,2]"], 2, "error: syntax error at position 3"),
     (["map", "--fn", "Phi", "[1,1]"], 2, "error: magnitude 1 repeated"),
-], ids=["budget", "budget-refined", "syntax", "repeated"])
+    (["map", "--fn", "PhiColored", "--r", "2", "--instrument", "--cycles", "--pretty",
+      "[2,1]"], 2, "--fn PhiColored does not take --instrument\n"),
+    (["map", "--fn", "Phi", "--r", "3", "[2,1]"], 2, "--fn Phi does not take --r\n"),
+    (["map", "--fn", "PhiColored", "--r", "2", "--color", "1", "[2,1]"], 2,
+     "--fn PhiColored does not take --color\n"),
+    (["invert", "--fn", "psi", "--r", "2", "[1]"], 2, "--fn psi does not take --r\n"),
+    (["map", "--fn", "Phi", "--pretty", "[2,1]"], 2, "--pretty needs --cycles\n"),
+    (["verify", "--claim", "order-swap-properties", "--samples", "-5"], 2,
+     "error: bad sample count -5\n"),
+    (["sample", "--domain", "CB", "--n", "3", "--samples", "-1"], 2,
+     "error: bad sample count -1\n"),
+], ids=["budget", "budget-refined", "syntax", "repeated", "map-instrument",
+        "map-r", "map-color", "invert-r", "pretty-alone", "verify-negative-count",
+        "sample-negative-count"])
 def test_exit_codes_in_a_fresh_process(argv, code, err):
     # the budget error class lives in a module the CLI imports lazily
     res = fresh("-m", "cyclic_descents.cli", *argv)
     assert res.returncode == code and res.stderr.startswith(err), res.stderr
+    assert res.stdout == ""

@@ -173,7 +173,8 @@ def test_capital_phi_pair_matches_single_words():
         for w in all_cyclic_words(N):
             if w[-1] > 0:
                 neg = tuple(-v for v in w)
-                assert _capital_phi_pair(w) == (_capital_phi_word(w),
+                assert _capital_phi_pair(w) == (_phi_plus_word(w),
+                                                _capital_phi_word(w),
                                                 _capital_phi_word(neg))
 
 
@@ -357,6 +358,18 @@ def test_golden_traces():
         "2f4896e1b9424896c35dd687592300012cc275f61981a1e6dbbde8a92b40af14")
     assert _trace_digest(psi_plus, perms) == (
         "b34cef2a8af3f544d23fb1825688738a63db4f42ef9af6c0d7d35d053bd39b6a")
+
+
+def test_exhaustive_traces():
+    # every swap event, in order: phi_plus on the 4283 positive words of
+    # CB(<=6), psi_plus on the 4283 elements of B(<=5)
+    positive = [x for N in range(1, 7) for x in iterate(DomainSpec("CB", N))
+                if x.images.count(-N) == 0]
+    signed = [x for n in range(6) for x in iterate(DomainSpec("B", n))]
+    assert _trace_digest(phi_plus, positive) == (
+        "45caa065db76ab9ef4e2ea95c7cfe5ef6ebabdf135a28ced203e26f922850d5f")
+    assert _trace_digest(psi_plus, signed) == (
+        "7671cd40fafa2c2bdb6183122a637406c85c12cf70d560025878be6cee0de660")
 
 
 def checked_copy(x):
