@@ -30,7 +30,10 @@ this script diff empty.  The families are:
   subcommand case and --format, each the (argv, exit code, stdout, stderr)
   of its calls, with verify's elapsed time left out, and one line each
   over every format for the flags verify, tabulate and sample refuse and
-  for those map and invert refuse.
+  for those map and invert refuse;
+- the repr and str of a fixed set of each value record: StatRecord,
+  TransferTrace (empty and filled), DomainSpec and ColoredPermutation
+  (checked and built by iterate).
 """
 
 import contextlib
@@ -54,6 +57,7 @@ from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
                                      sample, sample_stat_batch, unrank)
 from cyclic_descents.lab import MomentReport
 from cyclic_descents.permutations import SignedPermutation
+from cyclic_descents.statistics import StatRecord, stats
 from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_corollary_counts,
                                     check_elizalde_equivalence,
@@ -168,6 +172,18 @@ def map_lines():
         str(to_canonical_cycles(x)) for x in elements("B", range(6)))
     yield "is_cyclic B<=5", digest(
         is_cyclic(x) for x in elements("B", range(1, 6)))
+
+
+def records():
+    """A fixed set of each value record of the library."""
+    traced = TransferTrace()
+    phi_plus(stress_elements()[0], trace=traced)
+    return [StatRecord(0, 0, 0, 0),
+            stats(SignedPermutation([-3, 1, 2, -5, -4, 6])), TransferTrace(), traced,
+            DomainSpec("CB", 3), DomainSpec("B", 0), DomainSpec("CSnr", 3, r=2),
+            DomainSpec("CSnr", 3, r=2, color_filter=1),
+            ColoredPermutation(3, 2, (2, 3, 1), (0, 1, 1)),
+            *iterate(DomainSpec("CSnr", 2, r=2, color_filter=1))]
 
 
 def cli_cases():
@@ -385,6 +401,7 @@ def main():
                 sample_stat_batch(DomainSpec(kind, n), stat, count, SEED).tolist()
                 for n, count in ((9, 300), (801, 4097)))))
     lines += list(map_lines())
+    lines.append(("records", digest((repr(x), str(x)) for x in records())))
     lines += list(cli_lines())
     by_claim = {}
     for c in (call() for call in claim_calls()):

@@ -14,37 +14,33 @@ serves only the elizalde-equivalence check, `--fn phiS` and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cycles import _images_to_word, _orbit, _word_to_images
+from .permutations import Record
 from .transfer import _phi_plus_word, _psi_plus_word
 
 
-@dataclass(frozen=True)
-class ColoredPermutation:
-    n: int
-    r: int
-    omega: tuple
-    tau: tuple
+class ColoredPermutation(Record):
+    __slots__ = ("n", "r", "omega", "tau")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, n: int, r: int, omega: tuple, tau: tuple):
+        if r < 1:
             raise ValueError("need at least one color")
-        if len(self.omega) != self.n or len(self.tau) != self.n:
+        if len(omega) != n or len(tau) != n:
             raise ValueError("omega and tau must have length n")
-        if sorted(self.omega) != list(range(1, self.n + 1)):
-            raise ValueError(f"{self.omega} is not a permutation of [{self.n}]")
-        if any(not 0 <= c < self.r for c in self.tau):
-            raise ValueError(f"colors must lie in 0..{self.r - 1}")
+        if sorted(omega) != list(range(1, n + 1)):
+            raise ValueError(f"{omega} is not a permutation of [{n}]")
+        if any(not 0 <= c < r for c in tau):
+            raise ValueError(f"colors must lie in 0..{r - 1}")
+        Record.__init__(self, n, r, omega, tau)
 
     @classmethod
     def _over_omega(cls, n, r, omega, taus):
         """One element per color tuple in taus, all sharing omega, built
-        without the checks of __post_init__: omega must be a permutation of
+        without the checks of __init__: omega must be a permutation of
         [n], r at least 1 and each tau n colors in 0..r-1."""
         for tau in taus:
             p = object.__new__(cls)
-            p.__dict__.update(n=n, r=r, omega=omega, tau=tau)
+            Record.__init__(p, n, r, omega, tau)
             yield p
 
     def __str__(self):

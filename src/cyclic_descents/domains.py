@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .cycles import _images_to_word, _word_to_images
-from .permutations import SignedPermutation
+from .permutations import Record, SignedPermutation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,26 +73,24 @@ class BudgetError(RuntimeError):
     """Raised when an exhaustive walk would exceed the element budget."""
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    kind: str
-    n: int
-    r: int | None = None
-    color_filter: int | None = None
+class DomainSpec(Record):
+    __slots__ = ("kind", "n", "r", "color_filter")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        low = 0 if self.kind in ("B", "S") else 1
-        if self.n < low:
-            raise ValueError(f"{self.kind} needs degree >= {low}")
-        if self.kind == "CSnr":
-            if self.r is None or self.r < 1:
+    def __init__(self, kind: str, n: int, r: int | None = None,
+                 color_filter: int | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown domain kind {kind!r}")
+        low = 0 if kind in ("B", "S") else 1
+        if n < low:
+            raise ValueError(f"{kind} needs degree >= {low}")
+        if kind == "CSnr":
+            if r is None or r < 1:
                 raise ValueError("CSnr needs a color count r >= 1")
-            if self.color_filter is not None and not 0 <= self.color_filter < self.r:
-                raise ValueError(f"color filter must lie in 0..{self.r - 1}")
-        elif self.r is not None or self.color_filter is not None:
-            raise ValueError(f"{self.kind} takes no color parameters")
+            if color_filter is not None and not 0 <= color_filter < r:
+                raise ValueError(f"color filter must lie in 0..{r - 1}")
+        elif r is not None or color_filter is not None:
+            raise ValueError(f"{kind} takes no color parameters")
+        Record.__init__(self, kind, n, r, color_filter)
 
     def __str__(self):
         if self.kind == "CSnr":

@@ -9,6 +9,43 @@ one-line notation contains an even number of negative entries.
 from __future__ import annotations
 
 
+class Record:
+    """Frozen value record whose fields are its __slots__, set once by
+    Record.__init__.  It equals only a record of its own class with equal
+    fields, hashes and pickles by them, and reprs as a dataclass would.
+    Plain classes, unlike dataclasses, keep `inspect` out of a cold start."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class SignedPermutation:
     """Immutable signed permutation stored as a tuple of images of 1..n.
 

@@ -6,9 +6,7 @@ when s(1) < 0, i.e. Des(s) = {i in {0,...,n-1} : s(i) > s(i+1)} with s(0)=0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .permutations import SignedPermutation
+from .permutations import Record, SignedPermutation
 
 
 class DescentSet:
@@ -53,12 +51,11 @@ class DescentSet:
         return f"DescentSet({self.n}, {sorted(self.members)})"
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    des: int
-    maj: int
-    neg: int
-    fmaj: int
+class StatRecord(Record):
+    __slots__ = ("des", "maj", "neg", "fmaj")
+
+    def __init__(self, des: int, maj: int, neg: int, fmaj: int):
+        Record.__init__(self, des, maj, neg, fmaj)
 
 
 def _descent_mask(images):

@@ -53,16 +53,14 @@ and check a trace live in `tracing` and load only when a trace is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import gt
 
 from .cycles import _canonical_cycles, _images_to_word, _word_to_images
-from .permutations import SignedPermutation
+from .permutations import Record, SignedPermutation
 from .statistics import _descent_mask
 
 
-@dataclass
-class TransferTrace:
+class TransferTrace(Record):
     """Recorded run of a transfer pass.
 
     iterations holds one (loop index, working snapshot, swap events) triple
@@ -70,7 +68,10 @@ class TransferTrace:
     the pre-swap entry values.
     """
 
-    iterations: list = field(default_factory=list)
+    __slots__ = ("iterations",)
+
+    def __init__(self, iterations=None):
+        Record.__init__(self, [] if iterations is None else iterations)
 
     def swap_count(self):
         return sum(len(sw) for _, _, sw in self.iterations)

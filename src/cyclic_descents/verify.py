@@ -283,6 +283,8 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
 def check_stat_gaps(n_hi=7) -> ClaimResult:
     """Per-element statistic gaps across the map: descents drop by 0 or 1,
     the flag major index by 0 to 2n+1, over cyclic degree-n domains."""
+    if n_hi < 1:
+        raise ValueError(f"bad degree bound {n_hi}")
     t0 = time.perf_counter()
     checked = 0
     bad = []

@@ -294,10 +294,11 @@ def test_package_namespace_is_lazy():
     assert res.stdout == "[]\n[] 49\nTrue\n"
 
 
+# dataclasses brings inspect, ast, dis and tokenize with it
 HEAVY = ("cyclic_descents.lab", "cyclic_descents.verify",
          "cyclic_descents.domains", "cyclic_descents.classic",
          "cyclic_descents.colored", "cyclic_descents.tracing", "numpy",
-         "fractions")
+         "fractions", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -305,6 +306,12 @@ HEAVY = ("cyclic_descents.lab", "cyclic_descents.verify",
     (["stats", "--format", "csv", "[-3,1,2,-5,-4,6]"], HEAVY),
     (["map", "--fn", "Phi", "(-4,-1,2,5,-3,-6,7)"], HEAVY),
     (["invert", "--fn", "PsiD", "--format", "json", "[1,2,-6,-3,-5,4]"], HEAVY),
+    # numpy itself loads inspect
+    (["sample", "--domain", "CB", "--n", "4"],
+     ("cyclic_descents.lab", "cyclic_descents.verify",
+      "cyclic_descents.transfer", "cyclic_descents.classic",
+      "cyclic_descents.colored", "cyclic_descents.tracing", "fractions",
+      "dataclasses")),
     (["tabulate", "--domain", "CB", "--n", "4"],
      ("cyclic_descents.colored", "cyclic_descents.transfer",
       "cyclic_descents.verify", "numpy", "fractions")),
@@ -312,7 +319,7 @@ HEAVY = ("cyclic_descents.lab", "cyclic_descents.verify",
      ("cyclic_descents.lab", "cyclic_descents.classic",
       "cyclic_descents.colored", "cyclic_descents.tracing", "numpy",
       "fractions")),
-], ids=["stats", "stats-csv", "map", "invert-json", "tabulate", "verify"])
+], ids=["stats", "stats-csv", "map", "invert-json", "sample", "tabulate", "verify"])
 def test_commands_import_only_what_they_run(argv, absent):
     res = fresh("-c", (
         "import contextlib, io, sys\n"
@@ -365,9 +372,11 @@ def test_parser_choices_match_the_library():
      "error: bad sample count -5\n"),
     (["sample", "--domain", "CB", "--n", "3", "--samples", "-1"], 2,
      "error: bad sample count -1\n"),
+    (["verify", "--claim", "stat-gaps", "--n", "0"], 2, "error: bad degree bound 0\n"),
+    (["verify", "--claim", "stat-gaps", "--n", "-3"], 2, "error: bad degree bound -3\n"),
 ], ids=["budget", "budget-refined", "syntax", "repeated", "map-instrument",
         "map-r", "map-color", "invert-r", "pretty-alone", "verify-negative-count",
-        "sample-negative-count"])
+        "sample-negative-count", "stat-gaps-zero", "stat-gaps-negative"])
 def test_exit_codes_in_a_fresh_process(argv, code, err):
     # the budget error class lives in a module the CLI imports lazily
     res = fresh("-m", "cyclic_descents.cli", *argv)

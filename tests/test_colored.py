@@ -28,12 +28,15 @@ def cyclic_colored(N, r):
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        ColoredPermutation(2, 3, (1, 1), (0, 0))
-    with pytest.raises(ValueError):
-        ColoredPermutation(2, 3, (1, 2), (0, 3))
-    with pytest.raises(ValueError):
-        ColoredPermutation(2, 0, (1, 2), (0, 0))
+    for args, msg in [
+            ((2, 3, (1, 1), (0, 0)), "(1, 1) is not a permutation of [2]"),
+            ((2, 3, (1, 2), (0, 3)), "colors must lie in 0..2"),
+            ((2, 0, (1, 2), (0, 0)), "need at least one color"),
+            ((2, 3, (1, 2), (0,)), "omega and tau must have length n"),
+            ((3, 3, (1, 2), (0, 0)), "omega and tau must have length n")]:
+        with pytest.raises(ValueError) as e:
+            ColoredPermutation(*args)
+        assert str(e.value) == msg
 
 
 def test_descent_examples():

@@ -32,14 +32,18 @@ def test_cardinalities():
 
 
 def test_domain_validation():
-    with pytest.raises(ValueError):
-        DomainSpec("Q", 3)
-    with pytest.raises(ValueError):
-        DomainSpec("CB", 0)
-    with pytest.raises(ValueError):
-        DomainSpec("B", 3, r=2)
-    with pytest.raises(ValueError):
-        DomainSpec("CSnr", 3, r=2, color_filter=2)
+    for args, kw, msg in [
+            (("Q", 3), {}, "unknown domain kind 'Q'"),
+            (("CB", 0), {}, "CB needs degree >= 1"),
+            (("B", -1), {}, "B needs degree >= 0"),
+            (("CSnr", 3), {}, "CSnr needs a color count r >= 1"),
+            (("CSnr", 3), {"r": 0}, "CSnr needs a color count r >= 1"),
+            (("CSnr", 3), {"r": 2, "color_filter": 2}, "color filter must lie in 0..1"),
+            (("B", 3), {"r": 2}, "B takes no color parameters"),
+            (("CB", 3), {"color_filter": 0}, "CB takes no color parameters")]:
+        with pytest.raises(ValueError) as e:
+            DomainSpec(*args, **kw)
+        assert str(e.value) == msg
 
 
 @pytest.mark.parametrize("kind,n", [("B", 3), ("D", 3), ("CB", 4), ("CD", 4),

@@ -41,3 +41,12 @@ def test_bench_imports_resolve():
             except ModuleNotFoundError:
                 missing.append(f"{fname}: from {module} import {name}")
     assert not missing, missing
+
+
+def test_bench_selftest_catches_every_corruption(tmp_path):
+    # three of its corruptions go through dataclasses.replace, so ClaimResult,
+    # DistributionTable and NormalityReport must stay dataclasses
+    res = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1] == "7/7 corruptions caught"

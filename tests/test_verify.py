@@ -87,6 +87,13 @@ def test_stat_gaps():
     assert r.passed
 
 
+@pytest.mark.parametrize("n_hi", [0, -3])
+def test_stat_gaps_refuses_an_empty_range(n_hi):
+    # a sweep over no degree would pass with 0 checks
+    with pytest.raises(ValueError, match=f"bad degree bound {n_hi}$"):
+        check_stat_gaps(n_hi)
+
+
 def test_order_swap_properties_sampled():
     r = check_order_swap_properties(count=500, degree=9, seed=4)
     assert r.passed and r.checked == 500
