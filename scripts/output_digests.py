@@ -22,7 +22,8 @@ this script diff empty.  The families are:
 - the trace events, every (loop index, snapshot, swap events) triple of
   phi_plus over the positive class of CB(<=6) and W_N at N <= 101, and of
   psi_plus over B(<=5);
-- each claim's (params, passed, checked, failures), its time left out;
+- each claim's (params, passed, checked, failures), its time left out,
+  and the report or error of a claim asked to check nothing;
 - one line per injected fault: each claim's (params, passed, checked,
   details, failures) with MAX_REPORTED at 5 and at 10^6, with the
   descent sweep also sharded and on two processes;
@@ -240,7 +241,8 @@ def cli_cases():
         ["map", "--fn", "Phi", "--instrument", "[2,1]"],
         ["map", "--fn", "PhiColored", "[2^1,1]"],
         ["map", "--fn", "PhiColored", "--r", "2", "[2,1]"],
-        ["verify", "--claim", "inverses"]]
+        ["verify", "--claim", "inverses"],
+        ["verify", "--claim", "order-swap-properties", "--samples", "0"]]
 
 
 # verify flags a claim does not take, and color parameters off CSnr
@@ -408,6 +410,8 @@ def main():
         by_claim.setdefault(c.claim, []).append(
             (c.params, c.passed, c.checked, c.failures))
     lines += [(f"claim {name}", digest(rs)) for name, rs in by_claim.items()]
+    lines.append(("claim empty ranges", digest(fault_row(call) for call in (
+        partial(check_moments, 5, 4), partial(check_order_swap_properties, count=0)))))
     lines += list(fault_lines())
     for label, h in lines:
         print(f"{label:<32} {h}")

@@ -26,11 +26,15 @@ The lex rank of k magnitudes is their Lehmer code read in the factorial
 number system (Knuth, TAOCP vol. 2, 3.3.2): the digit of position i counts
 the later entries smaller than entry i, and has radix k - i.  Consecutive
 radices are grouped into runs whose product stays below 2^30, one CPython
-digit, so ranking and unranking take one big-integer step per run, each a
-linear pass; at degree 1001 that is about 300 steps.  rank builds the code
-right to left by bisection into the sorted suffix; unrank splits the index
-into runs from the low end and pops each digit's entry from a pool.  A row
-stream unranks its first magnitudes only and steps to the lex successor.
+digit, and the run products into a product tree.  unrank splits the index
+down the tree into one part per run, one divmod per node, and rank folds
+the parts back up it, one multiply per node: divide-and-conquer radix
+conversion (Brent and Zimmermann, Modern Computer Arithmetic, 1.7).  At
+degree 1001 the 313 runs make a tree of depth 9, where peeling the runs off
+one at a time would take 312 linear passes over the whole number.  rank
+builds the code right to left, counting each entry's smaller later entries
+in a bitset; unrank pops each digit's entry from a pool.  A row stream
+unranks its first magnitudes only and steps to the lex successor.
 
 Randomness comes from a counter-based generator (Philox) keyed by
 (worker_id << 64) | seed, so fixed (seed, worker) pairs give bit-reproducible
@@ -46,7 +50,6 @@ a raw word where numpy's bounded draw on a range of two would read it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import islice, product
 from operator import mul
@@ -120,29 +123,39 @@ def _layout(d: DomainSpec):
     return cyclic, (d.n - (parity is not None) if signed else 0), parity
 
 
+# sample and unrank check every index against the cardinality, and at
+# degree 1001 math.factorial(1000) alone takes about 40 us
+_factorial = lru_cache(maxsize=64)(math.factorial)
+
+
 def cardinality(d: DomainSpec) -> int:
     if d.kind == "CSnr":
         free = d.n if d.color_filter is None else d.n - 1
-        return d.r ** free * math.factorial(d.n - 1)
+        return d.r ** free * _factorial(d.n - 1)
     cyclic, bits, _ = _layout(d)
-    return math.factorial(d.n - cyclic) << bits
+    return _factorial(d.n - cyclic) << bits
 
 
 # -- permutation ranking in lexicographic order ----------------------------
 
-# radix products stay below one CPython digit, so that each big-integer
-# step of a rank or unrank is one linear pass over the number
+# a run's radix product stays below one CPython digit, so that the digits
+# of a run are split off and summed on one-digit numbers
 _DIGIT = 1 << 30
 
 
 @lru_cache(maxsize=64)
 def _radix_runs(k):
     """Radices k, k-1, ..., 2 of the factorial number system, cut into runs
-    whose product stays below _DIGIT.  Returns (product, place values)
-    pairs from the top run down, each run's place values from its highest
-    radix down: radix m of a run starting at radix r has place value
-    r * (r + 1) * ... * (m - 1)."""
+    whose product stays below _DIGIT, and the product tree of the runs.
+
+    Returns (runs, levels).  runs holds each run's place values, top run
+    first, each run's from its highest radix down: radix m of a run
+    starting at radix r has place value r * (r + 1) * ... * (m - 1).  The
+    tree pairs the run products level by level from the bottom run up, an
+    odd one out rising unpaired; levels[j] holds, for each pair of level j
+    (the leaves are level 0), the product of its lower member."""
     runs = []
+    prods = []
     r = 2
     while r <= k:
         places = [1]
@@ -150,51 +163,66 @@ def _radix_runs(k):
         while m <= k and places[-1] * m < _DIGIT:
             places.append(places[-1] * m)
             m += 1
-        runs.append((places.pop(), tuple(reversed(places))))
+        prods.append(places.pop())
+        runs.append(tuple(reversed(places)))
         r = m
-    return tuple(reversed(runs))
+    levels = []
+    while len(prods) > 1:
+        paired = len(prods) & ~1
+        levels.append(tuple(prods[:paired:2]))
+        prods = [a * b for a, b in zip(prods[::2], prods[1::2])] + prods[paired:]
+    return tuple(reversed(runs)), tuple(levels)
 
 
 def _perm_unrank(q, items):
     """q-th permutation (lex) of the sorted sequence items.
 
-    The Lehmer code of the result is q in the factorial number system.  One
-    divmod per radix run splits off each run but the top one from the low
-    end; then each run, from the top down, yields its digits from the high
-    end, and each digit pops its entry from the pool."""
+    The Lehmer code of the result is q in the factorial number system.  q
+    is split into one part per radix run down the product tree, one divmod
+    per pair, so that no step divides a long number by a short one; then
+    each run, from the top down, yields its digits from the high end, and
+    each digit pops its entry from the pool."""
     pool = list(items)
-    runs = _radix_runs(len(pool))
-    parts = []
-    for p, _ in runs[:0:-1]:
-        q, part = divmod(q, p)
-        parts.append(part)
+    runs, levels = _radix_runs(len(pool))
+    parts = [q]  # low part first
+    for lows in reversed(levels):
+        split = []
+        for q, p in zip(parts, lows):
+            hi, lo = divmod(q, p)
+            split += lo, hi
+        parts = split + parts[len(lows):]
     out = []
-    for _, places in runs:
+    for places, q in zip(runs, reversed(parts)):
         for w in places:
             c, q = divmod(q, w)
             out.append(pool.pop(c))
-        q = parts.pop() if parts else 0
     return out + pool
 
 
 def _perm_rank(seq):
-    """Lex rank of seq among permutations of its sorted elements.
+    """Lex rank of seq among permutations of its sorted elements, which may
+    be any distinct nonnegative integers.
 
-    Builds the Lehmer code right to left, bisecting into the sorted suffix,
-    then folds it in Horner form, one multiply per radix run."""
-    suffix = []
+    Builds the Lehmer code right to left: an entry's digit counts the bits
+    below it in a bitset of the entries after it.  Each run's digits are
+    summed against its place values, and the run parts fold up the product
+    tree, one multiply per pair."""
+    later = 0
     code = []
     for v in reversed(seq):
-        c = bisect_left(suffix, v)
-        suffix.insert(c, v)
-        code.append(c)
+        bit = 1 << v
+        code.append((later & (bit - 1)).bit_count())
+        later |= bit
     code.reverse()
+    runs, levels = _radix_runs(len(code))
     digits = iter(code)
-    q = 0
-    for p, places in _radix_runs(len(code)):
-        # places comes first, so map stops without taking a digit too many
-        q = q * p + sum(map(mul, places, digits))
-    return q
+    # places comes first, so map stops without taking a digit too many
+    parts = [sum(map(mul, places, digits)) for places in runs]
+    parts.reverse()  # low part first
+    for lows in levels:
+        pairs = zip(parts[::2], parts[1::2], lows)
+        parts = [hi * p + lo for lo, hi, p in pairs] + parts[2 * len(lows):]
+    return parts[0] if parts else 0
 
 
 def _next_perm(a):

@@ -266,6 +266,8 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
     closed forms, as rationals, for every degree in [n_lo, n_hi]."""
     from .lab import exact_distribution, exact_moments, theoretical_moments
 
+    if n_lo > n_hi:
+        raise ValueError(f"empty degree range {n_lo}..{n_hi}")
     t0 = time.perf_counter()
     checked = 0
     bad = []
@@ -315,7 +317,7 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     """Instrumented runs on random positive-class cyclic words: all working
     order/swap invariants hold, and tracing never changes the output."""
     t0 = time.perf_counter()
-    if count < 0:
+    if count < 1:
         raise ValueError(f"bad sample count {count}")
     rng = make_rng(seed)
     perms = math.factorial(degree - 1)

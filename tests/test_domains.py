@@ -11,11 +11,12 @@ from scipy import stats as sps
 
 from cyclic_descents.colored import ColoredPermutation, color_of
 from cyclic_descents.cycles import is_cyclic
-from cyclic_descents.domains import (SAMPLE_CHUNK, BudgetError, DomainSpec,
-                                     _perm_rank, _perm_unrank, _sign_bits,
-                                     _uniform_index, cardinality, iterate,
-                                     iterate_words, make_rng, rank, sample,
-                                     sample_stat_batch, unrank)
+from cyclic_descents.domains import (KINDS, SAMPLE_CHUNK, BudgetError,
+                                     DomainSpec, _perm_rank, _perm_unrank,
+                                     _radix_runs, _sign_bits, _uniform_index,
+                                     cardinality, iterate, iterate_words,
+                                     make_rng, rank, sample, sample_stat_batch,
+                                     unrank)
 from cyclic_descents.permutations import SignedPermutation
 
 
@@ -29,6 +30,9 @@ def test_cardinalities():
     assert cardinality(DomainSpec("CS", 5)) == 24
     assert cardinality(DomainSpec("CSnr", 4, r=3)) == 3**4 * 6
     assert cardinality(DomainSpec("CSnr", 4, r=3, color_filter=1)) == 3**3 * 6
+    assert cardinality(DomainSpec("CD", 1001)) == math.factorial(1000) << 1000
+    assert cardinality(DomainSpec("CSnr", 1001, r=3, color_filter=2)) == \
+        3**1000 * math.factorial(1000)
 
 
 def test_domain_validation():
@@ -103,6 +107,17 @@ def test_rank_round_trips_at_large_degree(kind):
         x = sample(d, rng)
         i = rank(d, x)
         assert 0 <= i < cardinality(d) and unrank(d, i) == x
+
+
+@pytest.mark.parametrize("d", [
+    *(DomainSpec(kind, 1001, r=3 if kind == "CSnr" else None) for kind in KINDS),
+    DomainSpec("CSnr", 1001, r=3, color_filter=1),
+], ids=_spec_id)
+def test_rank_inverts_unrank_at_degree_1001(d):
+    total = cardinality(d)
+    rng = make_rng(1001)
+    for i in (0, 1, total - 1, *(_uniform_index(rng, total) for _ in range(4))):
+        assert rank(d, unrank(d, i)) == i
 
 
 @pytest.mark.parametrize("d,element", [
@@ -376,6 +391,41 @@ def test_perm_rank_follows_lex_order(k):
     for q, p in enumerate(permutations(items)):
         assert _perm_unrank(q, items) == list(p)
         assert _perm_rank(list(p)) == q
+
+
+def _lex_unrank(q, items):
+    """The q-th permutation of items in lex order, by one divmod per
+    radix of the factorial number system from the low end."""
+    pool = list(items)
+    code = []
+    for radix in range(1, len(pool) + 1):
+        q, c = divmod(q, radix)
+        code.append(c)
+    return [pool.pop(c) for c in reversed(code)]
+
+
+# radix run counts: one up to k = 12, then two from 13, three from 20 and
+# four from 26; an odd count (3 or 5) leaves a run unpaired in the tree
+@pytest.mark.parametrize("k,runs", [(12, 1), (13, 2), (19, 2), (20, 3), (25, 3),
+                                    (26, 4), (32, 5)])
+def test_perm_rank_at_radix_run_edges(k, runs):
+    places = _radix_runs(k)[0]
+    assert len(places) == runs
+    items = [3 * v + 1 for v in range(k)]
+    total = math.factorial(k)
+    qs = {0, total - 1}
+    start = 2  # the lowest radix of a run
+    for run in reversed(places):
+        edge = math.factorial(start - 1)  # the product of the lower runs
+        qs |= {edge - 1, edge, edge + 1}
+        start += len(run)
+    assert start == k + 1
+    rng = make_rng(k)
+    qs |= {_uniform_index(rng, total) for _ in range(20)}
+    for q in sorted(qs):
+        p = _perm_unrank(q, items)
+        assert p == _lex_unrank(q, items)
+        assert _perm_rank(p) == q
 
 
 @pytest.mark.parametrize("k", [1000, 3000])

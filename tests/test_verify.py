@@ -82,6 +82,12 @@ def test_moments():
     assert check_moments(5, 6).passed
 
 
+def test_moments_refuses_an_empty_range():
+    # a sweep over no degree would pass with 0 checks
+    with pytest.raises(ValueError, match="empty degree range 5..4$"):
+        check_moments(5, 4)
+
+
 def test_stat_gaps():
     r = check_stat_gaps(6)
     assert r.passed
