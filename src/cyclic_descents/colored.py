@@ -34,14 +34,11 @@ class ColoredPermutation(Record):
         Record.__init__(self, n, r, omega, tau)
 
     @classmethod
-    def _over_omega(cls, n, r, omega, taus):
-        """One element per color tuple in taus, all sharing omega, built
-        without the checks of __init__: omega must be a permutation of
-        [n], r at least 1 and each tau n colors in 0..r-1."""
-        for tau in taus:
-            p = object.__new__(cls)
-            Record.__init__(p, n, r, omega, tau)
-            yield p
+    def _trusted(cls, n, r, omega, tau):
+        """Build from values known to be valid, skipping __init__'s checks."""
+        p = object.__new__(cls)
+        Record.__init__(p, n, r, omega, tau)
+        return p
 
     def __str__(self):
         parts = [

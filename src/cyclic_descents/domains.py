@@ -11,16 +11,17 @@ Eight families are supported, named by short tags:
   CS     cyclic plain permutations
   CSnr   cyclic colored permutations, optionally restricted to one total color
 
-Every family but CSnr has one encoding.  Its elements are rows: the cycle
-word (s1 b1, ..., s_{n-1} b_{n-1}, s_n n), magnitude-n entry last, of a cyclic
-family, and the one-line images s(1), ..., s(n) of the others.  Index
-= (lex rank of the magnitudes) * 2^bits + (sign code), where bit i of the
-code negates row entry i, the cyclic rank covering only the first n-1
-magnitudes.  Each family is fixed by three values: cyclic or not, bits
-(n, n-1 or 0) and parity; a parity family spends one fewer sign bit and
-gives its last entry the sign that fixes the parity of the negative count.
-iterate_words() is that one row stream and rank() its inverse; unrank() and
-iterate() read it.  CSnr encodes (cycle-word rank) * r^k + (color digits).
+iterate() is every family's one decoder: unrank() and sample() take the
+first element it yields from an index, and rank() is its inverse.  The
+elements of a signed or plain family are rows: the cycle word (s1 b1, ...,
+s_{n-1} b_{n-1}, s_n n) of a cyclic family, and the one-line images of the
+others.  Index = (lex rank of the magnitudes) * 2^bits + (sign code), where
+bit i of the code negates row entry i, the cyclic rank covering only the
+first n-1 magnitudes.  A parity family spends one fewer sign bit and gives
+its last entry the sign that fixes the parity of the negative count.
+iterate_words() is that row stream.  CSnr encodes (CS cycle-word rank) *
+r^f + (color code), the code's base-r digits being the first f colors,
+lowest first: all n, or n-1 when a color filter fixes the last one.
 
 The lex rank of k magnitudes is their Lehmer code read in the factorial
 number system (Knuth, TAOCP vol. 2, 3.3.2): the digit of position i counts
@@ -37,8 +38,8 @@ in a bitset; unrank pops each digit's entry from a pool.  A row stream
 unranks its first magnitudes only and steps to the lex successor.
 
 Randomness comes from a counter-based generator (Philox) keyed by
-(worker_id << 64) | seed, so fixed (seed, worker) pairs give bit-reproducible
-streams and distinct workers are independent.  The scalar sampler draws a
+(worker_id << 64) | seed, each below 2^64: fixed (seed, worker) pairs give
+reproducible streams, distinct pairs distinct ones.  The scalar sampler draws a
 uniform index by rejection on raw 64-bit words and unranks it.  The batch
 sampler vectorizes cycle words straight into statistic values for large
 degrees.  Its stream is that of numpy's row-wise shuffle and of numpy's
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice, product
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -67,8 +67,8 @@ SAMPLE_CHUNK = 4096
 # rows per shuffle call of the batch sampler; at degree 800 these 1.6 MB
 # intp blocks shuffle a chunk about 25 % faster than blocks of 1024 rows
 SHUFFLE_BLOCK = 256
-# iterate_words tabulates at most this many low sign bits (2^10 rows), so
-# its memory stays bounded whatever the number of sign bits
+# the streams tabulate at most 2^10 low sign or color codes, so that their
+# memory stays bounded whatever the number of sign bits or colors
 LOW_SIGN_BITS = 10
 
 
@@ -237,6 +237,14 @@ def _next_perm(a):
     a[i + 1:] = a[:i:-1]
 
 
+def _shown(x):
+    """x in decimal, or as about 2^k past Python's int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"about 2^{round(math.log2(x))}"
+
+
 def _checked_range(d: DomainSpec, start, stop, allow_big):
     """Validate an unrank range and apply the BUDGET_LIMIT refusal;
     returns the resolved stop."""
@@ -244,10 +252,10 @@ def _checked_range(d: DomainSpec, start, stop, allow_big):
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start},{stop}) for {d}")
+        raise ValueError(f"bad range [{_shown(start)},{_shown(stop)}) for {d}")
     if stop - start > BUDGET_LIMIT and not allow_big:
         raise BudgetError(
-            f"{d} range holds {stop - start} elements, over the "
+            f"{d} range holds {_shown(stop - start)} elements, over the "
             f"{BUDGET_LIMIT} budget; pass allow_big to proceed")
     return stop
 
@@ -266,13 +274,9 @@ def _sign_table(row, k, parity):
 
 
 def iterate_words(d: DomainSpec, start=0, stop=None):
-    """Rows of a signed or plain family in unrank order, as tuples.
-
-    A row is the cycle word (magnitude-n entry last) of a cyclic family and
-    the one-line images of the others; see the module docstring for the
-    encoding.  This raw stream is what exhaustive verification and the exact
-    tables consume; iterate(), unrank() and rank() are built on it.
-    """
+    """Rows of a signed or plain family in index order, as tuples (see the
+    module docstring): the raw stream that exhaustive verification and the
+    exact tables read, and that iterate() turns into elements."""
     if d.kind not in _FAMILIES:
         raise ValueError(f"{d.kind} has no row stream")
     return _rows(d, start, _checked_range(d, start, stop, allow_big=True))
@@ -360,36 +364,11 @@ def _sign_pairs(N, start, stop):
         i = end
 
 
-def _unrank_word(d: DomainSpec, index):
-    """The row iterate_words yields at `index`, as a list; index must lie
-    in range."""
-    return list(next(_rows(d, index, index + 1)))
-
-
-def _unrank(d: DomainSpec, index):
-    """unrank on an index known to lie in range."""
-    if d.kind != "CSnr":
-        row = _unrank_word(d, index)
-        return SignedPermutation._trusted(_word_to_images(row) if _layout(d)[0] else row)
-    from .colored import ColoredPermutation
-
-    n = d.n
-    free = n if d.color_filter is None else n - 1
-    q, c = divmod(index, d.r ** free)
-    img = _word_to_images(_unrank_word(DomainSpec("CS", n), q))
-    tau = []
-    for _ in range(free):
-        c, digit = divmod(c, d.r)
-        tau.append(digit)
-    if d.color_filter is not None:
-        tau.append((d.color_filter - sum(tau)) % d.r)
-    return ColoredPermutation(n, d.r, tuple(img), tuple(tau))
-
-
 def unrank(d: DomainSpec, index: int):
+    """The element at index: the first element iterate yields from it."""
     if not 0 <= index < cardinality(d):
-        raise ValueError(f"index {index} out of range for {d}")
-    return _unrank(d, index)
+        raise ValueError(f"index {_shown(index)} out of range for {d}")
+    return next(iterate(d, True, index, index + 1))
 
 
 def rank(d: DomainSpec, element) -> int:
@@ -429,40 +408,60 @@ def _image_rows(d: DomainSpec, start=0, stop=None, allow_big=False):
 
 
 def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
-    """Stream every element exactly once, in unrank order.
-
-    Refuses domains beyond BUDGET_LIMIT elements unless allow_big is set;
-    start/stop restrict to an unrank index range for sharding.
-    """
+    """The elements with index in [start, stop), stop defaulting to the end,
+    in index order; refuses more than BUDGET_LIMIT of them unless allow_big
+    is set.  A shard of a domain is such a range."""
     if d.kind != "CSnr":
         yield from map(SignedPermutation._trusted, _image_rows(d, start, stop, allow_big))
         return
     from .colored import ColoredPermutation
 
-    # each cycle word once, then its color codes with tau[0] varying fastest
+    make = ColoredPermutation._trusted
+    # each cycle word once, then its color codes, tau[0] varying fastest: the
+    # low digits from a table of at most 2^LOW_SIGN_BITS codes, the high ones
+    # decoded once, then stepped per table pass (Algorithm M, TAOCP 7.2.1.1)
+    n, r, fix = d.n, d.r, d.color_filter
     stop = _checked_range(d, start, stop, allow_big)
-    free = d.n if d.color_filter is None else d.n - 1
-    block = d.r ** free
-    q, lo = divmod(start, block)
-    for w in _rows(DomainSpec("CS", d.n), q, -(-stop // block)):
-        hi = min(block, stop - q * block)
-        taus = (digits[::-1] for digits in islice(product(range(d.r), repeat=free), lo, hi))
-        if d.color_filter is not None:
-            taus = (tau + ((d.color_filter - sum(tau)) % d.r,) for tau in taus)
-        yield from ColoredPermutation._over_omega(
-            d.n, d.r, tuple(_word_to_images(w)), taus)
-        q += 1
-        lo = 0
+    remaining = stop - start
+    free = n if fix is None else n - 1
+    block = r ** free
+    low = [()]
+    while len(low) < min(remaining, block) and len(low) * r <= 1 << LOW_SIGN_BITS:
+        low = [t + (c,) for c in range(r) for t in low]
+    q, s = divmod(start, block)
+    h, s = divmod(s, len(low))
+    high = []
+    for _ in range(free - len(low[0])):
+        h, digit = divmod(h, r)
+        high.append(digit)
+    for w in _rows(DomainSpec("CS", n), q, -(-stop // block)):
+        omega = tuple(_word_to_images(w))
+        while True:
+            hi = tuple(high)
+            taus = [t + hi for t in low[s:s + remaining]]
+            if fix is not None:
+                taus = [tau + ((fix - sum(tau)) % r,) for tau in taus]
+            yield from [make(n, r, omega, tau) for tau in taus]
+            remaining -= len(taus)
+            if not remaining:
+                return
+            s = i = 0
+            while i < len(high) and high[i] == r - 1:
+                i += 1
+            high[:i] = [0] * i
+            if i == len(high):
+                break  # every high digit wrapped: on to the next cycle word
+            high[i] += 1
 
 
 # -- random sampling -------------------------------------------------------
 
 def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
-    """Counter-based stream keyed by (worker << 64) | seed."""
+    """Counter-based stream keyed by (worker << 64) | seed, both below 2^64."""
     import numpy as np
 
-    if seed < 0 or worker < 0:
-        raise ValueError("seed and worker must be nonnegative")
+    if not (0 <= seed < 1 << 64 and 0 <= worker < 1 << 64):
+        raise ValueError("seed and worker must lie in 0..2^64-1")
     return np.random.Generator(np.random.Philox(key=(worker << 64) | seed))
 
 
@@ -522,7 +521,8 @@ def sample(d: DomainSpec, rng) -> object:
 
     if isinstance(rng, (int, np.integer)):
         rng = make_rng(int(rng))
-    return _unrank(d, _uniform_index(rng, cardinality(d)))
+    i = _uniform_index(rng, cardinality(d))
+    return next(iterate(d, True, i, i + 1))
 
 
 def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,

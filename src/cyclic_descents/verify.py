@@ -20,8 +20,8 @@ from functools import partial
 from itertools import product
 
 from .cycles import _word_to_images
-from .domains import (DomainSpec, _sign_pairs, _uniform_index, _unrank_word,
-                      cardinality, iterate_words, make_rng, rank)
+from .domains import (DomainSpec, _sign_pairs, _uniform_index, cardinality,
+                      iterate_words, make_rng, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
@@ -327,7 +327,8 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
         q = _uniform_index(rng, perms)
         s = _uniform_index(rng, 1 << (degree - 1))
         # sign bit degree-1 stays clear, so the word ends in +degree
-        w = _unrank_word(DomainSpec("CB", degree), q << degree | s)
+        i = q << degree | s
+        w = list(next(iterate_words(DomainSpec("CB", degree), i, i + 1)))
         try:
             with_trace = _phi_plus_word(w, TransferTrace())
         except AssertionError as e:

@@ -376,10 +376,13 @@ def test_parser_choices_match_the_library():
     (["verify", "--claim", "stat-gaps", "--n", "-3"], 2, "error: bad degree bound -3\n"),
     (["verify", "--claim", "order-swap-properties", "--samples", "0"], 2,
      "error: bad sample count 0\n"),
+    (["tabulate", "--domain", "B", "--n", "3000"], 3, "budget: "),
+    (["sample", "--domain", "CB", "--n", "5", "--seed", str(2**64)], 2,
+     "error: seed and worker must lie in 0..2^64-1\n"),
 ], ids=["budget", "budget-refined", "syntax", "repeated", "map-instrument",
         "map-r", "map-color", "invert-r", "pretty-alone", "verify-negative-count",
         "sample-negative-count", "stat-gaps-zero", "stat-gaps-negative",
-        "verify-zero-count"])
+        "verify-zero-count", "budget-past-the-digit-limit", "sample-seed-range"])
 def test_exit_codes_in_a_fresh_process(argv, code, err):
     # the budget error class lives in a module the CLI imports lazily
     res = fresh("-m", "cyclic_descents.cli", *argv)

@@ -181,6 +181,21 @@ def test_csnr_iterate_is_pinned(color_filter, digest):
     assert hashlib.sha256(pairs).hexdigest() == digest
 
 
+@pytest.mark.parametrize("d,lo,hi", [
+    # deep inside the first color block, across the carry out of 59 low digits
+    (DomainSpec("CSnr", 60, r=2), 2**59 - 2, 2**59 + 3),
+    # the last 5 codes of the first cycle word's block and the first 5 of the next
+    (DomainSpec("CSnr", 40, r=3, color_filter=1), 3**39 - 5, 3**39 + 5),
+    # one color: each block holds one code, so every step is a new cycle word
+    (DomainSpec("CSnr", 7, r=1), 100, 110),
+], ids=["CSnr-60-r2", "CSnr-40-r3-color1", "CSnr-7-r1"])
+def test_csnr_iterate_starts_anywhere(d, lo, hi):
+    got = list(iterate(d, start=lo, stop=hi))
+    assert len(got) == hi - lo
+    for i, x in enumerate(got, lo):
+        assert rank(d, x) == i and unrank(d, i) == x
+
+
 def _row(kind, n, i):
     """The row at index i, straight from the encoding in the domains
     docstring."""
@@ -225,6 +240,28 @@ def test_budget_refusal():
         next(iterate(big))
     gen = iterate(big, allow_big=True)
     assert isinstance(next(gen), SignedPermutation)
+
+
+def test_refusals_print_at_any_size():
+    # the cardinality of B(3000) has about 10^4 decimal digits, past
+    # Python's int-to-str limit
+    d = DomainSpec("B", 3000)
+    with pytest.raises(ValueError, match=r"out of range for B\(n=3000\)"):
+        unrank(d, cardinality(d))
+    with pytest.raises(ValueError, match=r"bad range \[0,about 2\^\d+\) for B"):
+        next(iterate(d, stop=cardinality(d) + 1))
+    with pytest.raises(BudgetError, match=r"holds about 2\^\d+ elements"):
+        next(iterate(d))
+
+
+def test_rng_refuses_keys_that_would_collide():
+    # the key is (worker << 64) | seed, so a seed of 2^64 would alias worker 1
+    for seed, worker in ((2**64, 0), (0, 2**64), (-1, 0), (0, -1), (2**128, 0)):
+        with pytest.raises(ValueError, match=r"seed and worker must lie in 0\.\.2\^64-1"):
+            make_rng(seed, worker)
+    a = make_rng(2**64 - 1, worker=2**64 - 1).integers(0, 1 << 32, size=4)
+    b = make_rng(2**64 - 1, worker=2**64 - 1).integers(0, 1 << 32, size=4)
+    assert (a == b).all()
 
 
 def test_rng_streams_are_stable_and_worker_split():

@@ -50,3 +50,17 @@ def test_bench_selftest_catches_every_corruption(tmp_path):
                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert res.stdout.splitlines()[-1] == "7/7 corruptions caught"
+
+
+def test_bench_diff_reads_the_committed_pair(tmp_path):
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
+                          str(ROOT / "BENCH_pr16_parent.json"), str(ROOT / "BENCH_pr16.json")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    assert len(rows) == 6
+    # the product-tree ranking made scale faster on every seed, by more than
+    # the parent's quartile spread: higher is better for one, lower for the other
+    assert rows["scale", "checks_per_s"][-2:] == ["10/10", "above"]
+    assert rows["scale", "latency_p50_ms"][-2:] == ["10/10", "below"]
+    assert rows["scale", "peak_rss_mb"][-2:] == ["0/10", "above"]
