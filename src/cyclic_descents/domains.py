@@ -539,67 +539,90 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     c magnitude rows and then rng.integers(0, 2, size=(c, n)) would draw,
     more cheaply: the shuffle runs on blocks of SHUFFLE_BLOCK intp rows in
     order, which is one such call split up, and _sign_bits reads the signs
-    from raw generator words.
+    from raw generator words.  Every draw runs on one worker thread, chunk
+    by chunk and in that order, while the caller turns the chunk before
+    into values in slices of SHUFFLE_BLOCK rows; the worker is the only
+    user of the generator, so the stream does not depend on the thread.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     if d.kind not in ("CB", "CD", "CDbar"):
         raise ValueError(f"batch sampling covers the cyclic signed domains, not {d.kind}")
     if stat not in ("des", "maj", "neg", "fmaj"):
         raise ValueError(f"unknown statistic {stat!r}")
+    if count < 0:
+        raise ValueError(f"bad sample count {count}")
     n = d.n
     parity = _FAMILIES[d.kind][2]
     rng = make_rng(seed, worker)
-    # entries lie in [-n, n] and flat chunk indices below SAMPLE_CHUNK * n,
+    # entries lie in [-n, n] and flat slice indices below SHUFFLE_BLOCK * n,
     # so the degree picks the narrowest types that hold them
     dt, flat = (np.int16, np.int32) if n < 1 << 15 else (np.int32, np.int64)
-    out = np.empty(count, dtype=np.int64)
-    positions = np.arange(n, dtype=np.int64)
     mags = np.arange(1, n, dtype=np.intp)
-    # flat index of each row's entry 0, less one for the 1-based magnitudes
-    row_start = np.arange(-1, SAMPLE_CHUNK * n - 1, n, dtype=flat)[:, None]
-    done = 0
-    while done < count:
-        c = min(SAMPLE_CHUNK, count - done)
-        w = np.empty((c, n), dtype=dt)
+
+    def draw(c):
         # numpy's shuffle is fastest on pointer-sized items, and shuffling
         # the rows block by block, in order, makes the draws of one call
+        w = np.empty((c, n), dtype=dt)
         buf = np.empty((min(SHUFFLE_BLOCK, c), n - 1), dtype=np.intp)
         for r in range(0, c, SHUFFLE_BLOCK):
             blk = buf[:min(SHUFFLE_BLOCK, c - r)]
             blk[...] = mags
             rng.permuted(blk, axis=1, out=blk)
             w[r:r + len(blk), : n - 1] = blk
-        del buf, blk
         w[:, n - 1] = n
-        # the flat slot, in pol, of the magnitude of each entry j < n-1
-        slot = w[:, : n - 1] + row_start[:c]
-        neg = _sign_bits(rng, c * n).reshape(c, n)
-        if parity is not None:
-            odd = np.count_nonzero(neg[:, : n - 1], axis=1) & 1
-            neg[:, n - 1] = odd != parity
-        # a masked np.negative runs about 20 times slower than this product
-        w *= 1 - 2 * neg.view(np.int8)
-        # the image of |w[j]| is w[j+1]: entry j < n-1 sends its magnitude,
-        # at `slot`, to w[j+1], and the last entry, of magnitude n, to w[0]
-        pol = np.empty((c, n), dtype=dt)
-        pol.reshape(-1)[slot] = w[:, 1:]
-        pol[:, n - 1] = w[:, 0]
-        del slot, neg
-        # a descent at 0 is a negative first image
-        flags = np.empty((c, n), dtype=bool)
-        np.less(pol[:, 0], 0, out=flags[:, 0])
-        np.greater(pol[:, : n - 1], pol[:, 1:], out=flags[:, 1:])
-        if stat == "des":
-            vals = np.count_nonzero(flags, axis=1)
-        elif stat == "neg":
-            vals = np.count_nonzero(pol < 0, axis=1)
-        else:
-            vals = np.einsum("ij,j->i", flags, positions)
-            if stat == "fmaj":
-                vals = 2 * vals + np.count_nonzero(pol < 0, axis=1)
-        out[done:done + c] = vals
-        done += c
-        # free this chunk's arrays before the next chunk draws its own
-        del w, pol, flags
+        # then the signs: _sign_bits on consecutive blocks of rows draws what
+        # one call on the whole chunk would, and its raw words stay small
+        neg = np.empty((c, n), dtype=bool)
+        for r in range(0, c, SHUFFLE_BLOCK):
+            blk = neg[r:r + SHUFFLE_BLOCK]
+            blk[...] = _sign_bits(rng, blk.size).reshape(blk.shape)
+        return w, neg
+
+    out = np.empty(count, dtype=np.int64)
+    positions = np.arange(n, dtype=np.int64)
+    # flat index of each row's entry 0, less one for the 1-based magnitudes
+    row_start = np.arange(-1, SHUFFLE_BLOCK * n - 1, n, dtype=flat)[:, None]
+    # the worker draws chunk k+1 while this thread turns chunk k into
+    # values, so at most two chunks are alive
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(draw, min(SAMPLE_CHUNK, count)) if count else None
+        for done in range(0, count, SAMPLE_CHUNK):
+            chunk_w, chunk_neg = ahead.result()
+            c = len(chunk_w)
+            if done + c < count:
+                ahead = pool.submit(draw, min(SAMPLE_CHUNK, count - done - c))
+            # slices small enough that their temporaries stay in cache
+            for r in range(0, c, SHUFFLE_BLOCK):
+                w = chunk_w[r:r + SHUFFLE_BLOCK]
+                neg = chunk_neg[r:r + SHUFFLE_BLOCK]
+                s = len(w)
+                if parity is not None:
+                    odd = np.count_nonzero(neg[:, : n - 1], axis=1) & 1
+                    neg[:, n - 1] = odd != parity
+                # the flat slot, in pol, of the magnitude of each entry j < n-1
+                slot = w[:, : n - 1] + row_start[:s]
+                # a masked np.negative runs about 20 times slower than this product
+                w *= 1 - 2 * neg.view(np.int8)
+                # the image of |w[j]| is w[j+1]: entry j < n-1 sends its
+                # magnitude, at `slot`, to w[j+1], and the last entry, of
+                # magnitude n, to w[0]
+                pol = np.empty((s, n), dtype=dt)
+                pol.reshape(-1)[slot] = w[:, 1:]
+                pol[:, n - 1] = w[:, 0]
+                # a descent at 0 is a negative first image
+                flags = np.empty((s, n), dtype=bool)
+                np.less(pol[:, 0], 0, out=flags[:, 0])
+                np.greater(pol[:, : n - 1], pol[:, 1:], out=flags[:, 1:])
+                if stat == "des":
+                    vals = np.count_nonzero(flags, axis=1)
+                elif stat == "neg":
+                    vals = np.count_nonzero(pol < 0, axis=1)
+                else:
+                    vals = np.einsum("ij,j->i", flags, positions)
+                    if stat == "fmaj":
+                        vals = 2 * vals + np.count_nonzero(pol < 0, axis=1)
+                out[done + r:done + r + s] = vals
     return out

@@ -165,13 +165,11 @@ def ks_against_normal(z: np.ndarray) -> float:
 
     vals, counts = np.unique(np.asarray(z, dtype=np.float64), return_counts=True)
     N = len(z)
-    best = 0.0
-    first = 0
-    for v, m in zip(vals.tolist(), counts.tolist()):
-        F = _normal_cdf(v)
-        best = max(best, F - first / N, (first + m) / N - F)
-        first += m
-    return best
+    F = np.fromiter(map(_normal_cdf, vals.tolist()), np.float64, len(vals))
+    last = np.cumsum(counts)
+    first = last - counts
+    return float(max(np.max(F - first / N, initial=0.0),
+                     np.max(last / N - F, initial=0.0)))
 
 
 def ks_lattice_floor(mu: float, sd: float) -> float:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import tracemalloc
 from itertools import islice, permutations
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from cyclic_descents import domains
 from cyclic_descents.colored import ColoredPermutation, color_of
 from cyclic_descents.cycles import is_cyclic
 from cyclic_descents.domains import (KINDS, SAMPLE_CHUNK, BudgetError,
@@ -404,6 +406,53 @@ def test_batch_stream_is_pinned_at_uneven_sizes(kind, n, count, digest):
     assert _sha(",".join(map(str, vals.tolist()))) == digest
 
 
+# streams of three chunks and more, where chunk k+1 is drawn while chunk k
+# turns into values, one of them ending mid-slice
+_LONG_BATCHES = [
+    ("CD", 64, "fmaj", 3 * SAMPLE_CHUNK + 257,
+     "c01367e0e2d277fad6b7e6be46d4a8dfc152ad9312fc250a2dea0241d21825a2"),
+    ("CDbar", 50, "des", 3 * SAMPLE_CHUNK,
+     "3474250d63ee81841fc3005ddc67d29a968c3dbaadc9287a86caffb65f13bfc2"),
+]
+
+
+@pytest.mark.parametrize("kind,n,stat,count,digest", _LONG_BATCHES,
+                         ids=[f"{k}-{n}-{s}x{c}" for k, n, s, c, _ in _LONG_BATCHES])
+def test_batch_stream_is_pinned_over_several_chunks(kind, n, stat, count, digest):
+    vals = sample_stat_batch(DomainSpec(kind, n), stat, count, seed=_GOLDEN_SEED)
+    assert _sha(",".join(map(str, vals.tolist()))) == digest
+
+
+def test_batch_sampler_refuses_a_negative_count(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a generator")
+    monkeypatch.setattr(domains, "make_rng", no_draws)
+    with pytest.raises(ValueError, match="^bad sample count -1$"):
+        sample_stat_batch(DomainSpec("CB", 9), "des", -1, seed=1)
+    monkeypatch.undo()
+    assert sample_stat_batch(DomainSpec("CB", 9), "des", 0, seed=1).shape == (0,)
+
+
+def test_batch_sampler_leaves_no_thread_running(monkeypatch):
+    before = threading.active_count()
+    sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
+    assert threading.active_count() == before
+    # the second chunk's draw fails on the worker while the first chunk
+    # turns into values: the error reaches the caller, and the worker is gone
+    sign_bits, calls = domains._sign_bits, []
+
+    def failing(rng, m):
+        calls.append(m)
+        if len(calls) == 2:
+            raise RuntimeError("draw failed")
+        return sign_bits(rng, m)
+    monkeypatch.setattr(domains, "_sign_bits", failing)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
+    assert len(calls) == 2
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("pending", [False, True])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 4096 * 801])
 def test_sign_bits_match_numpy_bounded_draw(m, pending):
@@ -531,7 +580,8 @@ def test_iterate_words_steps_through_ranges(kind, n):
 
 
 def test_batch_sampler_memory_stays_bounded():
-    # three chunks: each frees its arrays before the next one draws
+    # three chunks, of which at most two are alive: one being drawn while
+    # the one before turns into values
     tracemalloc.start()
     try:
         sample_stat_batch(DomainSpec("CD", 800), "fmaj", 3 * SAMPLE_CHUNK,

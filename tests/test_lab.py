@@ -169,6 +169,30 @@ def test_ks_floor_bounds_des_and_a_shift_still_fails():
     assert shifted - ks_lattice_floor(mu, sd) > 0.01
 
 
+def _ks_by_loop(z):
+    # the running maximum over runs of equal sorted samples, one at a time
+    vals, counts = np.unique(np.asarray(z, dtype=np.float64), return_counts=True)
+    N = len(z)
+    best = 0.0
+    first = 0
+    for v, m in zip(vals.tolist(), counts.tolist()):
+        F = 0.5 * math.erfc(-v / math.sqrt(2.0))
+        best = max(best, F - first / N, (first + m) / N - F)
+        first += m
+    return best
+
+
+@pytest.mark.parametrize("z", [
+    np.random.default_rng(1).standard_normal(5000),
+    np.random.default_rng(2).integers(-40, 40, 20000) / 9.0,
+    (sample_stat_batch(DomainSpec("CB", 200), "fmaj", 3000, seed=4) - 20000.0) / 946.0,
+    np.array([0.25]),
+    np.array([-3.0, -3.0, -3.0]),
+], ids=["distinct", "ties", "fmaj", "single", "one-run"])
+def test_ks_against_normal_matches_the_loop(z):
+    assert ks_against_normal(z) == _ks_by_loop(z)
+
+
 def test_ks_lattice_floor_picks_the_widest_cell():
     # half-integer mean: the cell [mu-1/2, mu+1/2] straddles the peak
     sd = 3.0

@@ -64,3 +64,17 @@ def test_bench_diff_reads_the_committed_pair(tmp_path):
     assert rows["scale", "checks_per_s"][-2:] == ["10/10", "above"]
     assert rows["scale", "latency_p50_ms"][-2:] == ["10/10", "below"]
     assert rows["scale", "peak_rss_mb"][-2:] == ["0/10", "above"]
+
+
+def test_bench_diff_reads_the_pr18_pair(tmp_path):
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
+                          str(ROOT / "BENCH_pr18_parent.json"), str(ROOT / "BENCH_pr18.json")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    assert len(rows) == 6
+    # the batch sampler's draws on a worker thread made clt faster on every
+    # seed, by more than the parent's quartile spread
+    assert rows["clt", "samples_per_s"][-2:] == ["10/10", "above"]
+    assert rows["clt", "latency_p50_ms"][-2:] == ["10/10", "below"]
+    assert float(rows["clt", "peak_rss_mb"][4]) <= 1.1
