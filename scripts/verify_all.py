@@ -1,8 +1,10 @@
 """Run every claim suite at full desk scale and print one line per claim,
-then the pass count and the total checks, seconds and checks per second.
+then the most processes a descent sweep ran on, the pass count and the
+total checks, seconds and checks per second.
 
 Exit code is the number of failing claims.  --quick shrinks the sweeps for
-a fast smoke run.
+a fast smoke run.  --threads fixes the processes of the descent sweeps; by
+default a large sweep runs on one process per usable core.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from cyclic_descents.verify import (check_bijection, check_colored,
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--seed", type=int, default=20260823)
     args = ap.parse_args()
 
@@ -56,6 +58,8 @@ def main():
     for r in results:
         print(r.line())
         bad += 0 if r.passed else 1
+    procs = max(r.params["threads"] for r in results if r.claim == "phi-descents")
+    print(f"descent sweeps ran on at most {procs} process{'es' if procs > 1 else ''}")
     print(f"{len(results) - bad}/{len(results)} claims pass")
     checks = sum(r.checked for r in results)
     print(f"{checks} checks in {elapsed:.2f}s, {checks / elapsed:.0f} checks/s")

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .domains import DomainSpec, _image_rows, _layout, cardinality, iterate
+from .domains import (DomainSpec, _checked_range, _image_rows, _layout,
+                      _over_range, cardinality, iterate)
 from .statistics import DescentSet, _des_maj_neg, _descent_mask
 
 if TYPE_CHECKING:
@@ -83,23 +84,32 @@ class NormalityReport:
             raise ValueError("floor out of range")
 
 
-def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
-    """Statistic counts over an unrank index range; merges associatively
-    across shards.  Refuses ranges over BUDGET_LIMIT unless allow_big."""
-    allowed = _COLORED_STATS if d.kind == "CSnr" else _SIGNED_STATS
-    if stat not in allowed:
-        raise ValueError(f"statistic {stat!r} not defined on {d.kind}")
-    pos = allowed.index(stat)
+def _counts_part(start, stop, d, pos):
+    """Counts of entry pos of each element's statistic tuple over a checked
+    unrank range; the worker of count_range."""
     if d.kind == "CSnr":
         from .colored import colored_stats
 
-        return Counter(colored_stats(p)[pos]
-                       for p in iterate(d, allow_big, start, stop))
-    triples = Counter(map(_des_maj_neg, _image_rows(d, start, stop, allow_big)))
+        return Counter(colored_stats(p)[pos] for p in iterate(d, True, start, stop))
+    triples = Counter(map(_des_maj_neg, _image_rows(d, start, stop, True)))
     out = Counter()
     for (des, maj, neg), c in triples.items():
         out[(des, maj, neg, 2 * maj + neg)[pos]] += c
     return out
+
+
+def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
+    """Statistic counts over an unrank index range; merges associatively
+    across shards, and a large range is split over processes by
+    domains._over_range.  Refuses ranges over BUDGET_LIMIT unless
+    allow_big."""
+    allowed = _COLORED_STATS if d.kind == "CSnr" else _SIGNED_STATS
+    if stat not in allowed:
+        raise ValueError(f"statistic {stat!r} not defined on {d.kind}")
+    stop = _checked_range(d, start, stop, allow_big)
+    # Counter + keeps each key's first place, so the sum lists the values in
+    # the order one sweep first meets them
+    return sum(_over_range(_counts_part, start, stop, d, allowed.index(stat)), Counter())
 
 
 def exact_distribution(d: DomainSpec, stat: str, allow_big=False) -> DistributionTable:
@@ -107,15 +117,21 @@ def exact_distribution(d: DomainSpec, stat: str, allow_big=False) -> Distributio
     return DistributionTable(d, stat, dict(count_range(d, stat, allow_big=allow_big)))
 
 
+def _masks_part(start, stop, d, cap):
+    """Counts of the descent masks, cut to cap, over a checked unrank range;
+    the worker of refined_descent_table."""
+    return Counter(_descent_mask(img) & cap for img in _image_rows(d, start, stop, True))
+
+
 def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
     """Counts keyed by descent set; cyclic domains key on the descent set
-    truncated to {0,...,n-2} so they compare against degree n-1 tables."""
+    truncated to {0,...,n-2} so they compare against degree n-1 tables.
+    A large domain is split over processes by domains._over_range."""
     if d.kind == "CSnr":
         raise ValueError("refined tables cover the signed and plain families")
     m = d.n - 1 if _layout(d)[0] else d.n
-    cap = (1 << m) - 1
-    out = Counter(_descent_mask(img) & cap
-                  for img in _image_rows(d, allow_big=allow_big))
+    stop = _checked_range(d, 0, None, allow_big)
+    out = sum(_over_range(_masks_part, 0, stop, d, (1 << m) - 1), Counter())
     return RefinedTable(d, {DescentSet(m, k): c for k, c in out.items()})
 
 

@@ -3,9 +3,13 @@
 Each checker exhaustively sweeps (or, where stated, randomly samples) its
 domain and returns a ClaimResult; nothing is asserted so callers decide how
 to report.  Each claim keys every failure by its rank or visit index and
-reports the MAX_REPORTED failures of smallest key, in key order.  Only the
-descent-preservation sweep can be sharded by unrank range and spread over
-processes, and the processes never change what a sweep reports.
+reports the MAX_REPORTED failures of smallest key, in key order.  The
+descent, bijection, inverse and gap sweeps, and the exact tables behind
+the count and moment claims, run through domains._over_range, which splits
+a large sweep over one forked process per usable core; each part keeps its
+first failures through _note and the parent merges them through _note, so
+the processes never change what a sweep reports.  Only the descent sweep
+can also be sharded by unrank range, or told its number of processes.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -17,11 +21,11 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 from .cycles import _word_to_images
-from .domains import (DomainSpec, _sign_pairs, _uniform_index, cardinality,
-                      iterate_words, make_rng, rank)
+from .domains import (DomainSpec, _over_range, _sign_pairs, _uniform_index,
+                      cardinality, iterate_words, make_rng, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
@@ -64,7 +68,17 @@ def _result(claim, params, t0, checked, bad, details="", ok=True):
                        time.perf_counter() - t0, details, [x for _, x in bad])
 
 
-def _descents_range(N, start, stop):
+def _merged(parts):
+    """The (count, bad) results of consecutive parts of one sweep as one
+    count and one list of the first failures of smallest key."""
+    bad = []
+    for _, b in parts:
+        for key, item in b:
+            _note(bad, key, item)
+    return sum(c for c, _ in parts), bad
+
+
+def _descents_range(start, stop, N):
     """Worker for the descent-preservation sweep over one unrank range;
     returns the count and the (rank, word) pairs of the first bad words."""
     cap = (1 << (N - 1)) - 1
@@ -87,11 +101,12 @@ def _descents_range(N, start, stop):
     return count, bad
 
 
-def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
+def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
     """Descents at 0..n-1 agree between each cyclic permutation of degree
-    n+1 and its image in B_n; exhaustive over the (sharded) domain."""
+    n+1 and its image in B_n; exhaustive over the (sharded) domain, on
+    `threads` processes, by default as many as domains._over_range picks."""
     t0 = time.perf_counter()
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"bad thread count {threads}")
     N = n + 1
     total = cardinality(DomainSpec("CB", N))
@@ -102,47 +117,71 @@ def check_phi_descents(n, shard=None, threads=1) -> ClaimResult:
         if not 0 <= i < t:
             raise ValueError(f"bad shard {i}/{t}")
         lo, hi = total * i // t, total * (i + 1) // t
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        cuts = [lo + (hi - lo) * k // threads for k in range(threads + 1)]
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_descents_range, [N] * threads, cuts, cuts[1:]))
-    else:
-        parts = [_descents_range(N, lo, hi)]
-    # the parts cover consecutive ranks, each reported in rank order
-    bad = [kw for _, b in parts for kw in b][:MAX_REPORTED]
-    return _result("phi-descents", {"n": n, "shard": shard, "threads": threads},
-                   t0, sum(c for c, _ in parts), bad,
+    parts = _over_range(_descents_range, lo, hi, N, processes=threads)
+    checked, bad = _merged(parts)
+    return _result("phi-descents", {"n": n, "shard": shard, "threads": len(parts)},
+                   t0, checked, bad,
                    f"first bad words {[w for _, w in bad]}" if bad else "")
+
+
+def _images_part(start, stop, kind, N):
+    """Worker for the bijection claims over one unrank range.
+
+    Returns the (rank, rank) pairs of the first repeated images within the
+    range, the number of repeats, the distinct images as one byte string
+    of N-1 bytes each (entry v as v + N - 1), and the rank of each one's
+    first visit, as an array."""
+    from array import array
+
+    first = {}
+    bad = []
+    for i, w in enumerate(iterate_words(DomainSpec(kind, N), start, stop), start):
+        if first.setdefault(tuple(_capital_phi_word(w)), i) != i:
+            _note(bad, i, i)
+    return (bad, stop - start - len(first),
+            bytes(map((N - 1).__add__, chain.from_iterable(first))),
+            array("q", first.values()))
 
 
 def check_bijection(n, parity="D") -> ClaimResult:
     """The map restricted to one parity class of cyclic degree-(n+1)
     permutations hits every element of B_n exactly once."""
     t0 = time.perf_counter()
-    kind = "CD" if parity == "D" else "CDbar"
+    d = DomainSpec("CD" if parity == "D" else "CDbar", n + 1)
+    total = cardinality(d)
+    # an image first seen in a part repeats one that an earlier part saw
     seen = set()
-    checked = 0
     dup = []
-    for w in iterate_words(DomainSpec(kind, n + 1)):
-        out = tuple(_capital_phi_word(w))
-        if out in seen:
-            _note(dup, checked, w)
-        seen.add(out)
-        checked += 1
+    repeats = 0
+    parts = _over_range(_images_part, 0, total, d.kind, n + 1)
+    for k, (bad, part_repeats, blob, firsts) in enumerate(parts):
+        repeats += part_repeats
+        for key, item in bad:
+            _note(dup, key, item)
+        images = [blob[j * n:(j + 1) * n] for j in range(len(firsts))]
+        if not seen.isdisjoint(images):
+            for img, i in zip(images, firsts):
+                if img in seen:
+                    _note(dup, i, i)
+                    repeats += 1
+        if k + 1 < len(parts):
+            seen.update(images)
+    dup = [(i, next(iterate_words(d, i, i + 1))) for i, _ in dup]
     want = cardinality(DomainSpec("B", n))
-    return _result("bijection-" + parity, {"n": n}, t0, checked, dup,
-                   f"{len(seen)}/{want} distinct images", len(seen) == want)
+    return _result("bijection-" + parity, {"n": n}, t0, total, dup,
+                   f"{total - repeats}/{want} distinct images", total - repeats == want)
 
 
-def check_inverses(n) -> ClaimResult:
-    """Six composition laws: the parity-class maps invert each other in both
-    orders, and the raw positive-class maps do as well."""
-    t0 = time.perf_counter()
+def _inverses_part(start, stop, n):
+    """Worker for the inverse laws over one range of the concatenation of
+    B(n), for the left laws, and CB(n+1), for the right ones; returns the
+    count of laws checked and the first failures."""
+    N = n + 1
+    left = cardinality(DomainSpec("B", n))
     checked = 0
     bad = []
-    N = n + 1
-    for k, row in enumerate(iterate_words(DomainSpec("B", n))):
+    for k, row in enumerate(iterate_words(DomainSpec("B", n), min(start, left),
+                                          min(stop, left)), min(start, left)):
         sigma = list(row)
         up = _psi_plus_word(row)
         raw = _phi_plus_word(up) if up[-1] == N else None
@@ -164,18 +203,34 @@ def check_inverses(n) -> ClaimResult:
     # the right-hand laws: one raw rewriting per +- pair of CB(N) serves
     # CD/CDbar-right for both words and plus-right for the positive one.
     # Failures are keyed by law, then by rank in the law's own domain, as a
-    # sweep of each in turn
-    for i, w, _ in _sign_pairs(N, 0, cardinality(DomainSpec("CB", N))):
-        raw, res, neg = _capital_phi_pair(w)
-        if _psi_plus_word(raw[1:]) != list(w):
-            _note(bad, (3, i), ("plus-right", SignedPermutation(_word_to_images(w))))
-        for x, img in ((list(w), res), ([-v for v in w], neg)):
+    # sweep of each in turn.  A part's edge may split a pair; each half is
+    # then checked alone
+    for i, w, partner in _sign_pairs(N, max(start, left) - left, max(stop, left) - left):
+        x = list(w)
+        raw, res, neg = _capital_phi_pair(x if x[-1] > 0 else [-v for v in x])
+        rows = [(x, res if x[-1] > 0 else neg)]
+        if partner is not None:
+            rows.append(([-v for v in x], neg))
+        for x, img in rows:
+            if x[-1] > 0:
+                if _psi_plus_word(raw[1:]) != x:
+                    _note(bad, (3, i), ("plus-right", SignedPermutation(_word_to_images(x))))
+                checked += 1
             odd = sum(v < 0 for v in x) % 2
             if _capital_psi_word(img, not odd) != x:
                 kind = ("CD", "CDbar")[odd]
                 p = SignedPermutation(_word_to_images(x))
                 _note(bad, (1 + odd, rank(DomainSpec(kind, N), p)), (kind + "-right", p))
-        checked += 3
+            checked += 1
+    return checked, bad
+
+
+def check_inverses(n) -> ClaimResult:
+    """Six composition laws: the parity-class maps invert each other in both
+    orders, and the raw positive-class maps do as well."""
+    t0 = time.perf_counter()
+    rows = cardinality(DomainSpec("B", n)) + cardinality(DomainSpec("CB", n + 1))
+    checked, bad = _merged(_over_range(_inverses_part, 0, rows, n))
     return _result("inverses", {"n": n}, t0, checked, bad)
 
 
@@ -282,34 +337,48 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
     return _result("moments", {"n": f"{n_lo}..{n_hi}"}, t0, checked, bad)
 
 
+def _gaps_part(start, stop, n):
+    """Worker for the statistic-gap claim on CB(n) over one unrank range;
+    returns the count and the first failures."""
+    top = 2 * n + 1
+    checked = 0
+    bad = []
+
+    def gaps(key, img, sign, des_i, maj_i, neg_i, out):
+        des_o, maj_o, neg_o = _des_maj_neg(out)
+        dd = des_i - des_o
+        df = 2 * (maj_i - maj_o) + neg_i - neg_o
+        if dd not in (0, 1) or not 0 <= df <= top:
+            _note(bad, (n, key), (SignedPermutation([sign * v for v in img]), dd, df))
+
+    # a part's edge may split a +- pair; each half is then checked alone
+    for i, w, partner in _sign_pairs(n, start, stop):
+        pos = w if w[-1] > 0 else tuple(-v for v in w)
+        img = _word_to_images(pos)
+        des_p, maj_p, neg_p = _des_maj_neg(img)
+        _, res, neg = _capital_phi_pair(pos)
+        if w[-1] > 0:
+            gaps(i, img, 1, des_p, maj_p, neg_p, res)
+            checked += 1
+        if w[-1] < 0 or partner is not None:
+            # negating every entry complements the descent set at 0..n-1
+            # and the set of negative entries
+            gaps(i if partner is None else partner, img, -1, n - des_p,
+                 n * (n - 1) // 2 - maj_p, n - neg_p, neg)
+            checked += 1
+    return checked, bad
+
+
 def check_stat_gaps(n_hi=7) -> ClaimResult:
     """Per-element statistic gaps across the map: descents drop by 0 or 1,
     the flag major index by 0 to 2n+1, over cyclic degree-n domains."""
     if n_hi < 1:
         raise ValueError(f"bad degree bound {n_hi}")
     t0 = time.perf_counter()
-    checked = 0
-    bad = []
+    parts = []
     for n in range(1, n_hi + 1):
-        top = 2 * n + 1
-
-        def gaps(key, img, sign, des_i, maj_i, neg_i, out):
-            des_o, maj_o, neg_o = _des_maj_neg(out)
-            dd = des_i - des_o
-            df = 2 * (maj_i - maj_o) + neg_i - neg_o
-            if dd not in (0, 1) or not 0 <= df <= top:
-                _note(bad, (n, key), (SignedPermutation([sign * v for v in img]), dd, df))
-
-        # the whole domain is swept, so every row comes paired
-        for i, w, partner in _sign_pairs(n, 0, cardinality(DomainSpec("CB", n))):
-            img = _word_to_images(w)
-            des_p, maj_p, neg_p = _des_maj_neg(img)
-            _, res, neg = _capital_phi_pair(w)
-            gaps(i, img, 1, des_p, maj_p, neg_p, res)
-            # negating every entry complements the descent set at 0..n-1 and
-            # the set of negative entries
-            gaps(partner, img, -1, n - des_p, n * (n - 1) // 2 - maj_p, n - neg_p, neg)
-            checked += 2
+        parts += _over_range(_gaps_part, 0, cardinality(DomainSpec("CB", n)), n)
+    checked, bad = _merged(parts)
     return _result("stat-gaps", {"n": f"1..{n_hi}"}, t0, checked, bad)
 
 

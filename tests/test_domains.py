@@ -2,9 +2,13 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from itertools import islice, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,6 +455,32 @@ def test_batch_sampler_leaves_no_thread_running(monkeypatch):
         sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
     assert len(calls) == 2
     assert threading.active_count() == before
+
+
+def test_batch_sampler_stops_its_worker_when_the_caller_fails(monkeypatch):
+    # the caller fails on its first chunk while the worker draws the second
+    before = threading.active_count()
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("statistic failed")
+    monkeypatch.setattr(np, "einsum", failing)
+    with pytest.raises(RuntimeError, match="statistic failed"):
+        sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
+    assert threading.active_count() == before
+
+
+def test_batch_sampler_imports_no_executor():
+    # a bare thread runs the draws, so concurrent.futures and the logging
+    # it imports stay out of a cold sampling run
+    code = ("import sys\n"
+            "from cyclic_descents.domains import DomainSpec, sample_stat_batch\n"
+            "sample_stat_batch(DomainSpec('CB', 9), 'des', 5000, seed=1)\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 @pytest.mark.parametrize("pending", [False, True])

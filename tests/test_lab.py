@@ -7,6 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from cyclic_descents import domains
 from cyclic_descents.domains import (BudgetError, DomainSpec, cardinality,
                                      sample_stat_batch)
 from cyclic_descents.lab import (count_range, exact_distribution,
@@ -49,6 +50,19 @@ def test_count_range_shards_add_up():
         for v, c in part.items():
             merged[v] = merged.get(v, 0) + c
     assert merged == whole
+
+
+def test_tables_agree_on_any_number_of_workers(monkeypatch):
+    # parts add up in the order one sweep first meets each key
+    monkeypatch.setattr(domains, "SERIAL_ROWS", 0)
+    tables = {}
+    for k in (1, 2, 3):
+        monkeypatch.setattr(domains, "_cores", lambda: k)
+        tables[k] = [
+            list(exact_distribution(DomainSpec("CB", 4), "fmaj").counts.items()),
+            list(count_range(DomainSpec("CSnr", 4, r=2), "col", 3, 90).items()),
+            list(refined_descent_table(DomainSpec("CD", 4)).counts.items())]
+    assert tables[2] == tables[1] and tables[3] == tables[1]
 
 
 def test_count_range_refuses_over_budget_for_every_family():

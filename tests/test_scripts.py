@@ -78,3 +78,19 @@ def test_bench_diff_reads_the_pr18_pair(tmp_path):
     assert rows["clt", "samples_per_s"][-2:] == ["10/10", "above"]
     assert rows["clt", "latency_p50_ms"][-2:] == ["10/10", "below"]
     assert float(rows["clt", "peak_rss_mb"][4]) <= 1.1
+
+
+def test_bench_diff_reads_the_pr19_pair(tmp_path):
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
+                          str(ROOT / "BENCH_pr19_parent.json"), str(ROOT / "BENCH_pr19.json")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    assert len(rows) == 24
+    # the range driver made sweep faster on 8 of 10 seeds, its median above
+    # the parent's quartiles; the two other pairs ran in a slow spell of the
+    # host, in which clt on both trees also slowed by about a quarter
+    assert rows["sweep", "checks_per_s"][-2:] == ["8/10", "above"]
+    assert rows["sweep", "latency_p50_ms"][-2:] == ["8/10", "below"]
+    for workload in ("sweep", "scale", "clt", "cli_cold"):
+        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1

@@ -1,13 +1,15 @@
 """The claim checkers themselves, at desk sizes."""
 
+import multiprocessing
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
-from cyclic_descents import classic, colored, lab, transfer, verify
+from cyclic_descents import classic, colored, domains, lab, transfer, verify
 from cyclic_descents.colored import ColoredPermutation
-from cyclic_descents.domains import DomainSpec, iterate
+from cyclic_descents.domains import DomainSpec, cardinality, iterate, iterate_words
 from cyclic_descents.lab import MomentReport
 from cyclic_descents.verify import (CLAIMS, MAX_REPORTED, check_bijection,
                                     check_colored, check_corollary_counts,
@@ -269,3 +271,106 @@ def test_bijection_claims_reject_unknown_keywords():
     for name in ("bijection-D", "bijection-Dbar"):
         with pytest.raises(TypeError):
             CLAIMS[name](n=2, r=3)
+
+
+# -- the range driver --------------------------------------------------------
+
+def _on_workers(monkeypatch, k):
+    # every sweep, however small, splits over k processes
+    monkeypatch.setattr(domains, "SERIAL_ROWS", 0)
+    monkeypatch.setattr(domains, "_cores", lambda: k)
+
+
+def _negative_class_fixup(monkeypatch):
+    real = transfer._phi_fixup
+    monkeypatch.setattr(transfer, "_phi_fixup", lambda word, res: (
+        [-v for v in real(word, res)] if word[-1] < 0 else real(word, res)))
+
+
+def _first_sign_dropped(monkeypatch):
+    # merges the images in pairs.  Every rewriting path of a sweep, paired
+    # or lone row, ends in the fix-up, so each split sees the same fault
+    real = transfer._phi_fixup
+
+    def merged(word, res):
+        out = real(word, res)
+        return [abs(v) for v in out[:1]] + out[1:]
+
+    monkeypatch.setattr(transfer, "_phi_fixup", merged)
+    monkeypatch.setattr(verify, "_phi_fixup", merged)
+
+
+def _last_image_repeats_the_first(monkeypatch):
+    # the last word of each parity class of degree 5 takes the image of the
+    # first: one repeat, in the last part whatever the number of parts
+    real = transfer._capital_phi_word
+    swap = {}
+    for kind in ("CD", "CDbar"):
+        d = DomainSpec(kind, 5)
+        swap[next(iterate_words(d, cardinality(d) - 1))] = next(iterate_words(d))
+    monkeypatch.setattr(verify, "_capital_phi_word",
+                        lambda w: real(swap.get(tuple(w), w)))
+
+
+DRIVEN = [partial(check_phi_descents, 4), partial(check_phi_descents, 4, shard=(1, 7)),
+          partial(check_bijection, 4, "D"), partial(check_bijection, 4, "Dbar"),
+          partial(check_inverses, 3), partial(check_stat_gaps, 5)]
+# the claims on exact tables, which no fault of the maps reaches
+TABLES = [partial(check_corollary_counts, 4), partial(check_moments, 5, 5)]
+
+
+@pytest.mark.parametrize("fault", [None, _negative_class_fixup, _first_sign_dropped,
+                                   _psi_first_two_swapped,
+                                   _last_image_repeats_the_first],
+                         ids=["none", "fixup", "many-to-one", "inverses",
+                              "repeat-across-parts"])
+def test_claims_agree_on_any_number_of_workers(monkeypatch, fault):
+    # the parts' edges fall inside magnitude blocks and +- pairs (in the
+    # shard and at small degrees), and between the inverse laws' two phases
+    if fault is not None:
+        fault(monkeypatch)
+    for cap in (MAX_REPORTED, 10 ** 6):
+        monkeypatch.setattr(verify, "MAX_REPORTED", cap)
+        reports = {}
+        for k in (1, 2, 3):
+            _on_workers(monkeypatch, k)
+            runs = [call() for call in DRIVEN + (TABLES if fault is None else [])]
+            assert runs[0].params["threads"] == k
+            reports[k] = [(r.passed, r.checked, r.details, r.failures) for r in runs]
+        assert reports[2] == reports[1] and reports[3] == reports[1]
+    if fault is _last_image_repeats_the_first:
+        for (passed, _, details, failures), kind in zip(reports[1][2:4], ("CD", "CDbar")):
+            d = DomainSpec(kind, 5)
+            assert not passed and details == "383/384 distinct images"
+            assert failures == [next(iterate_words(d, cardinality(d) - 1))]
+    if fault is _psi_first_two_swapped:
+        tags = {tag for tag, _ in reports[1][4][3]}
+        assert {"D-left", "plus-right", "CDbar-right"} <= tags
+
+
+def test_parallel_claims_leave_no_process(monkeypatch):
+    _on_workers(monkeypatch, 2)
+    assert check_bijection(4).passed
+    assert not multiprocessing.active_children()
+    # a worker's error reaches the caller, and every worker is joined
+    real = transfer._capital_phi_word
+    last = next(iterate_words(DomainSpec("CD", 5), 383))
+
+    def failing(w):
+        if tuple(w) == last:
+            raise RuntimeError("rewrite failed")
+        return real(w)
+
+    monkeypatch.setattr(verify, "_capital_phi_word", failing)
+    with pytest.raises(RuntimeError, match="rewrite failed"):
+        check_bijection(4)
+    assert not multiprocessing.active_children()
+
+
+def test_small_sweeps_stay_in_process(monkeypatch):
+    # below SERIAL_ROWS rows a sweep is one part, whatever the cores
+    monkeypatch.setattr(domains, "_cores", lambda: 4)
+    assert check_phi_descents(5).params["threads"] == 1
+    assert check_phi_descents(5, threads=2).params["threads"] == 2
+    monkeypatch.setattr(domains, "SERIAL_ROWS", 2 ** 6 * 120)
+    assert check_phi_descents(5).params["threads"] == 4
