@@ -71,10 +71,13 @@ SHUFFLE_BLOCK = 256
 # the streams tabulate at most 2^10 low sign or color codes, so that their
 # memory stays bounded whatever the number of sign bits or colors
 LOW_SIGN_BITS = 10
-# a sweep of fewer rows runs in-process.  A cold `cycdes verify --claim
-# phi-descents` took 220 ms on one process and 251 ms on two at 7680 rows,
-# and 994 ms against 722 ms at 92160 rows; the lines through those points
-# cross near 16300 rows
+# a sweep of fewer rows, weighed by cost (see _over_range), runs in-process.
+# A split costs about 3 ms, so in a warm process two parts of the descent
+# sweep already win at 2048 rows (11 against 15 ms), and a cold `cycdes
+# verify --claim phi-descents --n 5` (7680 rows) is about even (best of 7,
+# 223 against 232 ms).  The bound stays higher because below it a split
+# saves a few ms at most, while on a host with no free core it loses, and
+# because that command's report, which reads threads=1, stays as it was
 SERIAL_ROWS = 1 << 14
 
 
@@ -276,29 +279,81 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _over_range(fn, start, stop, *args, processes=None):
+def _over_range(fn, start, stop, *args, cost=1, processes=None):
     """[fn(lo, hi, *args) for each part [lo, hi) of [start, stop)], the
     parts consecutive and in rank order.
 
-    processes sets the number of parts.  By default a range of fewer than
-    SERIAL_ROWS rows is one part and a larger one gets one part per usable
-    core.  One part runs in this process; more run on as many forked worker
-    processes, which are joined before this returns or re-raises a
-    worker's error.  So fn must be a module-level function, and the workers
-    see this process's state as it was, patches included; the fork copies
-    no live thread, since the library joins every thread it starts.
+    processes sets the number of parts.  By default a range is one part
+    unless its rows, weighed by cost (the time of one of fn's rows over
+    that of one row of the descent sweep), reach SERIAL_ROWS; then it gets
+    one part per usable core.  This process runs the first part itself,
+    while one forked child per other part runs it and sends back its
+    pickled result, or the exception it raised, through a pipe.  The
+    results are read in rank order and a child's exception is re-raised
+    here.  On every exit path each pipe is closed before each child is
+    reaped, so a child still writing gets a broken pipe and none is left
+    running.  The children see this process's state as it was, patches
+    included; the fork copies no live thread, since the library joins
+    every thread it starts.
     """
     if processes is None:
-        processes = _cores() if stop - start >= SERIAL_ROWS else 1
+        processes = _cores() if (stop - start) * cost >= SERIAL_ROWS else 1
     if processes == 1:
         return [fn(start, stop, *args)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
 
     cuts = [start + (stop - start) * k // processes for k in range(processes + 1)]
-    with ProcessPoolExecutor(processes,
-                             mp_context=multiprocessing.get_context("fork")) as ex:
-        return list(ex.map(fn, cuts, cuts[1:], *([a] * processes for a in args)))
+    pids, ends = [], []
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            ends.append(r)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(w)
+                raise
+            if pid == 0:
+                _send_part(w, ends, fn, lo, hi, args)
+            os.close(w)
+            pids.append(pid)
+        out = [fn(start, cuts[1], *args)]
+        for r, lo, hi in zip(ends, cuts[1:], cuts[2:]):
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise ChildProcessError(f"the worker of rows [{lo}, {hi}) sent no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out.append(value)
+        return out
+    finally:
+        for r in ends:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _send_part(w, ends, fn, lo, hi, args):
+    """In a forked child of _over_range: write the pickled (True, fn(lo,
+    hi, *args)), or (False, the exception it raised), to the pipe end w,
+    then leave at once, without unwinding into the parent's frames or
+    running its exit handlers."""
+    try:
+        for r in ends:
+            os.close(r)
+        try:
+            out = True, fn(lo, hi, *args)
+        except BaseException as e:  # re-raised by the parent
+            out = False, e
+        import pickle
+
+        data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as f:
+            f.write(data)
+    finally:
+        os._exit(0)
 
 
 def _sign_table(row, k, parity):

@@ -25,6 +25,9 @@ if TYPE_CHECKING:
 
 _SIGNED_STATS = ("des", "maj", "neg", "fmaj")
 _COLORED_STATS = ("des", "maj", "col", "fmaj")
+# a table row costs about half a row of the descent sweep (2.2 us on B(6),
+# 3.6 us on CB(7) and 3.7 us on CD(7), against 7.0 us), for _over_range
+_ROW_COST = 0.5
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
     stop = _checked_range(d, start, stop, allow_big)
     # Counter + keeps each key's first place, so the sum lists the values in
     # the order one sweep first meets them
-    return sum(_over_range(_counts_part, start, stop, d, allowed.index(stat)), Counter())
+    return sum(_over_range(_counts_part, start, stop, d, allowed.index(stat),
+                           cost=_ROW_COST), Counter())
 
 
 def exact_distribution(d: DomainSpec, stat: str, allow_big=False) -> DistributionTable:
@@ -131,7 +135,8 @@ def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
         raise ValueError("refined tables cover the signed and plain families")
     m = d.n - 1 if _layout(d)[0] else d.n
     stop = _checked_range(d, 0, None, allow_big)
-    out = sum(_over_range(_masks_part, 0, stop, d, (1 << m) - 1), Counter())
+    out = sum(_over_range(_masks_part, 0, stop, d, (1 << m) - 1, cost=_ROW_COST),
+              Counter())
     return RefinedTable(d, {DescentSet(m, k): c for k, c in out.items()})
 
 

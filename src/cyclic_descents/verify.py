@@ -4,12 +4,18 @@ Each checker exhaustively sweeps (or, where stated, randomly samples) its
 domain and returns a ClaimResult; nothing is asserted so callers decide how
 to report.  Each claim keys every failure by its rank or visit index and
 reports the MAX_REPORTED failures of smallest key, in key order.  The
-descent, bijection, inverse and gap sweeps, and the exact tables behind
-the count and moment claims, run through domains._over_range, which splits
-a large sweep over one forked process per usable core; each part keeps its
-first failures through _note and the parent merges them through _note, so
-the processes never change what a sweep reports.  Only the descent sweep
-can also be sharded by unrank range, or told its number of processes.
+claims other than colored, and the exact tables behind the count and
+moment claims, run through domains._over_range.  It splits a sweep whose
+rows, weighed by their cost against a descent row, reach SERIAL_ROWS over
+this process, which checks the first part, and one forked child per other
+usable core; the order-swap claim draws every word first and splits the
+list.  The costs are the measured times of a row at the benchmark's sizes
+over that of a descent row: 2 for a bijection row, 6 and 4 for a left and
+a right inverse row, 1.5 for a gap row, 5 for an Elizalde row and 27 for
+an instrumented run at degree 10.  Each part keeps its first failures through _note and the parent
+merges them through _note, so the processes never change what a claim
+reports.  Only the descent sweep can also be sharded by unrank range, or
+told its number of processes.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -84,20 +90,22 @@ def _descents_range(start, stop, N):
     cap = (1 << (N - 1)) - 1
     bad = []
     count = 0
+    # a part's edge may split a +- pair; each half is then checked alone,
+    # through the same rewriting of the positive word as a pair
     for i, w, partner in _sign_pairs(N, start, stop):
+        pos = w if w[-1] > 0 else tuple(-v for v in w)
         # the input mask comes from the row itself, never from the map
-        m = _descent_mask(_word_to_images(w)) & cap
-        if partner is not None:
-            _, res, neg = _capital_phi_pair(w)
+        m = _descent_mask(_word_to_images(pos)) & cap
+        _, res, neg = _capital_phi_pair(pos)
+        if w[-1] > 0:
+            if m != _descent_mask(res):
+                _note(bad, i, w)
+            count += 1
+        if w[-1] < 0 or partner is not None:
             # negating every entry complements the input's descent set
             if m ^ cap != _descent_mask(neg):
-                _note(bad, partner, tuple(-v for v in w))
+                _note(bad, i if partner is None else partner, tuple(-v for v in pos))
             count += 1
-        else:
-            res = _capital_phi_word(w)
-        if m != _descent_mask(res):
-            _note(bad, i, w)
-        count += 1
     return count, bad
 
 
@@ -153,7 +161,7 @@ def check_bijection(n, parity="D") -> ClaimResult:
     seen = set()
     dup = []
     repeats = 0
-    parts = _over_range(_images_part, 0, total, d.kind, n + 1)
+    parts = _over_range(_images_part, 0, total, d.kind, n + 1, cost=2)
     for k, (bad, part_repeats, blob, firsts) in enumerate(parts):
         repeats += part_repeats
         for key, item in bad:
@@ -172,16 +180,13 @@ def check_bijection(n, parity="D") -> ClaimResult:
                    f"{total - repeats}/{want} distinct images", total - repeats == want)
 
 
-def _inverses_part(start, stop, n):
-    """Worker for the inverse laws over one range of the concatenation of
-    B(n), for the left laws, and CB(n+1), for the right ones; returns the
-    count of laws checked and the first failures."""
+def _left_inverses_part(start, stop, n):
+    """Worker for the three left inverse laws over one unrank range of
+    B(n); returns the count of laws checked and the first failures."""
     N = n + 1
-    left = cardinality(DomainSpec("B", n))
     checked = 0
     bad = []
-    for k, row in enumerate(iterate_words(DomainSpec("B", n), min(start, left),
-                                          min(stop, left)), min(start, left)):
+    for k, row in enumerate(iterate_words(DomainSpec("B", n), start, stop), start):
         sigma = list(row)
         up = _psi_plus_word(row)
         raw = _phi_plus_word(up) if up[-1] == N else None
@@ -200,12 +205,19 @@ def _inverses_part(start, stop, n):
         if raw is None or raw[1:] != sigma:
             _note(bad, (0, k, 2), ("plus-left", SignedPermutation(row)))
         checked += 3
-    # the right-hand laws: one raw rewriting per +- pair of CB(N) serves
-    # CD/CDbar-right for both words and plus-right for the positive one.
-    # Failures are keyed by law, then by rank in the law's own domain, as a
-    # sweep of each in turn.  A part's edge may split a pair; each half is
-    # then checked alone
-    for i, w, partner in _sign_pairs(N, max(start, left) - left, max(stop, left) - left):
+    return checked, bad
+
+
+def _right_inverses_part(start, stop, n):
+    """Worker for the three right inverse laws over one unrank range of
+    CB(n+1).  One raw rewriting per +- pair serves CD/CDbar-right for both
+    words and plus-right for the positive one.  Failures are keyed by law,
+    then by rank in the law's own domain, as a sweep of each in turn.  A
+    part's edge may split a pair; each half is then checked alone."""
+    N = n + 1
+    checked = 0
+    bad = []
+    for i, w, partner in _sign_pairs(N, start, stop):
         x = list(w)
         raw, res, neg = _capital_phi_pair(x if x[-1] > 0 else [-v for v in x])
         rows = [(x, res if x[-1] > 0 else neg)]
@@ -229,8 +241,11 @@ def check_inverses(n) -> ClaimResult:
     """Six composition laws: the parity-class maps invert each other in both
     orders, and the raw positive-class maps do as well."""
     t0 = time.perf_counter()
-    rows = cardinality(DomainSpec("B", n)) + cardinality(DomainSpec("CB", n + 1))
-    checked, bad = _merged(_over_range(_inverses_part, 0, rows, n))
+    # one driver call per phase, so each splits evenly whatever its rows cost
+    checked, bad = _merged(
+        _over_range(_left_inverses_part, 0, cardinality(DomainSpec("B", n)), n, cost=6)
+        + _over_range(_right_inverses_part, 0, cardinality(DomainSpec("CB", n + 1)),
+                      n, cost=4))
     return _result("inverses", {"n": n}, t0, checked, bad)
 
 
@@ -249,15 +264,14 @@ def check_corollary_counts(n) -> ClaimResult:
                    "" if ok else "tables differ", ok)
 
 
-def check_elizalde_equivalence(n) -> ClaimResult:
-    """The unsigned rewriting agrees with the signed map on every cyclic
-    plain permutation of degree n+1, with its internal cross-checks armed."""
+def _elizalde_part(start, stop, n):
+    """Worker for the Elizalde equivalence over one unrank range of
+    CS(n+1); returns the count and the first failures."""
     from .classic import _phi_classic_word
 
-    t0 = time.perf_counter()
     checked = 0
     bad = []
-    for k, w in enumerate(iterate_words(DomainSpec("CS", n + 1))):
+    for k, w in enumerate(iterate_words(DomainSpec("CS", n + 1), start, stop), start):
         try:
             a = _phi_classic_word(list(w), check=True)[1:]
         except AssertionError as e:
@@ -268,6 +282,15 @@ def check_elizalde_equivalence(n) -> ClaimResult:
             _note(bad, k, (w, f"{SignedPermutation._trusted(a)} != "
                               f"{SignedPermutation._trusted(c)}"))
         checked += 1
+    return checked, bad
+
+
+def check_elizalde_equivalence(n) -> ClaimResult:
+    """The unsigned rewriting agrees with the signed map on every cyclic
+    plain permutation of degree n+1, with its internal cross-checks armed."""
+    t0 = time.perf_counter()
+    checked, bad = _merged(_over_range(
+        _elizalde_part, 0, cardinality(DomainSpec("CS", n + 1)), n, cost=5))
     return _result("elizalde-equivalence", {"n": n}, t0, checked, bad)
 
 
@@ -377,9 +400,28 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
     t0 = time.perf_counter()
     parts = []
     for n in range(1, n_hi + 1):
-        parts += _over_range(_gaps_part, 0, cardinality(DomainSpec("CB", n)), n)
+        parts += _over_range(_gaps_part, 0, cardinality(DomainSpec("CB", n)), n, cost=1.5)
     checked, bad = _merged(parts)
     return _result("stat-gaps", {"n": f"1..{n_hi}"}, t0, checked, bad)
+
+
+def _order_swap_part(start, stop, indices, degree):
+    """Worker for the order-swap claim over the words of CB(degree) at
+    indices[start:stop]; returns the count and the first failures."""
+    d = DomainSpec("CB", degree)
+    checked = 0
+    bad = []
+    for k, i in enumerate(indices[start:stop], start):
+        w = list(next(iterate_words(d, i, i + 1)))
+        try:
+            with_trace = _phi_plus_word(w, TransferTrace())
+        except AssertionError as e:
+            _note(bad, k, (w, f"invariant: {e}"))
+            continue
+        if with_trace != _phi_plus_word(w):
+            _note(bad, k, (w, "trace changed the output"))
+        checked += 1
+    return checked, bad
 
 
 def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
@@ -390,22 +432,14 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
         raise ValueError(f"bad sample count {count}")
     rng = make_rng(seed)
     perms = math.factorial(degree - 1)
-    checked = 0
-    bad = []
-    for k in range(count):
+    # every index is drawn here, in stream order, and the parts split the
+    # list.  Sign bit degree-1 stays clear, so each word ends in +degree
+    indices = []
+    for _ in range(count):
         q = _uniform_index(rng, perms)
-        s = _uniform_index(rng, 1 << (degree - 1))
-        # sign bit degree-1 stays clear, so the word ends in +degree
-        i = q << degree | s
-        w = list(next(iterate_words(DomainSpec("CB", degree), i, i + 1)))
-        try:
-            with_trace = _phi_plus_word(w, TransferTrace())
-        except AssertionError as e:
-            _note(bad, k, (w, f"invariant: {e}"))
-            continue
-        if with_trace != _phi_plus_word(w):
-            _note(bad, k, (w, "trace changed the output"))
-        checked += 1
+        indices.append(q << degree | _uniform_index(rng, 1 << (degree - 1)))
+    checked, bad = _merged(_over_range(_order_swap_part, 0, count, indices, degree,
+                                       cost=27))
     return _result("order-swap-properties",
                    {"count": count, "degree": degree, "seed": seed},
                    t0, checked, bad)

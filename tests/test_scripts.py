@@ -94,3 +94,18 @@ def test_bench_diff_reads_the_pr19_pair(tmp_path):
     assert rows["sweep", "latency_p50_ms"][-2:] == ["8/10", "below"]
     for workload in ("sweep", "scale", "clt", "cli_cold"):
         assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
+
+
+def test_bench_diff_reads_the_pr20_pair(tmp_path):
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
+                          str(ROOT / "BENCH_pr20_parent.json"), str(ROOT / "BENCH_pr20.json")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    assert len(rows) == 24
+    # every claim on the fork driver made sweep faster on every seed, its
+    # median above the parent's quartiles
+    assert rows["sweep", "checks_per_s"][-2:] == ["10/10", "above"]
+    assert rows["sweep", "latency_p50_ms"][-2:] == ["10/10", "below"]
+    for workload in ("sweep", "scale", "clt", "cli_cold"):
+        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1

@@ -1,6 +1,8 @@
 """The claim checkers themselves, at desk sizes."""
 
 import multiprocessing
+import os
+import signal
 import time
 from collections import Counter
 from functools import partial
@@ -312,21 +314,39 @@ def _last_image_repeats_the_first(monkeypatch):
                         lambda w: real(swap.get(tuple(w), w)))
 
 
+def _negated_image_damaged(monkeypatch):
+    # only the image of the negated word is wrong, so only the negative
+    # rows fail, whether their + partner lies in their part or not
+    real = transfer._capital_phi_pair
+
+    def damaged(word):
+        raw, res, neg = real(word)
+        return raw, res, [-v for v in neg[:1]] + neg[1:]
+
+    monkeypatch.setattr(verify, "_capital_phi_pair", damaged)
+
+
 DRIVEN = [partial(check_phi_descents, 4), partial(check_phi_descents, 4, shard=(1, 7)),
           partial(check_bijection, 4, "D"), partial(check_bijection, 4, "Dbar"),
-          partial(check_inverses, 3), partial(check_stat_gaps, 5)]
+          partial(check_inverses, 3), partial(check_stat_gaps, 5),
+          partial(check_inverses, 2), partial(check_elizalde_equivalence, 4),
+          partial(check_order_swap_properties, 300, 7, 5)]
 # the claims on exact tables, which no fault of the maps reaches
 TABLES = [partial(check_corollary_counts, 4), partial(check_moments, 5, 5)]
 
 
 @pytest.mark.parametrize("fault", [None, _negative_class_fixup, _first_sign_dropped,
                                    _psi_first_two_swapped,
-                                   _last_image_repeats_the_first],
+                                   _last_image_repeats_the_first,
+                                   _negated_image_damaged, _inverted_trigger,
+                                   _trace_changes_output],
                          ids=["none", "fixup", "many-to-one", "inverses",
-                              "repeat-across-parts"])
+                              "repeat-across-parts", "negated-image",
+                              "cross-check", "order-swap"])
 def test_claims_agree_on_any_number_of_workers(monkeypatch, fault):
     # the parts' edges fall inside magnitude blocks and +- pairs (in the
-    # shard and at small degrees), and between the inverse laws' two phases
+    # shard, in the right inverse laws at degree 2 and 3 workers, and in
+    # the gaps at small degree)
     if fault is not None:
         fault(monkeypatch)
     for cap in (MAX_REPORTED, 10 ** 6):
@@ -346,12 +366,27 @@ def test_claims_agree_on_any_number_of_workers(monkeypatch, fault):
     if fault is _psi_first_two_swapped:
         tags = {tag for tag, _ in reports[1][4][3]}
         assert {"D-left", "plus-right", "CDbar-right"} <= tags
+    if fault is _negated_image_damaged:
+        # the shard's lone negative rows fail as its paired ones do
+        passed, _, _, failures = reports[1][1]
+        assert not passed and all(w[-1] < 0 for w in failures)
+    if fault is _inverted_trigger:
+        assert not reports[1][7][0]
+    if fault is _trace_changes_output:
+        assert not reports[1][8][0]
+
+
+def _no_child_left():
+    assert not multiprocessing.active_children()
+    # nor any raw fork: this process has no child left to reap
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_parallel_claims_leave_no_process(monkeypatch):
     _on_workers(monkeypatch, 2)
     assert check_bijection(4).passed
-    assert not multiprocessing.active_children()
+    _no_child_left()
     # a worker's error reaches the caller, and every worker is joined
     real = transfer._capital_phi_word
     last = next(iterate_words(DomainSpec("CD", 5), 383))
@@ -364,13 +399,50 @@ def test_parallel_claims_leave_no_process(monkeypatch):
     monkeypatch.setattr(verify, "_capital_phi_word", failing)
     with pytest.raises(RuntimeError, match="rewrite failed"):
         check_bijection(4)
-    assert not multiprocessing.active_children()
+    _no_child_left()
+
+
+def test_failing_parent_part_leaves_no_process(monkeypatch):
+    # this process's own part fails at its first row while the child's
+    # result, 23040 distinct images and their ranks (about 320 kB pickled),
+    # is more than a pipe holds: the child must not be left blocked on it
+    _on_workers(monkeypatch, 2)
+    real = transfer._capital_phi_word
+    first = next(iterate_words(DomainSpec("CD", 7)))
+
+    def failing(w):
+        if tuple(w) == first:
+            raise RuntimeError("first part failed")
+        return real(w)
+
+    def hung(signum, frame):
+        raise TimeoutError("the driver hung")
+
+    monkeypatch.setattr(verify, "_capital_phi_word", failing)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="first part failed"):
+            check_bijection(6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _no_child_left()
 
 
 def test_small_sweeps_stay_in_process(monkeypatch):
-    # below SERIAL_ROWS rows a sweep is one part, whatever the cores
+    # below SERIAL_ROWS rows, weighed by their cost, a sweep is one part in
+    # this process, whatever the cores
     monkeypatch.setattr(domains, "_cores", lambda: 4)
-    assert check_phi_descents(5).params["threads"] == 1
+
+    def no_fork():
+        raise AssertionError("a small sweep forked")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", no_fork)
+        assert check_phi_descents(5).params["threads"] == 1
+        # CB(6) has as many rows as that sweep, each of them cheaper
+        assert sum(lab.count_range(DomainSpec("CB", 6), "fmaj").values()) == 7680
     assert check_phi_descents(5, threads=2).params["threads"] == 2
     monkeypatch.setattr(domains, "SERIAL_ROWS", 2 ** 6 * 120)
     assert check_phi_descents(5).params["threads"] == 4
