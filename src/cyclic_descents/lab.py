@@ -157,7 +157,7 @@ def theoretical_moments(stat: str, n: int) -> MomentReport:
     """Closed-form moments on the signed group of degree n: descents are
     (n/2, (n+1)/12); the flag major index is (n^2/2, (4n^3+6n^2-n)/36).
 
-    The same values hold for the cyclic classes once n >= 5.
+    The same values hold for the cyclic classes once n >= 4.
     """
     from fractions import Fraction
 

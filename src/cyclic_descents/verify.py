@@ -3,19 +3,23 @@
 Each checker exhaustively sweeps (or, where stated, randomly samples) its
 domain and returns a ClaimResult; nothing is asserted so callers decide how
 to report.  Each claim keys every failure by its rank or visit index and
-reports the MAX_REPORTED failures of smallest key, in key order.  The
-claims other than colored, and the exact tables behind the count and
-moment claims, run through domains._over_range.  It splits a sweep whose
-rows, weighed by their cost against a descent row, reach SERIAL_ROWS over
-this process, which checks the first part, and one forked child per other
-usable core; the order-swap claim draws every word first and splits the
-list.  The costs are the measured times of a row at the benchmark's sizes
-over that of a descent row: 2 for a bijection row, 6 and 4 for a left and
-a right inverse row, 1.5 for a gap row, 5 for an Elizalde row and 27 for
-an instrumented run at degree 10.  Each part keeps its first failures through _note and the parent
-merges them through _note, so the processes never change what a claim
-reports.  Only the descent sweep can also be sharded by unrank range, or
-told its number of processes.
+reports the MAX_REPORTED failures of smallest key, in key order.
+A swept claim is a row source, which turns a rank range into rows, plus a
+check, which notes a row's failures and returns how many checks it made.
+One walker, _sweep, feeds a range's rows to the check, and
+domains._over_range runs it.  That splits a sweep whose rows, weighed by
+their cost against a descent row, reach SERIAL_ROWS over this process,
+which walks the first part, and one forked child per other usable core;
+the order-swap claim draws every word first and splits the list.  The
+costs are the measured times of a row at the benchmark's sizes over that
+of a descent row: 2 for a bijection row, 6 and 4 for a left and a right
+inverse row, 1.5 for a gap row, 5 for an Elizalde row and 27 for an
+instrumented run at degree 10.  The bijection claims, whose parts return
+their distinct images, and the exact tables behind the count and moment
+claims run their own workers; colored runs serially.  Each part keeps its
+first failures through _note and the parent merges them through _note, so
+the processes never change what a claim reports.  Only the descent sweep
+can also be sharded by unrank range, or told its number of processes.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -84,29 +88,48 @@ def _merged(parts):
     return sum(c for c, _ in parts), bad
 
 
-def _descents_range(start, stop, N):
-    """Worker for the descent-preservation sweep over one unrank range;
-    returns the count and the (rank, word) pairs of the first bad words."""
-    cap = (1 << (N - 1)) - 1
+def _sweep(start, stop, rows, check):
+    """Feed each row of rows(start, stop) to check(row, note); returns the
+    sum of the counts the checks return and the first failures they note,
+    kept through _note."""
     bad = []
-    count = 0
-    # a part's edge may split a +- pair; each half is then checked alone,
-    # through the same rewriting of the positive word as a pair
+    note = partial(_note, bad)
+    return sum(check(row, note) for row in rows(start, stop)), bad
+
+
+def _ranked(d, start, stop):
+    """Row source: the (rank, word) rows of d in [start, stop)."""
+    return enumerate(iterate_words(d, start, stop), start)
+
+
+def _pair_rows(N, start, stop):
+    """Row source: each +- pair of CB(N) with a row in [start, stop), once.
+
+    Yields (pos, key, neg_key, (raw, Phi(pos), Phi(-pos))): pos is the
+    pair's positive word, key and neg_key the ranks of pos and of -pos when
+    they lie in the range, else None, and the triple one _capital_phi_pair
+    run.  A part's edge may split a pair; its half in the range then comes
+    alone, through the same rewriting of the positive word."""
     for i, w, partner in _sign_pairs(N, start, stop):
-        pos = w if w[-1] > 0 else tuple(-v for v in w)
-        # the input mask comes from the row itself, never from the map
-        m = _descent_mask(_word_to_images(pos)) & cap
-        _, res, neg = _capital_phi_pair(pos)
         if w[-1] > 0:
-            if m != _descent_mask(res):
-                _note(bad, i, w)
-            count += 1
-        if w[-1] < 0 or partner is not None:
-            # negating every entry complements the input's descent set
-            if m ^ cap != _descent_mask(neg):
-                _note(bad, i if partner is None else partner, tuple(-v for v in pos))
-            count += 1
-    return count, bad
+            yield w, i, partner, _capital_phi_pair(w)
+        else:
+            pos = tuple(-v for v in w)
+            yield pos, None, i, _capital_phi_pair(pos)
+
+
+def _descent_row(cap, row, note):
+    """Descent preservation at one +- pair; cap keeps the descents at
+    0..N-2."""
+    pos, key, neg_key, (_, res, neg) = row
+    # the input mask comes from the row itself, never from the map
+    m = _descent_mask(_word_to_images(pos)) & cap
+    if key is not None and m != _descent_mask(res):
+        note(key, pos)
+    # negating every entry complements the input's descent set
+    if neg_key is not None and m ^ cap != _descent_mask(neg):
+        note(neg_key, tuple(-v for v in pos))
+    return (key is not None) + (neg_key is not None)
 
 
 def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
@@ -125,7 +148,8 @@ def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
         if not 0 <= i < t:
             raise ValueError(f"bad shard {i}/{t}")
         lo, hi = total * i // t, total * (i + 1) // t
-    parts = _over_range(_descents_range, lo, hi, N, processes=threads)
+    parts = _over_range(_sweep, lo, hi, partial(_pair_rows, N),
+                        partial(_descent_row, (1 << n) - 1), processes=threads)
     checked, bad = _merged(parts)
     return _result("phi-descents", {"n": n, "shard": shard, "threads": len(parts)},
                    t0, checked, bad,
@@ -154,6 +178,8 @@ def _images_part(start, stop, kind, N):
 def check_bijection(n, parity="D") -> ClaimResult:
     """The map restricted to one parity class of cyclic degree-(n+1)
     permutations hits every element of B_n exactly once."""
+    if parity not in ("D", "Dbar"):
+        raise ValueError(f"bad parity {parity!r}")
     t0 = time.perf_counter()
     d = DomainSpec("CD" if parity == "D" else "CDbar", n + 1)
     total = cardinality(d)
@@ -180,61 +206,45 @@ def check_bijection(n, parity="D") -> ClaimResult:
                    f"{total - repeats}/{want} distinct images", total - repeats == want)
 
 
-def _left_inverses_part(start, stop, n):
-    """Worker for the three left inverse laws over one unrank range of
-    B(n); returns the count of laws checked and the first failures."""
-    N = n + 1
-    checked = 0
-    bad = []
-    for k, row in enumerate(iterate_words(DomainSpec("B", n), start, stop), start):
-        sigma = list(row)
-        up = _psi_plus_word(row)
-        raw = _phi_plus_word(up) if up[-1] == N else None
-        # unless sigma(1) = -1, the parity-class inverse of sigma's own
-        # parity is the plus-class word up, and Phi of it the fix-up of raw
-        own = None if row[:1] == (-1,) else sum(v < 0 for v in row) % 2 == 0
-        for t, (tag, even) in enumerate((("D-left", True), ("Dbar-left", False))):
-            if even == own and raw is not None:
-                w, back = up, _phi_fixup(up, raw[:])
-            else:
-                w = _capital_psi_word(row, even)
-                # a faulty inverse may give a word Phi cannot rewrite
-                back = _capital_phi_word(w) if abs(w[-1]) == N else None
-            if (sum(v < 0 for v in w) % 2 == 0) != even or back != sigma:
-                _note(bad, (0, k, t), (tag, SignedPermutation(row)))
-        if raw is None or raw[1:] != sigma:
-            _note(bad, (0, k, 2), ("plus-left", SignedPermutation(row)))
-        checked += 3
-    return checked, bad
+def _left_inverse_row(N, row, note):
+    """The three left inverse laws at one (rank, images) row of B(N-1)."""
+    k, images = row
+    sigma = list(images)
+    up = _psi_plus_word(images)
+    raw = _phi_plus_word(up) if up[-1] == N else None
+    # unless sigma(1) = -1, the parity-class inverse of sigma's own
+    # parity is the plus-class word up, and Phi of it the fix-up of raw
+    own = None if images[:1] == (-1,) else sum(v < 0 for v in images) % 2 == 0
+    for t, (tag, even) in enumerate((("D-left", True), ("Dbar-left", False))):
+        if even == own and raw is not None:
+            w, back = up, _phi_fixup(up, raw[:])
+        else:
+            w = _capital_psi_word(images, even)
+            # a faulty inverse may give a word Phi cannot rewrite
+            back = _capital_phi_word(w) if abs(w[-1]) == N else None
+        if (sum(v < 0 for v in w) % 2 == 0) != even or back != sigma:
+            note((0, k, t), (tag, SignedPermutation(images)))
+    if raw is None or raw[1:] != sigma:
+        note((0, k, 2), ("plus-left", SignedPermutation(images)))
+    return 3
 
 
-def _right_inverses_part(start, stop, n):
-    """Worker for the three right inverse laws over one unrank range of
-    CB(n+1).  One raw rewriting per +- pair serves CD/CDbar-right for both
-    words and plus-right for the positive one.  Failures are keyed by law,
-    then by rank in the law's own domain, as a sweep of each in turn.  A
-    part's edge may split a pair; each half is then checked alone."""
-    N = n + 1
-    checked = 0
-    bad = []
-    for i, w, partner in _sign_pairs(N, start, stop):
-        x = list(w)
-        raw, res, neg = _capital_phi_pair(x if x[-1] > 0 else [-v for v in x])
-        rows = [(x, res if x[-1] > 0 else neg)]
-        if partner is not None:
-            rows.append(([-v for v in x], neg))
-        for x, img in rows:
-            if x[-1] > 0:
-                if _psi_plus_word(raw[1:]) != x:
-                    _note(bad, (3, i), ("plus-right", SignedPermutation(_word_to_images(x))))
-                checked += 1
-            odd = sum(v < 0 for v in x) % 2
-            if _capital_psi_word(img, not odd) != x:
-                kind = ("CD", "CDbar")[odd]
-                p = SignedPermutation(_word_to_images(x))
-                _note(bad, (1 + odd, rank(DomainSpec(kind, N), p)), (kind + "-right", p))
-            checked += 1
-    return checked, bad
+def _right_inverse_row(N, row, note):
+    """The three right inverse laws at one +- pair of CB(N).  The pair's one
+    raw rewriting serves CD/CDbar-right for both words and plus-right for
+    the positive one.  Failures are keyed by law, then by rank in the law's
+    own domain, as a sweep of each in turn."""
+    pos, key, neg_key, (raw, res, neg) = row
+    x = list(pos)
+    if key is not None and _psi_plus_word(raw[1:]) != x:
+        note((3, key), ("plus-right", SignedPermutation(_word_to_images(x))))
+    for k, w, img in ((key, x, res), (neg_key, [-v for v in x], neg)):
+        odd = sum(v < 0 for v in w) % 2
+        if k is not None and _capital_psi_word(img, not odd) != w:
+            kind = ("CD", "CDbar")[odd]
+            p = SignedPermutation(_word_to_images(w))
+            note((1 + odd, rank(DomainSpec(kind, N), p)), (kind + "-right", p))
+    return 2 * (key is not None) + (neg_key is not None)
 
 
 def check_inverses(n) -> ClaimResult:
@@ -242,10 +252,12 @@ def check_inverses(n) -> ClaimResult:
     orders, and the raw positive-class maps do as well."""
     t0 = time.perf_counter()
     # one driver call per phase, so each splits evenly whatever its rows cost
+    B, CB = DomainSpec("B", n), DomainSpec("CB", n + 1)
     checked, bad = _merged(
-        _over_range(_left_inverses_part, 0, cardinality(DomainSpec("B", n)), n, cost=6)
-        + _over_range(_right_inverses_part, 0, cardinality(DomainSpec("CB", n + 1)),
-                      n, cost=4))
+        _over_range(_sweep, 0, cardinality(B), partial(_ranked, B),
+                    partial(_left_inverse_row, n + 1), cost=6)
+        + _over_range(_sweep, 0, cardinality(CB), partial(_pair_rows, n + 1),
+                      partial(_right_inverse_row, n + 1), cost=4))
     return _result("inverses", {"n": n}, t0, checked, bad)
 
 
@@ -264,33 +276,31 @@ def check_corollary_counts(n) -> ClaimResult:
                    "" if ok else "tables differ", ok)
 
 
-def _elizalde_part(start, stop, n):
-    """Worker for the Elizalde equivalence over one unrank range of
-    CS(n+1); returns the count and the first failures."""
-    from .classic import _phi_classic_word
-
-    checked = 0
-    bad = []
-    for k, w in enumerate(iterate_words(DomainSpec("CS", n + 1), start, stop), start):
-        try:
-            a = _phi_classic_word(list(w), check=True)[1:]
-        except AssertionError as e:
-            _note(bad, k, (w, f"cross-check: {e}"))
-            continue
-        c = _capital_phi_word(w)
-        if a != c:
-            _note(bad, k, (w, f"{SignedPermutation._trusted(a)} != "
-                              f"{SignedPermutation._trusted(c)}"))
-        checked += 1
-    return checked, bad
+def _elizalde_row(phi_classic, row, note):
+    """The unsigned rewriting phi_classic, its cross-checks armed, against
+    the signed map at one (rank, word) row of CS(N)."""
+    k, w = row
+    try:
+        a = phi_classic(list(w), check=True)[1:]
+    except AssertionError as e:
+        note(k, (w, f"cross-check: {e}"))
+        return 0
+    c = _capital_phi_word(w)
+    if a != c:
+        note(k, (w, f"{SignedPermutation._trusted(a)} != "
+                    f"{SignedPermutation._trusted(c)}"))
+    return 1
 
 
 def check_elizalde_equivalence(n) -> ClaimResult:
     """The unsigned rewriting agrees with the signed map on every cyclic
     plain permutation of degree n+1, with its internal cross-checks armed."""
+    from .classic import _phi_classic_word
+
     t0 = time.perf_counter()
-    checked, bad = _merged(_over_range(
-        _elizalde_part, 0, cardinality(DomainSpec("CS", n + 1)), n, cost=5))
+    d = DomainSpec("CS", n + 1)
+    checked, bad = _merged(_over_range(_sweep, 0, cardinality(d), partial(_ranked, d),
+                                       partial(_elizalde_row, _phi_classic_word), cost=5))
     return _result("elizalde-equivalence", {"n": n}, t0, checked, bad)
 
 
@@ -360,36 +370,24 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
     return _result("moments", {"n": f"{n_lo}..{n_hi}"}, t0, checked, bad)
 
 
-def _gaps_part(start, stop, n):
-    """Worker for the statistic-gap claim on CB(n) over one unrank range;
-    returns the count and the first failures."""
-    top = 2 * n + 1
-    checked = 0
-    bad = []
-
-    def gaps(key, img, sign, des_i, maj_i, neg_i, out):
+def _gap_row(n, row, note):
+    """The statistic gaps at one +- pair of CB(n)."""
+    pos, key, neg_key, (_, res, neg) = row
+    img = _word_to_images(pos)
+    des, maj, negs = _des_maj_neg(img)
+    # negating every entry complements the descent set at 0..n-1 and the
+    # set of negative entries
+    halves = ((key, 1, res, des, maj, negs),
+              (neg_key, -1, neg, n - des, n * (n - 1) // 2 - maj, n - negs))
+    for k, sign, out, des_i, maj_i, neg_i in halves:
+        if k is None:
+            continue
         des_o, maj_o, neg_o = _des_maj_neg(out)
         dd = des_i - des_o
         df = 2 * (maj_i - maj_o) + neg_i - neg_o
-        if dd not in (0, 1) or not 0 <= df <= top:
-            _note(bad, (n, key), (SignedPermutation([sign * v for v in img]), dd, df))
-
-    # a part's edge may split a +- pair; each half is then checked alone
-    for i, w, partner in _sign_pairs(n, start, stop):
-        pos = w if w[-1] > 0 else tuple(-v for v in w)
-        img = _word_to_images(pos)
-        des_p, maj_p, neg_p = _des_maj_neg(img)
-        _, res, neg = _capital_phi_pair(pos)
-        if w[-1] > 0:
-            gaps(i, img, 1, des_p, maj_p, neg_p, res)
-            checked += 1
-        if w[-1] < 0 or partner is not None:
-            # negating every entry complements the descent set at 0..n-1
-            # and the set of negative entries
-            gaps(i if partner is None else partner, img, -1, n - des_p,
-                 n * (n - 1) // 2 - maj_p, n - neg_p, neg)
-            checked += 1
-    return checked, bad
+        if dd not in (0, 1) or not 0 <= df <= 2 * n + 1:
+            note((n, k), (SignedPermutation([sign * v for v in img]), dd, df))
+    return (key is not None) + (neg_key is not None)
 
 
 def check_stat_gaps(n_hi=7) -> ClaimResult:
@@ -400,28 +398,24 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
     t0 = time.perf_counter()
     parts = []
     for n in range(1, n_hi + 1):
-        parts += _over_range(_gaps_part, 0, cardinality(DomainSpec("CB", n)), n, cost=1.5)
+        parts += _over_range(_sweep, 0, cardinality(DomainSpec("CB", n)),
+                             partial(_pair_rows, n), partial(_gap_row, n), cost=1.5)
     checked, bad = _merged(parts)
     return _result("stat-gaps", {"n": f"1..{n_hi}"}, t0, checked, bad)
 
 
-def _order_swap_part(start, stop, indices, degree):
-    """Worker for the order-swap claim over the words of CB(degree) at
-    indices[start:stop]; returns the count and the first failures."""
-    d = DomainSpec("CB", degree)
-    checked = 0
-    bad = []
-    for k, i in enumerate(indices[start:stop], start):
-        w = list(next(iterate_words(d, i, i + 1)))
-        try:
-            with_trace = _phi_plus_word(w, TransferTrace())
-        except AssertionError as e:
-            _note(bad, k, (w, f"invariant: {e}"))
-            continue
-        if with_trace != _phi_plus_word(w):
-            _note(bad, k, (w, "trace changed the output"))
-        checked += 1
-    return checked, bad
+def _order_swap_row(d, row, note):
+    """One instrumented run at a (visit index, rank) row of d."""
+    k, i = row
+    w = list(next(iterate_words(d, i, i + 1)))
+    try:
+        with_trace = _phi_plus_word(w, TransferTrace())
+    except AssertionError as e:
+        note(k, (w, f"invariant: {e}"))
+        return 0
+    if with_trace != _phi_plus_word(w):
+        note(k, (w, "trace changed the output"))
+    return 1
 
 
 def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
@@ -430,6 +424,8 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     t0 = time.perf_counter()
     if count < 1:
         raise ValueError(f"bad sample count {count}")
+    if degree < 1:
+        raise ValueError(f"bad degree {degree}")
     rng = make_rng(seed)
     perms = math.factorial(degree - 1)
     # every index is drawn here, in stream order, and the parts split the
@@ -438,8 +434,9 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     for _ in range(count):
         q = _uniform_index(rng, perms)
         indices.append(q << degree | _uniform_index(rng, 1 << (degree - 1)))
-    checked, bad = _merged(_over_range(_order_swap_part, 0, count, indices, degree,
-                                       cost=27))
+    checked, bad = _merged(_over_range(
+        _sweep, 0, count, lambda start, stop: enumerate(indices[start:stop], start),
+        partial(_order_swap_row, DomainSpec("CB", degree)), cost=27))
     return _result("order-swap-properties",
                    {"count": count, "degree": degree, "seed": seed},
                    t0, checked, bad)

@@ -109,6 +109,39 @@ def test_order_swap_properties_sampled():
     assert r.passed and r.checked == 500
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_order_swap_properties_refuses_a_bad_degree(degree):
+    # there is no cyclic word of degree below 1 to draw
+    with pytest.raises(ValueError, match=f"bad degree {degree}$"):
+        check_order_swap_properties(10, degree)
+
+
+def test_bijection_refuses_an_unknown_parity(monkeypatch):
+    # any parity but D used to sweep CDbar; it is refused before a sweep
+    monkeypatch.setattr(verify, "_over_range", None)
+    with pytest.raises(ValueError, match="bad parity 'X'$"):
+        check_bijection(2, "X")
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_pair_rows_key_each_rank_of_the_range_once(N):
+    # every range at N < 4; at N = 4 (blocks of 16, pairs i and i ^ 15) cuts
+    # on block edges, inside blocks, inside +- pairs and of one row
+    d = DomainSpec("CB", N)
+    total = cardinality(d)
+    edges = range(total + 1) if N < 4 else (0, 1, 7, 8, 9, 12, 16, 40, 95, 96)
+    for lo in edges:
+        for hi in (e for e in edges if e > lo):
+            keys = []
+            for pos, key, neg_key, phi in verify._pair_rows(N, lo, hi):
+                assert phi == transfer._capital_phi_pair(pos)
+                for k, w in ((key, pos), (neg_key, tuple(-v for v in pos))):
+                    if k is not None:
+                        assert w == next(iterate_words(d, k, k + 1))
+                        keys.append(k)
+            assert sorted(keys) == list(range(lo, hi))
+
+
 @pytest.mark.parametrize("t", [3, 7])
 def test_phi_descents_shards_split_sign_pairs(t):
     # shard edges at total*i/t fall inside magnitude blocks, so some +- pairs
