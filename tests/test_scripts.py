@@ -109,3 +109,18 @@ def test_bench_diff_reads_the_pr20_pair(tmp_path):
     assert rows["sweep", "latency_p50_ms"][-2:] == ["10/10", "below"]
     for workload in ("sweep", "scale", "clt", "cli_cold"):
         assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
+
+
+def test_bench_diff_reads_the_pr21_pair(tmp_path):
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
+                          str(ROOT / "BENCH_pr21_parent.json"), str(ROOT / "BENCH_pr21.json")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    assert len(rows) == 24
+    # the row walker claims no gain: sweep reads flat, its medians inside
+    # the parent's quartiles
+    for metric in ("checks_per_s", "latency_p50_ms", "latency_tail_ms", "peak_rss_mb"):
+        assert rows["sweep", metric][-1] == "inside"
+    for workload in ("sweep", "scale", "clt", "cli_cold"):
+        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1

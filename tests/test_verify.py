@@ -117,7 +117,7 @@ def test_order_swap_properties_refuses_a_bad_degree(degree):
 
 
 def test_bijection_refuses_an_unknown_parity(monkeypatch):
-    # any parity but D used to sweep CDbar; it is refused before a sweep
+    # refused before any sweep: the range driver is never reached
     monkeypatch.setattr(verify, "_over_range", None)
     with pytest.raises(ValueError, match="bad parity 'X'$"):
         check_bijection(2, "X")
