@@ -2,9 +2,12 @@
 then the most processes a descent sweep ran on, the pass count and the
 total checks, seconds and checks per second.
 
-Exit code is the number of failing claims.  --quick shrinks the sweeps for
-a fast smoke run.  --threads fixes the processes of the descent sweeps; by
-default a large sweep runs on one process per usable core.
+The full run sweeps descent preservation and the Elizalde equivalence up
+to degree 8, both bijection classes up to degree 8 and the inverse laws
+and refined counts up to degree 7.  Exit code is the number of failing
+claims.  --quick shrinks the sweeps for a fast smoke run.  --threads fixes
+the processes of the descent sweeps; by default a large sweep runs on one
+process per usable core.
 """
 
 import argparse
@@ -30,17 +33,18 @@ def main():
     args = ap.parse_args()
 
     if args.quick:
-        top, inv_top, samples = 5, 4, 1000
+        top, bij_top, inv_top, samples = 5, 4, 4, 1000
     else:
-        top, inv_top, samples = 7, 6, 10000
+        top, bij_top, inv_top, samples = 7, 7, 6, 10000
 
     t0 = time.perf_counter()
     results = []
     for n in range(1, top + 1):
         results.append(check_phi_descents(n, threads=args.threads))
-    for n in range(1, inv_top + 1):
+    for n in range(1, bij_top + 1):
         results.append(check_bijection(n, "D"))
         results.append(check_bijection(n, "Dbar"))
+    for n in range(1, inv_top + 1):
         results.append(check_inverses(n))
         results.append(check_corollary_counts(n))
     for n in range(1, top + 1):

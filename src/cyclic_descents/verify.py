@@ -15,11 +15,12 @@ costs are the measured times of a row at the benchmark's sizes over that
 of a descent row: 2 for a bijection row, 6 and 4 for a left and a right
 inverse row, 1.5 for a gap row, 5 for an Elizalde row and 27 for an
 instrumented run at degree 10.  The bijection claims, whose parts return
-their distinct images, and the exact tables behind the count and moment
-claims run their own workers; colored runs serially.  Each part keeps its
-first failures through _note and the parent merges them through _note, so
-the processes never change what a claim reports.  Only the descent sweep
-can also be sharded by unrank range, or told its number of processes.
+every row's image as bytes for the parent to sort, and the exact tables
+behind the count and moment claims run their own workers; colored runs
+serially.  Each part keeps its first failures through _note and the
+parent merges them through _note, so the processes never change what a
+claim reports.  Only the descent sweep can also be sharded by unrank
+range, or told its number of processes.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -157,50 +158,48 @@ def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
 
 
 def _images_part(start, stop, kind, N):
-    """Worker for the bijection claims over one unrank range.
+    """Worker for the bijection claims over one unrank range: the image of
+    each row, in rank order, as one byte string of N-1 bytes per row,
+    entry v stored as v + N - 1."""
+    images = map(_capital_phi_word, iterate_words(DomainSpec(kind, N), start, stop))
+    return bytes(map((N - 1).__add__, chain.from_iterable(images)))
 
-    Returns the (rank, rank) pairs of the first repeated images within the
-    range, the number of repeats, the distinct images as one byte string
-    of N-1 bytes each (entry v as v + N - 1), and the rank of each one's
-    first visit, as an array."""
-    from array import array
 
-    first = {}
-    bad = []
-    for i, w in enumerate(iterate_words(DomainSpec(kind, N), start, stop), start):
-        if first.setdefault(tuple(_capital_phi_word(w)), i) != i:
-            _note(bad, i, i)
-    return (bad, stop - start - len(first),
-            bytes(map((N - 1).__add__, chain.from_iterable(first))),
-            array("q", first.values()))
+def _image_keys(np, blob, rows, n):
+    """One key per n-byte row of blob: the row zero-padded to 8 bytes as
+    an unsigned 64-bit int (no copy at n = 8), or a raw n-byte key."""
+    if n > 8:
+        return np.frombuffer(blob, f"V{n}")
+    if n < 8:
+        padded = np.zeros((rows, 8), np.uint8)
+        padded[:, :n] = np.frombuffer(blob, np.uint8).reshape(rows, n)
+        blob = padded
+    return np.frombuffer(blob, np.uint64)
 
 
 def check_bijection(n, parity="D") -> ClaimResult:
     """The map restricted to one parity class of cyclic degree-(n+1)
-    permutations hits every element of B_n exactly once."""
+    permutations hits every element of B_n exactly once.  A sorted image
+    key equal to its neighbour is a repeat; only then does a stable
+    argsort give the ranks that are not their image's first visit."""
     if parity not in ("D", "Dbar"):
         raise ValueError(f"bad parity {parity!r}")
     t0 = time.perf_counter()
     d = DomainSpec("CD" if parity == "D" else "CDbar", n + 1)
     total = cardinality(d)
-    # an image first seen in a part repeats one that an earlier part saw
-    seen = set()
+    blob = b"".join(_over_range(_images_part, 0, total, d.kind, n + 1, cost=2))
+    import numpy as np
+
+    keys = _image_keys(np, blob, total, n)
+    del blob
+    s = np.sort(keys)
+    repeats = int(np.count_nonzero(s[1:] == s[:-1]))
     dup = []
-    repeats = 0
-    parts = _over_range(_images_part, 0, total, d.kind, n + 1, cost=2)
-    for k, (bad, part_repeats, blob, firsts) in enumerate(parts):
-        repeats += part_repeats
-        for key, item in bad:
-            _note(dup, key, item)
-        images = [blob[j * n:(j + 1) * n] for j in range(len(firsts))]
-        if not seen.isdisjoint(images):
-            for img, i in zip(images, firsts):
-                if img in seen:
-                    _note(dup, i, i)
-                    repeats += 1
-        if k + 1 < len(parts):
-            seen.update(images)
-    dup = [(i, next(iterate_words(d, i, i + 1))) for i, _ in dup]
+    if repeats:
+        order = np.argsort(keys, kind="stable")
+        s = keys[order]
+        later = np.sort(order[1:][s[1:] == s[:-1]])[:MAX_REPORTED]
+        dup = [(i, next(iterate_words(d, i, i + 1))) for i in later.tolist()]
     want = cardinality(DomainSpec("B", n))
     return _result("bijection-" + parity, {"n": n}, t0, total, dup,
                    f"{total - repeats}/{want} distinct images", total - repeats == want)

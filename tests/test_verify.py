@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 from collections import Counter
@@ -58,6 +59,47 @@ def test_bijections():
     for parity in ("D", "Dbar"):
         r = check_bijection(4, parity)
         assert r.passed and r.checked == 2**4 * 24
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bijections_at_the_edge_degrees(monkeypatch, k):
+    # at n = 0 every image is a row of zero bytes, and on two processes one
+    # part is empty
+    _on_workers(monkeypatch, k)
+    for n, want in ((0, "1/1"), (1, "2/2")):
+        for parity in ("D", "Dbar"):
+            r = check_bijection(n, parity)
+            assert r.passed and r.details == f"{want} distinct images"
+
+
+@pytest.mark.parametrize("n", [0, 3, 8, 10])
+def test_image_keys_are_equal_exactly_when_rows_are(n):
+    import numpy as np
+
+    rows = [bytes(n), bytes(range(1, n + 1)), bytes(range(n, 0, -1)), bytes(n)]
+    keys = verify._image_keys(np, b"".join(rows), len(rows), n)
+    assert len(keys) == len(rows)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            assert (keys[i] == keys[j]) == (a == b)
+
+
+def test_bijection_memory_stays_bounded(monkeypatch):
+    # the images are kept as n bytes a row and sorted as 8-byte keys, not
+    # held as tuples in a dict and a set
+    import tracemalloc
+
+    import numpy  # noqa: F401 -- its import is not the claim's memory
+
+    monkeypatch.setattr(domains, "_cores", lambda: 1)
+    assert check_bijection(2).passed
+    tracemalloc.start()
+    try:
+        assert check_bijection(6, "D").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def test_inverses():
@@ -437,9 +479,11 @@ def test_parallel_claims_leave_no_process(monkeypatch):
 
 def test_failing_parent_part_leaves_no_process(monkeypatch):
     # this process's own part fails at its first row while the child's
-    # result, 23040 distinct images and their ranks (about 320 kB pickled),
-    # is more than a pipe holds: the child must not be left blocked on it
+    # result, 23040 images of 6 bytes each (138 kB), is more than a pipe
+    # holds: the child must not be left blocked on it
     _on_workers(monkeypatch, 2)
+    child_part = verify._images_part(23040, 46080, "CD", 7)
+    assert len(pickle.dumps((True, child_part), pickle.HIGHEST_PROTOCOL)) > 64 * 1024
     real = transfer._capital_phi_word
     first = next(iterate_words(DomainSpec("CD", 7)))
 
