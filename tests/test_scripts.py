@@ -124,3 +124,18 @@ def test_bench_diff_reads_the_pr21_pair(tmp_path):
         assert rows["sweep", metric][-1] == "inside"
     for workload in ("sweep", "scale", "clt", "cli_cold"):
         assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
+
+
+def test_bench_diff_reads_the_pr22_pair(tmp_path):
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
+                          str(ROOT / "BENCH_pr22_parent.json"), str(ROOT / "BENCH_pr22.json")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    assert len(rows) == 24
+    # the bijection claims' sorted keys lower sweep's peak memory on every
+    # seed, its median below the parent's quartiles
+    assert rows["sweep", "peak_rss_mb"][-2:] == ["10/10", "below"]
+    assert float(rows["sweep", "peak_rss_mb"][4]) < 0.9
+    for workload in ("sweep", "scale", "clt", "cli_cold"):
+        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1

@@ -85,8 +85,8 @@ def test_image_keys_are_equal_exactly_when_rows_are(n):
 
 
 def test_bijection_memory_stays_bounded(monkeypatch):
-    # the images are kept as n bytes a row and sorted as 8-byte keys, not
-    # held as tuples in a dict and a set
+    # a passing run keeps n bytes and two 8-byte keys a row, and builds no
+    # index array
     import tracemalloc
 
     import numpy  # noqa: F401 -- its import is not the claim's memory
