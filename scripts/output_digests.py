@@ -34,7 +34,10 @@ this script diff empty.  The families are:
   for those map and invert refuse;
 - the repr and str of a fixed set of each value record: StatRecord,
   TransferTrace (empty and filled), DomainSpec and ColoredPermutation
-  (checked and built by iterate).
+  (checked and built by iterate);
+- the repr, str and pickle round trip of each value type over B(<=5): the
+  SignedPermutation, its canonical cycles and their SignedCycles, its
+  DescentSet, and DescentSets built from member lists.
 """
 
 import contextlib
@@ -42,6 +45,7 @@ import hashlib
 import io
 import itertools
 import math
+import pickle
 import re
 import sys
 from functools import partial
@@ -58,7 +62,7 @@ from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
                                      sample, sample_stat_batch, unrank)
 from cyclic_descents.lab import MomentReport
 from cyclic_descents.permutations import SignedPermutation
-from cyclic_descents.statistics import StatRecord, stats
+from cyclic_descents.statistics import DescentSet, StatRecord, descent_set, stats
 from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_corollary_counts,
                                     check_elizalde_equivalence,
@@ -185,6 +189,22 @@ def records():
             DomainSpec("CSnr", 3, r=2, color_filter=1),
             ColoredPermutation(3, 2, (2, 3, 1), (0, 1, 1)),
             *iterate(DomainSpec("CSnr", 2, r=2, color_filter=1))]
+
+
+def value_types():
+    """Each value type over B(<=5), built checked and by iterate, from the
+    degree-0 cases up."""
+    for x in elements("B", range(6)):
+        c = to_canonical_cycles(x)
+        yield from (x, SignedPermutation(x.images), c, *c.cycles, descent_set(x))
+    yield from (DescentSet(n, range(0, n, 2)) for n in range(6))
+
+
+def round_tripped(x):
+    """repr and str of x and of its pickle round trip, and whether that
+    round trip equals x with an equal hash."""
+    y = pickle.loads(pickle.dumps(x))
+    return repr(x), str(x), repr(y), str(y), y == x, hash(y) == hash(x)
 
 
 def cli_cases():
@@ -404,6 +424,7 @@ def main():
                 for n, count in ((9, 300), (801, 4097)))))
     lines += list(map_lines())
     lines.append(("records", digest((repr(x), str(x)) for x in records())))
+    lines.append(("value types", digest(map(round_tripped, value_types()))))
     lines += list(cli_lines())
     by_claim = {}
     for c in (call() for call in claim_calls()):

@@ -8,10 +8,10 @@ signed integer) comes first and lists cycles by increasing first entry.
 
 from __future__ import annotations
 
-from .permutations import SignedPermutation
+from .permutations import Record, SignedPermutation
 
 
-class SignedCycle:
+class SignedCycle(Record):
     """One cycle: a nonempty tuple of nonzero entries with distinct magnitudes."""
 
     __slots__ = ("entries",)
@@ -27,19 +27,13 @@ class SignedCycle:
             if abs(v) in mags:
                 raise ValueError(f"magnitude {abs(v)} repeated in cycle {entries}")
             mags.add(abs(v))
-        self.entries = entries
+        Record.__init__(self, entries)
 
     def __len__(self):
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, SignedCycle) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"SignedCycle({list(self.entries)})"
@@ -48,7 +42,7 @@ class SignedCycle:
         return "(" + ",".join(str(v) for v in self.entries) + ")"
 
 
-class CycleNotation:
+class CycleNotation(Record):
     """An ordered list of cycles whose magnitudes cover 1..n exactly once."""
 
     __slots__ = ("n", "cycles")
@@ -68,18 +62,7 @@ class CycleNotation:
                 count += 1
         if count != n:
             raise ValueError(f"cycles cover {count} magnitudes, expected {n}")
-        self.n = n
-        self.cycles = cycles
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycleNotation)
-            and self.n == other.n
-            and self.cycles == other.cycles
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.cycles))
+        Record.__init__(self, n, cycles)
 
     def __iter__(self):
         return iter(self.cycles)

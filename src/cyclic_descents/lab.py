@@ -157,7 +157,8 @@ def theoretical_moments(stat: str, n: int) -> MomentReport:
     """Closed-form moments on the signed group of degree n: descents are
     (n/2, (n+1)/12); the flag major index is (n^2/2, (4n^3+6n^2-n)/36).
 
-    The same values hold for the cyclic classes once n >= 4.
+    The same values hold for the cyclic classes CB, CD and CDbar once
+    n >= 4, and not at n = 3 (`verify.check_moments` checks both exactly).
     """
     from fractions import Fraction
 
@@ -210,14 +211,14 @@ def normality_diagnostics(kind: str, stat: str, n: int, samples: int,
                           seed: int, worker: int = 0) -> NormalityReport:
     """Monte-Carlo check of the normal limit on a cyclic signed domain.
 
-    Standardizes by the closed-form moments (valid once n >= 5), then
+    Standardizes by the closed-form moments (valid once n >= 4), then
     reports sample skewness, excess kurtosis, and the KS distance to the
     standard normal beside its lattice floor (see `ks_lattice_floor`): the
     statistics are integer-valued, so only the excess of the distance over
     the floor can shrink with the sample size.  Deterministic given
     (seed, worker)."""
-    if n < 5:
-        raise ValueError("closed-form moments require n >= 5")
+    if n < 4:
+        raise ValueError("closed-form moments require n >= 4")
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
     if stat not in ("des", "fmaj"):

@@ -8,32 +8,40 @@ one-line notation contains an even number of negative entries.
 
 from __future__ import annotations
 
+import operator
+
 
 class Record:
     """Frozen value record whose fields are its __slots__, set once by
     Record.__init__.  It equals only a record of its own class with equal
     fields, hashes and pickles by them, and reprs as a dataclass would.
-    Plain classes, unlike dataclasses, keep `inspect` out of a cold start."""
+
+    Every value type of the library derives from it except the `lab` and
+    `verify` report dataclasses, which stay dataclasses because the
+    benchmark's self-test calls `dataclasses.replace` on them.  Plain
+    classes, unlike dataclasses, keep `inspect` out of a cold start."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # one C-level read of every field: the value itself for one field,
+        # a tuple for several
+        cls._fields = operator.attrgetter(*cls.__slots__)
 
     def __init__(self, *values):
         for name, v in zip(self.__slots__, values):
             object.__setattr__(self, name, v)
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -46,14 +54,14 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class SignedPermutation:
+class SignedPermutation(Record):
     """Immutable signed permutation stored as a tuple of images of 1..n.
 
     Degree 0 (the empty permutation) is allowed and acts as the identity
     of the trivial group.
     """
 
-    __slots__ = ("images", "n")
+    __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
@@ -68,8 +76,7 @@ class SignedPermutation:
             if seen[a]:
                 raise ValueError(f"magnitude {a} repeated in {images}")
             seen[a] = True
-        self.images = images
-        self.n = n
+        Record.__init__(self, images)
 
     @classmethod
     def _trusted(cls, images):
@@ -77,9 +84,13 @@ class SignedPermutation:
         checks of __init__; the images must already be a signed
         permutation."""
         self = object.__new__(cls)
-        self.images = tuple(images)
-        self.n = len(self.images)
+        object.__setattr__(self, "images", tuple(images))
         return self
+
+    @property
+    def n(self):
+        """The degree, read from the images rather than stored beside them."""
+        return len(self.images)
 
     @classmethod
     def identity(cls, n):
@@ -124,14 +135,8 @@ class SignedPermutation:
     def in_D(self):
         return self.negative_count() % 2 == 0
 
-    def __eq__(self, other):
-        return isinstance(other, SignedPermutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __len__(self):
-        return self.n
+        return len(self.images)
 
     def __repr__(self):
         return f"SignedPermutation({list(self.images)})"

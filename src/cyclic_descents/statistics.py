@@ -9,7 +9,7 @@ from __future__ import annotations
 from .permutations import Record, SignedPermutation
 
 
-class DescentSet:
+class DescentSet(Record):
     """Subset of {0,...,n-1} held as a bit mask (bit i set <=> i is a descent)."""
 
     __slots__ = ("n", "mask")
@@ -25,8 +25,7 @@ class DescentSet:
                 if i < 0 or i >= n:
                     raise ValueError(f"member {i} outside 0..{n - 1}")
                 mask |= 1 << i
-        self.n = n
-        self.mask = mask
+        Record.__init__(self, n, mask)
 
     @property
     def members(self):
@@ -40,12 +39,6 @@ class DescentSet:
 
     def __len__(self):
         return bin(self.mask).count("1")
-
-    def __eq__(self, other):
-        return isinstance(other, DescentSet) and (self.n, self.mask) == (other.n, other.mask)
-
-    def __hash__(self):
-        return hash((self.n, self.mask))
 
     def __repr__(self):
         return f"DescentSet({self.n}, {sorted(self.members)})"

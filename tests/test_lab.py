@@ -216,7 +216,11 @@ def test_ks_lattice_floor_picks_the_widest_cell():
 
 def test_normality_diagnostics_guards():
     with pytest.raises(ValueError):
-        normality_diagnostics("CB", "des", 4, 2000, seed=0)
+        normality_diagnostics("CB", "des", 3, 2000, seed=0)
+    # the closed-form moments hold from n = 4 on
+    rep = normality_diagnostics("CB", "des", 4, 2000, seed=0)
+    assert (rep.n, rep.domain, rep.stat, rep.sample_count) == (4, "CB", "des", 2000)
+    assert abs(rep.mean - 2) < 0.1 and rep.ks_distance >= rep.ks_floor > 0
     with pytest.raises(ValueError):
         normality_diagnostics("CB", "des", 10, 10, seed=0)
     with pytest.raises(ValueError):

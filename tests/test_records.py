@@ -1,5 +1,7 @@
 """The value records StatRecord, TransferTrace, DomainSpec and
-ColoredPermutation: their text, equality, hashing and immutability."""
+ColoredPermutation, and the value types SignedPermutation, SignedCycle,
+CycleNotation and DescentSet: their text, equality, hashing and
+immutability."""
 
 import copy
 import pickle
@@ -7,9 +9,10 @@ import pickle
 import pytest
 
 from cyclic_descents.colored import ColoredPermutation
+from cyclic_descents.cycles import CycleNotation, SignedCycle
 from cyclic_descents.domains import DomainSpec, iterate
 from cyclic_descents.permutations import SignedPermutation
-from cyclic_descents.statistics import StatRecord
+from cyclic_descents.statistics import DescentSet, StatRecord
 from cyclic_descents.transfer import TransferTrace, phi_plus
 
 
@@ -79,3 +82,35 @@ def test_transfer_traces_keep_their_own_list():
     assert TransferTrace([(1, None, [])]) == a
     with pytest.raises(TypeError):
         hash(b)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: SignedPermutation([2, -1, 3]), dict(images=(1, 2, 3), n=2)),
+    (lambda: SignedCycle([3, -1]), dict(entries=(1,))),
+    (lambda: CycleNotation(3, [[3, -1], [2]]), dict(n=7, cycles=())),
+    (lambda: DescentSet(3, [0, 2]), dict(n=4, mask=5)),
+], ids=["permutation", "cycle", "notation", "descents"])
+def test_value_types_are_frozen(make, fields):
+    a = make()
+    in_set, in_dict = {a}, {a: "kept"}
+    for name, value in fields.items():
+        before = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) == before
+    assert a in in_set and in_dict[a] == "kept"
+    assert a == make() and hash(a) == hash(make())
+    copies = [copy.copy(a)] + [pickle.loads(pickle.dumps(a, protocol))
+                               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for b in copies:
+        assert type(b) is type(a) and b == a and hash(b) == hash(a)
+        assert repr(b) == repr(a) and str(b) == str(a)
+
+
+@pytest.mark.parametrize("images", [(), (1,), (-1,), (2, -1, 3), [3, 1, -2, 4]])
+def test_trusted_permutations_equal_checked_ones(images):
+    a, b = SignedPermutation._trusted(images), SignedPermutation(images)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.images == b.images == tuple(images) and a.n == b.n == len(images)

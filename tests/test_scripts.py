@@ -52,12 +52,19 @@ def test_bench_selftest_catches_every_corruption(tmp_path):
     assert res.stdout.splitlines()[-1] == "7/7 corruptions caught"
 
 
-def test_bench_diff_reads_the_committed_pair(tmp_path):
+def bench_diff_rows(tmp_path, pr):
+    """scripts/bench_diff.py's table of the committed BENCH_pr<pr> pair, one
+    row of fields per (workload, metric)."""
     res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
-                          str(ROOT / "BENCH_pr16_parent.json"), str(ROOT / "BENCH_pr16.json")],
+                          str(ROOT / f"BENCH_pr{pr}_parent.json"),
+                          str(ROOT / f"BENCH_pr{pr}.json")],
                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    return {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+
+
+def test_bench_diff_reads_the_committed_pair(tmp_path):
+    rows = bench_diff_rows(tmp_path, 16)
     assert len(rows) == 6
     # the product-tree ranking made scale faster on every seed, by more than
     # the parent's quartile spread: higher is better for one, lower for the other
@@ -67,11 +74,7 @@ def test_bench_diff_reads_the_committed_pair(tmp_path):
 
 
 def test_bench_diff_reads_the_pr18_pair(tmp_path):
-    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
-                          str(ROOT / "BENCH_pr18_parent.json"), str(ROOT / "BENCH_pr18.json")],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    rows = bench_diff_rows(tmp_path, 18)
     assert len(rows) == 6
     # the batch sampler's draws on a worker thread made clt faster on every
     # seed, by more than the parent's quartile spread
@@ -81,11 +84,7 @@ def test_bench_diff_reads_the_pr18_pair(tmp_path):
 
 
 def test_bench_diff_reads_the_pr19_pair(tmp_path):
-    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
-                          str(ROOT / "BENCH_pr19_parent.json"), str(ROOT / "BENCH_pr19.json")],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    rows = bench_diff_rows(tmp_path, 19)
     assert len(rows) == 24
     # the range driver made sweep faster on 8 of 10 seeds, its median above
     # the parent's quartiles; the two other pairs ran in a slow spell of the
@@ -97,11 +96,7 @@ def test_bench_diff_reads_the_pr19_pair(tmp_path):
 
 
 def test_bench_diff_reads_the_pr20_pair(tmp_path):
-    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
-                          str(ROOT / "BENCH_pr20_parent.json"), str(ROOT / "BENCH_pr20.json")],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    rows = bench_diff_rows(tmp_path, 20)
     assert len(rows) == 24
     # every claim on the fork driver made sweep faster on every seed, its
     # median above the parent's quartiles
@@ -112,11 +107,7 @@ def test_bench_diff_reads_the_pr20_pair(tmp_path):
 
 
 def test_bench_diff_reads_the_pr21_pair(tmp_path):
-    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
-                          str(ROOT / "BENCH_pr21_parent.json"), str(ROOT / "BENCH_pr21.json")],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    rows = bench_diff_rows(tmp_path, 21)
     assert len(rows) == 24
     # the row walker claims no gain: sweep reads flat, its medians inside
     # the parent's quartiles
@@ -127,11 +118,7 @@ def test_bench_diff_reads_the_pr21_pair(tmp_path):
 
 
 def test_bench_diff_reads_the_pr22_pair(tmp_path):
-    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_diff.py"),
-                          str(ROOT / "BENCH_pr22_parent.json"), str(ROOT / "BENCH_pr22.json")],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    rows = {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
+    rows = bench_diff_rows(tmp_path, 22)
     assert len(rows) == 24
     # the bijection claims' sorted keys lower sweep's peak memory on every
     # seed, its median below the parent's quartiles
