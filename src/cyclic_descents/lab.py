@@ -158,7 +158,8 @@ def theoretical_moments(stat: str, n: int) -> MomentReport:
     (n/2, (n+1)/12); the flag major index is (n^2/2, (4n^3+6n^2-n)/36).
 
     The same values hold for the cyclic classes CB, CD and CDbar once
-    n >= 4, and not at n = 3 (`verify.check_moments` checks both exactly).
+    n >= 4, and not at n = 3: `verify.check_moments(4, 4)` passes and
+    `check_moments(3, 3)` fails.
     """
     from fractions import Fraction
 

@@ -56,13 +56,22 @@ def test_text_is_pinned(rec, text, shown):
     (lambda: ColoredPermutation(2, 2, (2, 1), (0, 1)),
      dict(n=2, r=2, omega=(2, 1), tau=(0, 1)),
      ColoredPermutation(2, 2, (2, 1), (1, 0))),
-], ids=["stat", "domain", "domain-color", "colored"])
+    # n is the degree, read from the images
+    (lambda: SignedPermutation([2, -1, 3]), dict(images=(2, -1, 3), n=3),
+     SignedPermutation([2, 1, 3])),
+    (lambda: SignedCycle([3, -1]), dict(entries=(3, -1)), SignedCycle([-1, 3])),
+    (lambda: CycleNotation(3, [[3, -1], [2]]),
+     dict(n=3, cycles=(SignedCycle([3, -1]), SignedCycle([2]))),
+     CycleNotation(3, [[2], [3, -1]])),
+    (lambda: DescentSet(3, [0, 2]), dict(n=3, mask=5), DescentSet(4, [0, 2])),
+], ids=["stat", "domain", "domain-color", "colored", "permutation", "cycle",
+        "notation", "descents"])
 def test_frozen_records_are_values(make, fields, other):
     a, b = make(), make()
     assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
     values = tuple(fields.values())
     assert a != other and a != values and values != a
-    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    in_set, in_dict = {a}, {a: "kept"}
     for name, value in fields.items():
         assert getattr(a, name) == value
         with pytest.raises(AttributeError):
@@ -71,7 +80,19 @@ def test_frozen_records_are_values(make, fields, other):
             delattr(a, name)
     with pytest.raises(AttributeError):
         a.extra = 1
-    assert a == b
+    assert a == b and a in in_set and in_dict[a] == "kept"
+    copies = [copy.copy(a)] + [pickle.loads(pickle.dumps(a, protocol))
+                               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is type(a) and c == a and hash(c) == hash(a)
+        assert repr(c) == repr(a) and str(c) == str(a)
+
+
+@pytest.mark.parametrize("images", [(), (1,), (-1,), (2, -1, 3), [3, 1, -2, 4]])
+def test_trusted_permutations_equal_checked_ones(images):
+    a, b = SignedPermutation._trusted(images), SignedPermutation(images)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.images == b.images == tuple(images) and a.n == b.n == len(images)
 
 
 def test_transfer_traces_keep_their_own_list():
@@ -82,35 +103,3 @@ def test_transfer_traces_keep_their_own_list():
     assert TransferTrace([(1, None, [])]) == a
     with pytest.raises(TypeError):
         hash(b)
-
-
-@pytest.mark.parametrize("make, fields", [
-    (lambda: SignedPermutation([2, -1, 3]), dict(images=(1, 2, 3), n=2)),
-    (lambda: SignedCycle([3, -1]), dict(entries=(1,))),
-    (lambda: CycleNotation(3, [[3, -1], [2]]), dict(n=7, cycles=())),
-    (lambda: DescentSet(3, [0, 2]), dict(n=4, mask=5)),
-], ids=["permutation", "cycle", "notation", "descents"])
-def test_value_types_are_frozen(make, fields):
-    a = make()
-    in_set, in_dict = {a}, {a: "kept"}
-    for name, value in fields.items():
-        before = getattr(a, name)
-        with pytest.raises(AttributeError):
-            setattr(a, name, value)
-        with pytest.raises(AttributeError):
-            delattr(a, name)
-        assert getattr(a, name) == before
-    assert a in in_set and in_dict[a] == "kept"
-    assert a == make() and hash(a) == hash(make())
-    copies = [copy.copy(a)] + [pickle.loads(pickle.dumps(a, protocol))
-                               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for b in copies:
-        assert type(b) is type(a) and b == a and hash(b) == hash(a)
-        assert repr(b) == repr(a) and str(b) == str(a)
-
-
-@pytest.mark.parametrize("images", [(), (1,), (-1,), (2, -1, 3), [3, 1, -2, 4]])
-def test_trusted_permutations_equal_checked_ones(images):
-    a, b = SignedPermutation._trusted(images), SignedPermutation(images)
-    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
-    assert a.images == b.images == tuple(images) and a.n == b.n == len(images)

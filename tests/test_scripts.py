@@ -3,6 +3,7 @@ library name the benchmark imports exists."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -126,3 +127,16 @@ def test_bench_diff_reads_the_pr22_pair(tmp_path):
     assert float(rows["sweep", "peak_rss_mb"][4]) < 0.9
     for workload in ("sweep", "scale", "clt", "cli_cold"):
         assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
+
+
+def test_bench_diff_reads_the_pr23_pair(tmp_path):
+    rows = bench_diff_rows(tmp_path, 23)
+    assert len(rows) == 24
+    # the value types on Record claim no gain: every median stays within its
+    # BENCHMARK.json bound of the parent's
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    for (workload, metric), row in rows.items():
+        better, bound = bounds[metric]
+        ratio = float(row[4])
+        assert ratio >= 1 - bound if better == "higher" else ratio <= 1 + bound
