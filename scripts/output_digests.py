@@ -10,7 +10,8 @@ this script diff empty.  The families are:
   sample/rank/unrank at degree 1001 (the script exits non-zero if
   rank(unrank(i)) != i anywhere);
 - seeded sample streams, and _uniform_index at 1, 2, 3 and 149 words;
-- sample_stat_batch streams, also at counts that end mid-chunk;
+- sample_stat_batch streams, also at counts that end mid-chunk, and one
+  worker's stream over several chunks;
 - the transfer maps: capital_phi over CB(<=6), phi_plus over its positive
   class, psi_plus, capital_psi_D, capital_psi_Dbar and preimage_quadruple
   over B(<=5), colored_phi over cyclic colored degree 4 and colored_psi
@@ -57,7 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cyclic_descents import classic, cli, colored, lab, transfer, verify
 from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
 from cyclic_descents.cycles import _word_to_images, is_cyclic, to_canonical_cycles
-from cyclic_descents.domains import (DomainSpec, _uniform_index, cardinality,
+from cyclic_descents.domains import (SAMPLE_CHUNK, DomainSpec, _uniform_index, cardinality,
                                      iterate, iterate_words, make_rng, rank,
                                      sample, sample_stat_batch, unrank)
 from cyclic_descents.lab import MomentReport
@@ -422,6 +423,13 @@ def main():
             lines.append((f"sample_stat_batch {kind} {stat} odd", digest(
                 sample_stat_batch(DomainSpec(kind, n), stat, count, SEED).tolist()
                 for n, count in ((9, 300), (801, 4097)))))
+    # another worker's stream over three full chunks and a tail of an odd
+    # number of signs; the shuffles leave a half-word pending before some
+    # chunks' signs and not before others
+    lines.append(("sample_stat_batch worker=1", digest(
+        sample_stat_batch(DomainSpec(kind, 801), "fmaj", 3 * SAMPLE_CHUNK + 257,
+                          SEED, worker=1).tolist()
+        for kind in ("CB", "CD", "CDbar"))))
     lines += list(map_lines())
     lines.append(("records", digest((repr(x), str(x)) for x in records())))
     lines.append(("value types", digest(map(round_tripped, value_types()))))

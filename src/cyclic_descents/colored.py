@@ -33,13 +33,6 @@ class ColoredPermutation(Record):
             raise ValueError(f"colors must lie in 0..{r - 1}")
         Record.__init__(self, n, r, omega, tau)
 
-    @classmethod
-    def _trusted(cls, n, r, omega, tau):
-        """Build from values known to be valid, skipping __init__'s checks."""
-        p = object.__new__(cls)
-        Record.__init__(p, n, r, omega, tau)
-        return p
-
     def __str__(self):
         parts = [
             f"{w}^{c}" if c else str(w)

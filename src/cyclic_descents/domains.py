@@ -611,6 +611,40 @@ def _sign_bits(rng, m):
     return out
 
 
+def _skip_sign_bits(rng, m):
+    """Leave rng in the state _sign_bits(rng, m) leaves it in, in O(1).
+
+    Philox makes its raw words four at a time, one block per step of a
+    256-bit counter, so skipping words only moves the counter: the state
+    needs just the block that holds the last skipped word, made by setting
+    the counter one step short of it and drawing the block."""
+    import numpy as np
+
+    if not m:
+        return
+    bg = rng.bit_generator
+    state = bg.state
+    fresh = m - state["has_uint32"]
+    state["has_uint32"] = fresh & 1
+    if fresh:
+        # t: the last skipped word's index, counted from the buffered
+        # block's first word
+        t = state["buffer_pos"] + (fresh + 1) // 2 - 1
+        if t >= 4:
+            ctr = state["state"]["counter"].astype("<u8").tobytes()
+            ctr = (int.from_bytes(ctr, "little") + t // 4 - 1) % (1 << 256)
+            state["state"]["counter"] = np.frombuffer(
+                ctr.to_bytes(32, "little"), dtype="<u8").astype(np.uint64)
+            state["buffer_pos"] = 4
+            bg.state = state
+            bg.random_raw(4)
+            state = bg.state
+            t %= 4
+        state["buffer_pos"] = t + 1
+        state["uinteger"] = int(state["buffer"][t]) >> 32
+    bg.state = state
+
+
 def sample(d: DomainSpec, rng) -> object:
     """One exactly uniform element.  rng is a Generator or an integer seed."""
     import numpy as np
@@ -635,10 +669,14 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     c magnitude rows and then rng.integers(0, 2, size=(c, n)) would draw,
     more cheaply: the shuffle runs on blocks of SHUFFLE_BLOCK intp rows in
     order, which is one such call split up, and _sign_bits reads the signs
-    from raw generator words.  Every draw runs on one worker thread, chunk
-    by chunk and in that order, while the caller turns the chunk before
-    into values in slices of SHUFFLE_BLOCK rows; the worker is the only
-    user of the generator, so the stream does not depend on the thread.
+    from raw generator words.  A drawing thread shuffles the chunks in
+    order while the caller turns the chunk before into values.  It hands
+    over each chunk with the generator's state at its signs and steps its
+    own generator past them by counter arithmetic (_skip_sign_bits).  The
+    caller sets its own generator to that state and draws each slice's
+    signs, SHUFFLE_BLOCK rows at a time, just before the slice turns into
+    values.  Each generator state is used by one thread only, so the stream
+    does not depend on the threads.
     """
     import threading
 
@@ -653,6 +691,9 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     n = d.n
     parity = _FAMILIES[d.kind][2]
     rng = make_rng(seed, worker)
+    # the caller's own generator, set to each chunk's sign state in turn;
+    # only the drawing thread uses rng
+    signs = make_rng(seed, worker)
     # entries lie in [-n, n] and flat slice indices below SHUFFLE_BLOCK * n,
     # so the degree picks the narrowest types that hold them
     dt, flat = (np.int16, np.int32) if n < 1 << 15 else (np.int32, np.int64)
@@ -669,18 +710,16 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
             rng.permuted(blk, axis=1, out=blk)
             w[r:r + len(blk), : n - 1] = blk
         w[:, n - 1] = n
-        # then the signs: _sign_bits on consecutive blocks of rows draws what
-        # one call on the whole chunk would, and its raw words stay small
-        neg = np.empty((c, n), dtype=bool)
-        for r in range(0, c, SHUFFLE_BLOCK):
-            blk = neg[r:r + SHUFFLE_BLOCK]
-            blk[...] = _sign_bits(rng, blk.size).reshape(blk.shape)
-        return w, neg
+        # then the chunk's c * n signs, which the caller draws from the
+        # state they start in while this generator steps past them
+        start = rng.bit_generator.state
+        _skip_sign_bits(rng, c * n)
+        return w, start
 
-    # one worker thread draws the chunks in order, each handed over in
+    # one drawing thread shuffles the chunks in order, each handed over in
     # `box`.  It starts on chunk k+1 when the caller takes chunk k, so at
     # most two chunks are alive; an error is handed over in place of the
-    # chunk, and `cancel` stops the worker when the caller fails
+    # chunk, and `cancel` stops the drawer when the caller fails
     box, cancel = [], []
     ready, taken = threading.Semaphore(0), threading.Semaphore(0)
 
@@ -710,13 +749,16 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
             if isinstance(got, BaseException):
                 raise got
             taken.release()
-            chunk_w, chunk_neg = got
+            chunk_w, start = got
+            signs.bit_generator.state = start
             c = len(chunk_w)
-            # slices small enough that their temporaries stay in cache
+            # slices small enough that their temporaries stay in cache;
+            # _sign_bits on consecutive slices draws what one call on the
+            # whole chunk would
             for r in range(0, c, SHUFFLE_BLOCK):
                 w = chunk_w[r:r + SHUFFLE_BLOCK]
-                neg = chunk_neg[r:r + SHUFFLE_BLOCK]
                 s = len(w)
+                neg = _sign_bits(signs, s * n).reshape(s, n)
                 if parity is not None:
                     odd = np.count_nonzero(neg[:, : n - 1], axis=1) & 1
                     neg[:, n - 1] = odd != parity

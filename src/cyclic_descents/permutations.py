@@ -32,6 +32,14 @@ class Record:
         for name, v in zip(self.__slots__, values):
             object.__setattr__(self, name, v)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """Build from field values the library produced itself, skipping
+        the subclass's checks; the values must already be valid."""
+        self = object.__new__(cls)
+        Record.__init__(self, *values)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -80,12 +88,9 @@ class SignedPermutation(Record):
 
     @classmethod
     def _trusted(cls, images):
-        """Build from images the library produced itself, skipping the
-        checks of __init__; the images must already be a signed
-        permutation."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "images", tuple(images))
-        return self
+        """Record._trusted on any iterable of images, which must already
+        be a signed permutation."""
+        return super()._trusted(tuple(images))
 
     @property
     def n(self):

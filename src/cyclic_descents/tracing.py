@@ -23,12 +23,14 @@ class _Recorder:
         self.cur_swaps = []
 
     def _snapshot(self):
+        # the rewriting's own entries, so built without the checks
         ent = self.ent
-        cycs = [SignedCycle(tuple(ent[lo:hi + 1])) for lo, hi in zip(self.starts, self.ends)]
+        cycs = [SignedCycle._trusted(tuple(ent[lo:hi + 1]))
+                for lo, hi in zip(self.starts, self.ends)]
         if len(ent) > self.ends[-1] + 1:
             # the inverse pass: the big cycle's closing entry +N
-            cycs.append(SignedCycle(tuple(ent[self.ends[-1] + 1:])))
-        return CycleNotation(len(ent), cycs)
+            cycs.append(SignedCycle._trusted(tuple(ent[self.ends[-1] + 1:])))
+        return CycleNotation._trusted(len(ent), tuple(cycs))
 
     def begin_iteration(self, j):
         self.cur_swaps = []

@@ -441,20 +441,48 @@ def test_batch_sampler_leaves_no_thread_running(monkeypatch):
     before = threading.active_count()
     sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
     assert threading.active_count() == before
-    # the second chunk's draw fails on the worker while the first chunk
-    # turns into values: the error reaches the caller, and the worker is gone
+    # the caller draws each slice's signs itself, and its second slice's
+    # draw fails while the drawer shuffles the second chunk: the error
+    # propagates, and the drawer is gone
     sign_bits, calls = domains._sign_bits, []
 
     def failing(rng, m):
-        calls.append(m)
+        calls.append(threading.current_thread())
         if len(calls) == 2:
             raise RuntimeError("draw failed")
         return sign_bits(rng, m)
     monkeypatch.setattr(domains, "_sign_bits", failing)
     with pytest.raises(RuntimeError, match="draw failed"):
         sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
-    assert len(calls) == 2
+    assert calls == [threading.main_thread()] * 2
     assert threading.active_count() == before
+    # the drawer fails on its second chunk while the first turns into
+    # values: the error reaches the caller, and the drawer is gone
+    monkeypatch.undo()
+    skip, skips = domains._skip_sign_bits, []
+
+    def failing_skip(rng, m):
+        skips.append(threading.current_thread())
+        if len(skips) == 2:
+            raise RuntimeError("skip failed")
+        return skip(rng, m)
+    monkeypatch.setattr(domains, "_skip_sign_bits", failing_skip)
+    with pytest.raises(RuntimeError, match="skip failed"):
+        sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
+    assert len(skips) == 2 and threading.main_thread() not in skips
+    assert threading.active_count() == before
+
+
+def test_batch_sampler_draws_signs_only_in_the_caller(monkeypatch):
+    # the drawer steps past each chunk's signs and never draws them
+    sign_bits, threads = domains._sign_bits, set()
+
+    def spy(rng, m):
+        threads.add(threading.current_thread())
+        return sign_bits(rng, m)
+    monkeypatch.setattr(domains, "_sign_bits", spy)
+    sample_stat_batch(DomainSpec("CB", 9), "des", 2 * SAMPLE_CHUNK + 1, seed=1)
+    assert threads == {threading.main_thread()}
 
 
 def test_batch_sampler_stops_its_worker_when_the_caller_fails(monkeypatch):
@@ -499,6 +527,49 @@ def test_sign_bits_match_numpy_bounded_draw(m, pending):
             b.integers(0, 1 << 32, dtype=np.uint32)
         assert a.integers(0, 1 << 64, dtype=np.uint64) == \
             b.integers(0, 1 << 64, dtype=np.uint64)
+
+
+def _philox_state(rng):
+    st = rng.bit_generator.state
+    return (tuple(st["state"]["counter"].tolist()), tuple(st["state"]["key"].tolist()),
+            tuple(st["buffer"].tolist()), st["buffer_pos"], st["has_uint32"],
+            st["uinteger"])
+
+
+_TOP = (1 << 64) - 1
+
+
+# the counter at the start: fresh, two steps short of a carry out of limb 0,
+# and two steps short of the wrap at 2^256
+@pytest.mark.parametrize("counter", [(0, 0, 0, 0), (_TOP - 1, 0, 0, 0),
+                                     (_TOP - 1, _TOP, _TOP, _TOP)],
+                         ids=["fresh", "carry", "wrap"])
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 9, 4096 * 801])
+def test_skip_sign_bits_leaves_the_state_sign_bits_leaves(m, pending, counter):
+    for drawn in range(4):
+        a, b = make_rng(7, 3), make_rng(7, 3)
+        for g in (a, b):
+            st = g.bit_generator.state
+            st["state"]["counter"] = np.array(counter, dtype=np.uint64)
+            g.bit_generator.state = st
+            # 0..3 raw words leave the buffer at each position 4, 1, 2, 3
+            g.bit_generator.random_raw(drawn)
+            if pending:
+                st = g.bit_generator.state
+                st["has_uint32"], st["uinteger"] = 1, 0x9E3779B9
+                g.bit_generator.state = st
+        assert a.bit_generator.state["buffer_pos"] == (drawn or 4)
+        domains._skip_sign_bits(a, m)
+        _sign_bits(b, m)
+        assert _philox_state(a) == _philox_state(b)
+        assert a.integers(0, 1 << 32, dtype=np.uint32) == \
+            b.integers(0, 1 << 32, dtype=np.uint32)
+        assert a.integers(0, 1 << 64, dtype=np.uint64) == \
+            b.integers(0, 1 << 64, dtype=np.uint64)
+    if m == 4096 * 801 and counter != (0, 0, 0, 0):
+        # the skip did cross the carry or the wrap
+        assert _philox_state(a)[0][0] < 1 << 20
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -620,3 +691,17 @@ def test_batch_sampler_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 60 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+def test_batch_sampler_holds_no_chunk_of_signs():
+    # the signs are drawn one slice at a time in the caller, so the run
+    # above holds no chunk-sized sign array: 16.7 MiB at its peak, against
+    # 22.8 MiB when the drawer handed over each chunk's signs
+    tracemalloc.start()
+    try:
+        sample_stat_batch(DomainSpec("CD", 800), "fmaj", 3 * SAMPLE_CHUNK,
+                          seed=_GOLDEN_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"

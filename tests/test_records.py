@@ -9,11 +9,11 @@ import pickle
 import pytest
 
 from cyclic_descents.colored import ColoredPermutation
-from cyclic_descents.cycles import CycleNotation, SignedCycle
+from cyclic_descents.cycles import CycleNotation, SignedCycle, _images_to_word
 from cyclic_descents.domains import DomainSpec, iterate
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import DescentSet, StatRecord
-from cyclic_descents.transfer import TransferTrace, phi_plus
+from cyclic_descents.transfer import TransferTrace, phi_plus, psi_plus
 
 
 def traced():
@@ -93,6 +93,36 @@ def test_trusted_permutations_equal_checked_ones(images):
     a, b = SignedPermutation._trusted(images), SignedPermutation(images)
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     assert a.images == b.images == tuple(images) and a.n == b.n == len(images)
+
+
+@pytest.mark.parametrize("make, values", [
+    (SignedCycle, ((3, -1),)),
+    (CycleNotation, (3, (SignedCycle([3, -1]), SignedCycle([2])))),
+    (DomainSpec, ("CSnr", 3, 2, 1)),
+    (ColoredPermutation, (2, 2, (2, 1), (0, 1))),
+    (StatRecord, (2, 3, 3, 9)),
+], ids=["cycle", "notation", "domain", "colored", "stat"])
+def test_trusted_records_equal_checked_ones(make, values):
+    a, b = make._trusted(*values), make(*values)
+    assert type(a) is make and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_trace_snapshots_equal_checked_notations():
+    # the snapshots are built unchecked from the rewriting's own entries
+    runs = [(phi_plus, p) for n in range(1, 7) for p in iterate(DomainSpec("CB", n))
+            if _images_to_word(p.images)[-1] == n]
+    runs += [(psi_plus, s) for n in range(5) for s in iterate(DomainSpec("B", n))]
+    snaps = 0
+    for run, x in runs:
+        t = TransferTrace()
+        run(x, trace=t)
+        for _, snap, _ in t.iterations:
+            checked = CycleNotation(snap.n, [c.entries for c in snap.cycles])
+            assert snap == checked and hash(snap) == hash(checked)
+            assert all(type(c) is SignedCycle for c in snap.cycles)
+            assert type(snap.cycles) is tuple
+            snaps += 1
+    assert snaps > 1000
 
 
 def test_transfer_traces_keep_their_own_list():
