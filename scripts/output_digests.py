@@ -58,9 +58,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cyclic_descents import classic, cli, colored, lab, transfer, verify
 from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
 from cyclic_descents.cycles import _word_to_images, is_cyclic, to_canonical_cycles
-from cyclic_descents.domains import (SAMPLE_CHUNK, DomainSpec, _uniform_index, cardinality,
-                                     iterate, iterate_words, make_rng, rank,
-                                     sample, sample_stat_batch, unrank)
+from cyclic_descents.domains import (SAMPLE_CHUNK, DomainSpec, _uniform_index,
+                                     cardinality, iterate, iterate_words,
+                                     make_rng, rank, sample, sample_stat_batch,
+                                     unrank)
 from cyclic_descents.lab import MomentReport
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import DescentSet, StatRecord, descent_set, stats

@@ -19,10 +19,10 @@ from cyclic_descents.colored import ColoredPermutation, color_of
 from cyclic_descents.cycles import is_cyclic
 from cyclic_descents.domains import (KINDS, SAMPLE_CHUNK, BudgetError,
                                      DomainSpec, _perm_rank, _perm_unrank,
-                                     _radix_runs, _sign_bits, _uniform_index,
-                                     cardinality, iterate, iterate_words,
-                                     make_rng, rank, sample, sample_stat_batch,
-                                     unrank)
+                                     _radix_runs, _sign_bits, _skip_sign_bits,
+                                     _uniform_index, cardinality, iterate,
+                                     iterate_words, make_rng, rank, sample,
+                                     sample_stat_batch, unrank)
 from cyclic_descents.permutations import SignedPermutation
 
 
@@ -497,6 +497,30 @@ def test_batch_sampler_stops_its_worker_when_the_caller_fails(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_batch_sampler_stream_survives_thread_switches():
+    # four samplers at once, more threads than cores, with the interpreter
+    # switching threads as often as it can: each chunk's sign state passes
+    # from a drawer to its caller, and every stream stays its own
+    d, count = DomainSpec("CDbar", 9), 3 * SAMPLE_CHUNK + 5
+    want = [sample_stat_batch(d, "fmaj", count, seed=s) for s in range(4)]
+    got = [None] * 4
+
+    def run(s):
+        got[s] = sample_stat_batch(d, "fmaj", count, seed=s)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_batch_sampler_imports_no_executor():
     # a bare thread runs the draws, so concurrent.futures and the logging
     # it imports stay out of a cold sampling run
@@ -560,7 +584,7 @@ def test_skip_sign_bits_leaves_the_state_sign_bits_leaves(m, pending, counter):
                 st["has_uint32"], st["uinteger"] = 1, 0x9E3779B9
                 g.bit_generator.state = st
         assert a.bit_generator.state["buffer_pos"] == (drawn or 4)
-        domains._skip_sign_bits(a, m)
+        _skip_sign_bits(a, m)
         _sign_bits(b, m)
         assert _philox_state(a) == _philox_state(b)
         assert a.integers(0, 1 << 32, dtype=np.uint32) == \

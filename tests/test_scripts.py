@@ -140,3 +140,20 @@ def test_bench_diff_reads_the_pr23_pair(tmp_path):
         better, bound = bounds[metric]
         ratio = float(row[4])
         assert ratio >= 1 - bound if better == "higher" else ratio <= 1 + bound
+
+
+def test_bench_diff_reads_the_pr24_pair(tmp_path):
+    rows = bench_diff_rows(tmp_path, 24)
+    assert len(rows) == 24
+    # the caller draws each slice's signs, so no chunk of signs is held:
+    # clt's peak memory fell on every seed, its median below the parent's
+    # quartiles and at most 61 MB
+    assert rows["clt", "peak_rss_mb"][-2:] == ["10/10", "below"]
+    assert float(rows["clt", "peak_rss_mb"][3]) <= 61
+    # no workload's median is worse than its BENCHMARK.json bound allows
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    for (workload, metric), row in rows.items():
+        better, bound = bounds[metric]
+        ratio = float(row[4])
+        assert ratio >= 1 - bound if better == "higher" else ratio <= 1 + bound
