@@ -430,36 +430,6 @@ def _rows(d: DomainSpec, start, stop):
         _next_perm(mags)
 
 
-def _sign_pairs(N, start, stop):
-    """The rows of CB(N) in [start, stop) with each +- pair visited once.
-
-    Yields (index, row, partner).  Negating every entry of a row flips all
-    N sign bits, so the partner of index i is i ^ (2^N - 1), in the other
-    half of the same magnitude block.  A positive row whose partner also
-    lies in the range comes with the partner's index and stands for both; a
-    row whose partner lies outside the range comes alone, with None.
-    """
-    d = DomainSpec("CB", N)
-    block = 1 << N
-    mask = block - 1
-    i = start
-    while i < stop:
-        base = i - i % block
-        end = min(stop, base + block)
-        if i == base and end == base + block:
-            # a whole block: its first half is the positive rows
-            for j, w in enumerate(iterate_words(d, base, base + block // 2), base):
-                yield j, w, j ^ mask
-        else:
-            for j, w in enumerate(iterate_words(d, i, end), i):
-                p = j ^ mask
-                if not start <= p < stop:
-                    yield j, w, None
-                elif w[-1] > 0:
-                    yield j, w, p
-        i = end
-
-
 def unrank(d: DomainSpec, index: int):
     """The element at index: the first element iterate yields from it."""
     if not 0 <= index < cardinality(d):
@@ -616,32 +586,26 @@ def _skip_sign_bits(rng, m):
 
     Philox makes its raw words four at a time, one block per step of a
     256-bit counter, so skipping words only moves the counter: the state
-    needs just the block that holds the last skipped word, made by setting
-    the counter one step short of it and drawing the block."""
-    import numpy as np
-
+    needs just the block that holds the last skipped word, made by moving
+    the counter one step short of it (advance, which wraps mod 2^256 and
+    drops the buffered block) and drawing the block."""
     if not m:
         return
     bg = rng.bit_generator
     state = bg.state
     fresh = m - state["has_uint32"]
-    state["has_uint32"] = fresh & 1
     if fresh:
         # t: the last skipped word's index, counted from the buffered
         # block's first word
         t = state["buffer_pos"] + (fresh + 1) // 2 - 1
         if t >= 4:
-            ctr = state["state"]["counter"].astype("<u8").tobytes()
-            ctr = (int.from_bytes(ctr, "little") + t // 4 - 1) % (1 << 256)
-            state["state"]["counter"] = np.frombuffer(
-                ctr.to_bytes(32, "little"), dtype="<u8").astype(np.uint64)
-            state["buffer_pos"] = 4
-            bg.state = state
+            bg.advance(t // 4 - 1)
             bg.random_raw(4)
             state = bg.state
             t %= 4
         state["buffer_pos"] = t + 1
         state["uinteger"] = int(state["buffer"][t]) >> 32
+    state["has_uint32"] = fresh & 1
     bg.state = state
 
 

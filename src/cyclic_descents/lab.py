@@ -159,7 +159,7 @@ def theoretical_moments(stat: str, n: int) -> MomentReport:
 
     The same values hold for the cyclic classes CB, CD and CDbar once
     n >= 4, and not at n = 3: `verify.check_moments(4, 4)` passes and
-    `check_moments(3, 3)` fails.
+    `check_moments` refuses a degree below 4.
     """
     from fractions import Fraction
 

@@ -20,7 +20,9 @@ behind the count and moment claims run their own workers; colored runs
 serially.  Each part keeps its first failures through _note and the
 parent merges them through _note, so the processes never change what a
 claim reports.  Only the descent sweep can also be sharded by unrank
-range, or told its number of processes.
+range, or told its number of processes.  The +- pair claims (descents,
+gaps and the right inverse laws) read _pair_rows, the one walk that pairs
+a row of CB(N) with its negation.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -35,8 +37,8 @@ from functools import partial
 from itertools import chain, product
 
 from .cycles import _word_to_images
-from .domains import (DomainSpec, _over_range, _sign_pairs, _uniform_index,
-                      cardinality, iterate_words, make_rng, rank)
+from .domains import (DomainSpec, _over_range, _uniform_index, cardinality,
+                      iterate_words, make_rng, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
@@ -109,14 +111,30 @@ def _pair_rows(N, start, stop):
     Yields (pos, key, neg_key, (raw, Phi(pos), Phi(-pos))): pos is the
     pair's positive word, key and neg_key the ranks of pos and of -pos when
     they lie in the range, else None, and the triple one _capital_phi_pair
-    run.  A part's edge may split a pair; its half in the range then comes
-    alone, through the same rewriting of the positive word."""
-    for i, w, partner in _sign_pairs(N, start, stop):
-        if w[-1] > 0:
-            yield w, i, partner, _capital_phi_pair(w)
+    run.  Negating every entry of a row flips all N sign bits, so the
+    partner of rank i is i ^ (2^N - 1), in the other half of the same
+    magnitude block, and a block's first half holds its positive rows.  A
+    part's edge may split a pair; its half in the range then comes alone,
+    through the same rewriting of the positive word."""
+    d = DomainSpec("CB", N)
+    block = 1 << N
+    mask = block - 1
+    i = start
+    while i < stop:
+        base = i - i % block
+        end = min(stop, base + block)
+        if i == base and end == base + block:
+            for j, w in enumerate(iterate_words(d, base, base + block // 2), base):
+                yield w, j, j ^ mask, _capital_phi_pair(w)
         else:
-            pos = tuple(-v for v in w)
-            yield pos, None, i, _capital_phi_pair(pos)
+            for j, w in enumerate(iterate_words(d, i, end), i):
+                p = j ^ mask if start <= j ^ mask < stop else None
+                if w[-1] > 0:
+                    yield w, j, p, _capital_phi_pair(w)
+                elif p is None:
+                    pos = tuple(-v for v in w)
+                    yield pos, None, j, _capital_phi_pair(pos)
+        i = end
 
 
 def _descent_row(cap, row, note):
@@ -350,11 +368,14 @@ def check_colored(n, r=2) -> ClaimResult:
 
 def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
     """Exact des/fmaj moments on the three cyclic signed domains equal the
-    closed forms, as rationals, for every degree in [n_lo, n_hi]."""
+    closed forms, as rationals, for every degree in [n_lo, n_hi]; the forms
+    hold from n = 4 on, so a lower degree is refused."""
     from .lab import exact_distribution, exact_moments, theoretical_moments
 
     if n_lo > n_hi:
         raise ValueError(f"empty degree range {n_lo}..{n_hi}")
+    if n_lo < 4:
+        raise ValueError("closed-form moments require n >= 4")
     t0 = time.perf_counter()
     checked = 0
     bad = []

@@ -374,6 +374,8 @@ def test_parser_choices_match_the_library():
      "error: bad sample count -1\n"),
     (["verify", "--claim", "stat-gaps", "--n", "0"], 2, "error: bad degree bound 0\n"),
     (["verify", "--claim", "stat-gaps", "--n", "-3"], 2, "error: bad degree bound -3\n"),
+    (["verify", "--claim", "moments", "--n", "3"], 2,
+     "error: closed-form moments require n >= 4\n"),
     (["verify", "--claim", "order-swap-properties", "--samples", "0"], 2,
      "error: bad sample count 0\n"),
     (["tabulate", "--domain", "B", "--n", "3000"], 3, "budget: "),
@@ -382,7 +384,8 @@ def test_parser_choices_match_the_library():
 ], ids=["budget", "budget-refined", "syntax", "repeated", "map-instrument",
         "map-r", "map-color", "invert-r", "pretty-alone", "verify-negative-count",
         "sample-negative-count", "stat-gaps-zero", "stat-gaps-negative",
-        "verify-zero-count", "budget-past-the-digit-limit", "sample-seed-range"])
+        "moments-below-4", "verify-zero-count", "budget-past-the-digit-limit",
+        "sample-seed-range"])
 def test_exit_codes_in_a_fresh_process(argv, code, err):
     # the budget error class lives in a module the CLI imports lazily
     res = fresh("-m", "cyclic_descents.cli", *argv)

@@ -4,11 +4,14 @@ library name the benchmark imports exists."""
 import ast
 import importlib
 import json
+import operator
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -64,96 +67,69 @@ def bench_diff_rows(tmp_path, pr):
     return {tuple(line.split()[:2]): line.split() for line in res.stdout.splitlines()[1:]}
 
 
-def test_bench_diff_reads_the_committed_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 16)
-    assert len(rows) == 6
+ALL = ("sweep", "scale", "clt", "cli_cold")
+# a field check is (workload, metric, column, comparison, value); column 3
+# is the change's median and column 4 its ratio to the parent's
+RSS_HELD = [(w, "peak_rss_mb", 4, operator.le, 1.1) for w in ALL]
+
+# one row per committed BENCH_pr<pr> pair: its number of rows, the last
+# fields ("better" and "change median") of the rows it fixes, its field
+# checks, and whether no workload's median may be worse than its
+# BENCHMARK.json bound allows
+BENCH_PAIRS = [
     # the product-tree ranking made scale faster on every seed, by more than
     # the parent's quartile spread: higher is better for one, lower for the other
-    assert rows["scale", "checks_per_s"][-2:] == ["10/10", "above"]
-    assert rows["scale", "latency_p50_ms"][-2:] == ["10/10", "below"]
-    assert rows["scale", "peak_rss_mb"][-2:] == ["0/10", "above"]
-
-
-def test_bench_diff_reads_the_pr18_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 18)
-    assert len(rows) == 6
+    pytest.param(16, 6, {("scale", "checks_per_s"): ("10/10", "above"),
+                         ("scale", "latency_p50_ms"): ("10/10", "below"),
+                         ("scale", "peak_rss_mb"): ("0/10", "above")}, [], False, id="pr16"),
     # the batch sampler's draws on a worker thread made clt faster on every
     # seed, by more than the parent's quartile spread
-    assert rows["clt", "samples_per_s"][-2:] == ["10/10", "above"]
-    assert rows["clt", "latency_p50_ms"][-2:] == ["10/10", "below"]
-    assert float(rows["clt", "peak_rss_mb"][4]) <= 1.1
-
-
-def test_bench_diff_reads_the_pr19_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 19)
-    assert len(rows) == 24
+    pytest.param(18, 6, {("clt", "samples_per_s"): ("10/10", "above"),
+                         ("clt", "latency_p50_ms"): ("10/10", "below")},
+                 [("clt", "peak_rss_mb", 4, operator.le, 1.1)], False, id="pr18"),
     # the range driver made sweep faster on 8 of 10 seeds, its median above
     # the parent's quartiles; the two other pairs ran in a slow spell of the
     # host, in which clt on both trees also slowed by about a quarter
-    assert rows["sweep", "checks_per_s"][-2:] == ["8/10", "above"]
-    assert rows["sweep", "latency_p50_ms"][-2:] == ["8/10", "below"]
-    for workload in ("sweep", "scale", "clt", "cli_cold"):
-        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
-
-
-def test_bench_diff_reads_the_pr20_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 20)
-    assert len(rows) == 24
+    pytest.param(19, 24, {("sweep", "checks_per_s"): ("8/10", "above"),
+                          ("sweep", "latency_p50_ms"): ("8/10", "below")},
+                 RSS_HELD, False, id="pr19"),
     # every claim on the fork driver made sweep faster on every seed, its
     # median above the parent's quartiles
-    assert rows["sweep", "checks_per_s"][-2:] == ["10/10", "above"]
-    assert rows["sweep", "latency_p50_ms"][-2:] == ["10/10", "below"]
-    for workload in ("sweep", "scale", "clt", "cli_cold"):
-        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
-
-
-def test_bench_diff_reads_the_pr21_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 21)
-    assert len(rows) == 24
+    pytest.param(20, 24, {("sweep", "checks_per_s"): ("10/10", "above"),
+                          ("sweep", "latency_p50_ms"): ("10/10", "below")},
+                 RSS_HELD, False, id="pr20"),
     # the row walker claims no gain: sweep reads flat, its medians inside
     # the parent's quartiles
-    for metric in ("checks_per_s", "latency_p50_ms", "latency_tail_ms", "peak_rss_mb"):
-        assert rows["sweep", metric][-1] == "inside"
-    for workload in ("sweep", "scale", "clt", "cli_cold"):
-        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
-
-
-def test_bench_diff_reads_the_pr22_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 22)
-    assert len(rows) == 24
+    pytest.param(21, 24, {("sweep", m): ("inside",) for m in (
+        "checks_per_s", "latency_p50_ms", "latency_tail_ms", "peak_rss_mb")},
+                 RSS_HELD, False, id="pr21"),
     # the bijection claims' sorted keys lower sweep's peak memory on every
     # seed, its median below the parent's quartiles
-    assert rows["sweep", "peak_rss_mb"][-2:] == ["10/10", "below"]
-    assert float(rows["sweep", "peak_rss_mb"][4]) < 0.9
-    for workload in ("sweep", "scale", "clt", "cli_cold"):
-        assert float(rows[workload, "peak_rss_mb"][4]) <= 1.1
-
-
-def test_bench_diff_reads_the_pr23_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 23)
-    assert len(rows) == 24
-    # the value types on Record claim no gain: every median stays within its
-    # BENCHMARK.json bound of the parent's
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-    for (workload, metric), row in rows.items():
-        better, bound = bounds[metric]
-        ratio = float(row[4])
-        assert ratio >= 1 - bound if better == "higher" else ratio <= 1 + bound
-
-
-def test_bench_diff_reads_the_pr24_pair(tmp_path):
-    rows = bench_diff_rows(tmp_path, 24)
-    assert len(rows) == 24
+    pytest.param(22, 24, {("sweep", "peak_rss_mb"): ("10/10", "below")},
+                 [("sweep", "peak_rss_mb", 4, operator.lt, 0.9)] + RSS_HELD, False,
+                 id="pr22"),
+    # the value types on Record claim no gain
+    pytest.param(23, 24, {}, [], True, id="pr23"),
     # the caller draws each slice's signs, so no chunk of signs is held:
     # clt's peak memory fell on every seed, its median below the parent's
     # quartiles and at most 61 MB
-    assert rows["clt", "peak_rss_mb"][-2:] == ["10/10", "below"]
-    assert float(rows["clt", "peak_rss_mb"][3]) <= 61
-    # no workload's median is worse than its BENCHMARK.json bound allows
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-    for (workload, metric), row in rows.items():
-        better, bound = bounds[metric]
-        ratio = float(row[4])
-        assert ratio >= 1 - bound if better == "higher" else ratio <= 1 + bound
+    pytest.param(24, 24, {("clt", "peak_rss_mb"): ("10/10", "below")},
+                 [("clt", "peak_rss_mb", 3, operator.le, 61)], True, id="pr24"),
+]
+
+
+@pytest.mark.parametrize("pr, count, tails, fields, within_bounds", BENCH_PAIRS)
+def test_bench_diff_reads_the_pair(tmp_path, pr, count, tails, fields, within_bounds):
+    rows = bench_diff_rows(tmp_path, pr)
+    assert len(rows) == count
+    for key, tail in tails.items():
+        assert tuple(rows[key][-len(tail):]) == tail, key
+    for workload, metric, column, compare, value in fields:
+        assert compare(float(rows[workload, metric][column]), value), (workload, metric)
+    if within_bounds:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+        for (workload, metric), row in rows.items():
+            better, bound = bounds[metric]
+            ratio = float(row[4])
+            assert ratio >= 1 - bound if better == "higher" else ratio <= 1 + bound

@@ -134,6 +134,14 @@ def test_moments_refuses_an_empty_range():
         check_moments(5, 4)
 
 
+@pytest.mark.parametrize("n_lo, n_hi", [(3, 3), (1, 5)])
+def test_moments_refuses_degrees_below_4(n_lo, n_hi):
+    # the closed forms hold from n = 4 on; below it a mismatch is no violation
+    with pytest.raises(ValueError, match="closed-form moments require n >= 4$"):
+        check_moments(n_lo, n_hi)
+    assert check_moments(4, 4).passed
+
+
 def test_stat_gaps():
     r = check_stat_gaps(6)
     assert r.passed
@@ -262,7 +270,7 @@ def _constant_colored_phi(monkeypatch):
 def _wrong_moments(monkeypatch):
     monkeypatch.setattr(lab, "theoretical_moments",
                         lambda stat, n: MomentReport(-1, 0))
-    return lambda: check_moments(2, 4)
+    return lambda: check_moments(4, 6)
 
 
 def _many_to_one(monkeypatch):
