@@ -126,6 +126,8 @@ def test_colored():
 
 def test_moments():
     assert check_moments(5, 6).passed
+    # the lowest degree the closed forms hold at
+    assert check_moments(4, 4).passed
 
 
 def test_moments_refuses_an_empty_range():
@@ -139,7 +141,6 @@ def test_moments_refuses_degrees_below_4(n_lo, n_hi):
     # the closed forms hold from n = 4 on; below it a mismatch is no violation
     with pytest.raises(ValueError, match="closed-form moments require n >= 4$"):
         check_moments(n_lo, n_hi)
-    assert check_moments(4, 4).passed
 
 
 def test_stat_gaps():
