@@ -28,6 +28,9 @@ this script diff empty.  The families are:
 - one line per injected fault: each claim's (params, passed, checked,
   details, failures) with MAX_REPORTED at 5 and at 10^6, with the
   descent sweep also sharded and on two processes;
+- the refusal of each exhaustive claim asked to sweep more than the
+  enumeration budget: phi-descents, inverses, bijection-D, stat-gaps and
+  elizalde-equivalence at n = 20 and colored at n = 12;
 - the command line, run in-process through cli.main: one line per
   subcommand case and --format, each the (argv, exit code, stdout, stderr)
   of its calls, with verify's elapsed time left out, and one line each
@@ -443,6 +446,10 @@ def main():
     lines.append(("claim empty ranges", digest(fault_row(call) for call in (
         partial(check_moments, 5, 4), partial(check_order_swap_properties, count=0)))))
     lines += list(fault_lines())
+    lines.append(("claim budget refusals", digest(fault_row(call) for call in (
+        partial(check_phi_descents, 20), partial(check_inverses, 20),
+        partial(check_bijection, 20, "D"), partial(check_stat_gaps, 20),
+        partial(check_elizalde_equivalence, 20), partial(check_colored, 12)))))
     for label, h in lines:
         print(f"{label:<32} {h}")
 

@@ -4,10 +4,14 @@ Each checker exhaustively sweeps (or, where stated, randomly samples) its
 domain and returns a ClaimResult; nothing is asserted so callers decide how
 to report.  Each claim keys every failure by its rank or visit index and
 reports the MAX_REPORTED failures of smallest key, in key order.
-A swept claim is a row source, which turns a rank range into rows, plus a
-check, which notes a row's failures and returns how many checks it made.
-One walker, _sweep, feeds a range's rows to the check, and
-domains._over_range runs it.  That splits a sweep whose rows, weighed by
+A swept claim checks its arguments and hands the runner, _swept, a list
+of sweeps, each a rank range, a row source, which turns a rank range into
+rows, a check, which notes a row's failures and returns how many checks
+it made, and a cost.  The runner refuses a claim of more than
+BUDGET_LIMIT rows in all before it walks one (the bijection and colored
+claims refuse on their own counts, a descent shard on its own range),
+then runs each sweep through domains._over_range, which runs the walker
+_sweep over parts of the range.  It splits a sweep whose rows, weighed by
 their cost against a descent row, reach SERIAL_ROWS over this process,
 which walks the first part, and one forked child per other usable core;
 the order-swap claim draws every word first and splits the list.  The
@@ -18,11 +22,11 @@ instrumented run at degree 10.  The bijection claims, whose parts return
 every row's image as bytes for the parent to sort, and the exact tables
 behind the count and moment claims run their own workers; colored runs
 serially.  Each part keeps its first failures through _note and the
-parent merges them through _note, so the processes never change what a
+runner merges them through _note, so the processes never change what a
 claim reports.  Only the descent sweep can also be sharded by unrank
 range, or told its number of processes.  The +- pair claims (descents,
 gaps and the right inverse laws) read _pair_rows, the one walk that pairs
-a row of CB(N) with its negation.
+a row of CB(N) with its negation, one run of positive rows per block.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -37,8 +41,9 @@ from functools import partial
 from itertools import chain, product
 
 from .cycles import _word_to_images
-from .domains import (DomainSpec, _over_range, _uniform_index, cardinality,
-                      iterate_words, make_rng, rank)
+from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, _over_range,
+                      _shown, _uniform_index, cardinality, iterate_words,
+                      make_rng, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
@@ -81,14 +86,30 @@ def _result(claim, params, t0, checked, bad, details="", ok=True):
                        time.perf_counter() - t0, details, [x for _, x in bad])
 
 
-def _merged(parts):
-    """The (count, bad) results of consecutive parts of one sweep as one
-    count and one list of the first failures of smallest key."""
-    bad = []
-    for _, b in parts:
-        for key, item in b:
-            _note(bad, key, item)
-    return sum(c for c, _ in parts), bad
+def _within_budget(claim, rows):
+    """Refuse a claim of more than BUDGET_LIMIT rows before it walks one."""
+    if rows > BUDGET_LIMIT:
+        raise BudgetError(f"{claim} holds {_shown(rows)} rows, over the {BUDGET_LIMIT} budget")
+
+
+def _swept(claim, params, sweeps, processes=None):
+    """Run each sweep (start, stop, rows, check, cost) in order through
+    _over_range(_sweep, ...), on `processes` processes (by default as many
+    as it picks), and merge every part's first failures through _note.
+    A params key threads is set to the number of parts of the last sweep."""
+    _within_budget(claim, sum(stop - start for start, stop, *_ in sweeps))
+    t0 = time.perf_counter()
+    checked, bad = 0, []
+    for start, stop, rows, check, cost in sweeps:
+        parts = _over_range(_sweep, start, stop, rows, check, cost=cost,
+                            processes=processes)
+        for count, part in parts:
+            checked += count
+            for key, item in part:
+                _note(bad, key, item)
+    if "threads" in params:
+        params["threads"] = len(parts)
+    return _result(claim, params, t0, checked, bad)
 
 
 def _sweep(start, stop, rows, check):
@@ -111,30 +132,22 @@ def _pair_rows(N, start, stop):
     Yields (pos, key, neg_key, (raw, Phi(pos), Phi(-pos))): pos is the
     pair's positive word, key and neg_key the ranks of pos and of -pos when
     they lie in the range, else None, and the triple one _capital_phi_pair
-    run.  Negating every entry of a row flips all N sign bits, so the
-    partner of rank i is i ^ (2^N - 1), in the other half of the same
-    magnitude block, and a block's first half holds its positive rows.  A
-    part's edge may split a pair; its half in the range then comes alone,
-    through the same rewriting of the positive word."""
+    run.  Negating every entry of a row flips all N sign bits, so in a
+    magnitude block [base, base + 2^N), whose first half holds its positive
+    rows, the partner of rank j is j ^ (2^N - 1) = c - 1 - j, c = 2 base +
+    2^N.  The pairs meeting the block's part [s, t) of the range then have
+    the positive ranks [min(s, c - t), min(t, c - s, base + 2^(N-1))):
+    the part's positive rows joined to the mirror of its negative ones."""
     d = DomainSpec("CB", N)
     block = 1 << N
     mask = block - 1
-    i = start
-    while i < stop:
-        base = i - i % block
-        end = min(stop, base + block)
-        if i == base and end == base + block:
-            for j, w in enumerate(iterate_words(d, base, base + block // 2), base):
-                yield w, j, j ^ mask, _capital_phi_pair(w)
-        else:
-            for j, w in enumerate(iterate_words(d, i, end), i):
-                p = j ^ mask if start <= j ^ mask < stop else None
-                if w[-1] > 0:
-                    yield w, j, p, _capital_phi_pair(w)
-                elif p is None:
-                    pos = tuple(-v for v in w)
-                    yield pos, None, j, _capital_phi_pair(pos)
-        i = end
+    for base in range(start - start % block, stop, block):
+        s, t, c = max(start, base), min(stop, base + block), 2 * base + block
+        lo = min(s, c - t)
+        for j, w in enumerate(iterate_words(d, lo, min(t, c - s, base + block // 2)), lo):
+            p = j ^ mask
+            yield (w, j if s <= j < t else None, p if s <= p < t else None,
+                   _capital_phi_pair(w))
 
 
 def _descent_row(cap, row, note):
@@ -155,7 +168,6 @@ def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
     """Descents at 0..n-1 agree between each cyclic permutation of degree
     n+1 and its image in B_n; exhaustive over the (sharded) domain, on
     `threads` processes, by default as many as domains._over_range picks."""
-    t0 = time.perf_counter()
     if threads is not None and threads < 1:
         raise ValueError(f"bad thread count {threads}")
     N = n + 1
@@ -167,12 +179,12 @@ def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
         if not 0 <= i < t:
             raise ValueError(f"bad shard {i}/{t}")
         lo, hi = total * i // t, total * (i + 1) // t
-    parts = _over_range(_sweep, lo, hi, partial(_pair_rows, N),
-                        partial(_descent_row, (1 << n) - 1), processes=threads)
-    checked, bad = _merged(parts)
-    return _result("phi-descents", {"n": n, "shard": shard, "threads": len(parts)},
-                   t0, checked, bad,
-                   f"first bad words {[w for _, w in bad]}" if bad else "")
+    res = _swept("phi-descents", {"n": n, "shard": shard, "threads": threads},
+                 [(lo, hi, partial(_pair_rows, N), partial(_descent_row, (1 << n) - 1), 1)],
+                 threads)
+    if res.failures:
+        res.details = f"first bad words {res.failures}"
+    return res
 
 
 def _images_part(start, stop, kind, N):
@@ -205,6 +217,7 @@ def check_bijection(n, parity="D") -> ClaimResult:
     t0 = time.perf_counter()
     d = DomainSpec("CD" if parity == "D" else "CDbar", n + 1)
     total = cardinality(d)
+    _within_budget("bijection-" + parity, total)
     blob = b"".join(_over_range(_images_part, 0, total, d.kind, n + 1, cost=2))
     import numpy as np
 
@@ -267,15 +280,12 @@ def _right_inverse_row(N, row, note):
 def check_inverses(n) -> ClaimResult:
     """Six composition laws: the parity-class maps invert each other in both
     orders, and the raw positive-class maps do as well."""
-    t0 = time.perf_counter()
-    # one driver call per phase, so each splits evenly whatever its rows cost
+    # one sweep per phase, so each splits evenly whatever its rows cost
     B, CB = DomainSpec("B", n), DomainSpec("CB", n + 1)
-    checked, bad = _merged(
-        _over_range(_sweep, 0, cardinality(B), partial(_ranked, B),
-                    partial(_left_inverse_row, n + 1), cost=6)
-        + _over_range(_sweep, 0, cardinality(CB), partial(_pair_rows, n + 1),
-                      partial(_right_inverse_row, n + 1), cost=4))
-    return _result("inverses", {"n": n}, t0, checked, bad)
+    return _swept("inverses", {"n": n}, [
+        (0, cardinality(B), partial(_ranked, B), partial(_left_inverse_row, n + 1), 6),
+        (0, cardinality(CB), partial(_pair_rows, n + 1),
+         partial(_right_inverse_row, n + 1), 4)])
 
 
 def check_corollary_counts(n) -> ClaimResult:
@@ -314,11 +324,9 @@ def check_elizalde_equivalence(n) -> ClaimResult:
     plain permutation of degree n+1, with its internal cross-checks armed."""
     from .classic import _phi_classic_word
 
-    t0 = time.perf_counter()
     d = DomainSpec("CS", n + 1)
-    checked, bad = _merged(_over_range(_sweep, 0, cardinality(d), partial(_ranked, d),
-                                       partial(_elizalde_row, _phi_classic_word), cost=5))
-    return _result("elizalde-equivalence", {"n": n}, t0, checked, bad)
+    return _swept("elizalde-equivalence", {"n": n}, [
+        (0, cardinality(d), partial(_ranked, d), partial(_elizalde_row, _phi_classic_word), 5)])
 
 
 def check_colored(n, r=2) -> ClaimResult:
@@ -334,27 +342,29 @@ def check_colored(n, r=2) -> ClaimResult:
     from .colored import (ColoredPermutation, _inner_descents, color_of,
                           colored_phi, colored_psi)
 
+    _within_budget("colored", r ** (n + 1) * math.factorial(n))
     t0 = time.perf_counter()
     checked = 0
     # failures are keyed (phase, visit index): descents, color classes and
     # round trips, in that order
     bad = []
-    by_color = {c: set() for c in range(r)}
+    images = set()
     keep = set(range(1, n))
     for w in iterate_words(DomainSpec("CS", n + 1)):
         img = tuple(_word_to_images(w))
         out = colored_phi(ColoredPermutation(n + 1, r, img, (0,) * (n + 1))).omega
+        images.add(out)
         for tau in product(range(r), repeat=n + 1):
-            low = tau[:-1]
-            if _inner_descents(img, tau) & keep != _inner_descents(out, low):
+            if _inner_descents(img, tau) & keep != _inner_descents(out, tau[:-1]):
                 _note(bad, (0, checked),
                       ("descents", ColoredPermutation(n + 1, r, img, tau)))
-            by_color[sum(tau) % r].add((out, low))
             checked += 1
-    full = r ** n * math.factorial(n)
-    for c, hit in by_color.items():
-        if len(hit) != full:
-            _note(bad, (1, c), ("color-class", (c, len(hit), full)))
+    # each color class is hit by every image under each of the r^n kept
+    # colorings, its last color set by the class
+    hit, full = len(images) * r ** n, r ** n * math.factorial(n)
+    if hit != full:
+        for c in range(r):
+            _note(bad, (1, c), ("color-class", (c, hit, full)))
     for ww in iterate_words(DomainSpec("S", n)):
         p = ColoredPermutation(n, r, ww, (0,) * n)
         up = colored_psi(p, 0)
@@ -415,13 +425,9 @@ def check_stat_gaps(n_hi=7) -> ClaimResult:
     the flag major index by 0 to 2n+1, over cyclic degree-n domains."""
     if n_hi < 1:
         raise ValueError(f"bad degree bound {n_hi}")
-    t0 = time.perf_counter()
-    parts = []
-    for n in range(1, n_hi + 1):
-        parts += _over_range(_sweep, 0, cardinality(DomainSpec("CB", n)),
-                             partial(_pair_rows, n), partial(_gap_row, n), cost=1.5)
-    checked, bad = _merged(parts)
-    return _result("stat-gaps", {"n": f"1..{n_hi}"}, t0, checked, bad)
+    return _swept("stat-gaps", {"n": f"1..{n_hi}"}, [
+        (0, cardinality(DomainSpec("CB", n)), partial(_pair_rows, n), partial(_gap_row, n), 1.5)
+        for n in range(1, n_hi + 1)])
 
 
 def _order_swap_row(d, row, note):
@@ -441,7 +447,6 @@ def _order_swap_row(d, row, note):
 def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     """Instrumented runs on random positive-class cyclic words: all working
     order/swap invariants hold, and tracing never changes the output."""
-    t0 = time.perf_counter()
     if count < 1:
         raise ValueError(f"bad sample count {count}")
     if degree < 1:
@@ -454,12 +459,9 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     for _ in range(count):
         q = _uniform_index(rng, perms)
         indices.append(q << degree | _uniform_index(rng, 1 << (degree - 1)))
-    checked, bad = _merged(_over_range(
-        _sweep, 0, count, lambda start, stop: enumerate(indices[start:stop], start),
-        partial(_order_swap_row, DomainSpec("CB", degree)), cost=27))
-    return _result("order-swap-properties",
-                   {"count": count, "degree": degree, "seed": seed},
-                   t0, checked, bad)
+    return _swept("order-swap-properties", {"count": count, "degree": degree, "seed": seed},
+                  [(0, count, lambda start, stop: enumerate(indices[start:stop], start),
+                    partial(_order_swap_row, DomainSpec("CB", degree)), 27)])
 
 
 CLAIMS = {

@@ -381,11 +381,16 @@ def test_parser_choices_match_the_library():
     (["tabulate", "--domain", "B", "--n", "3000"], 3, "budget: "),
     (["sample", "--domain", "CB", "--n", "5", "--seed", str(2**64)], 2,
      "error: seed and worker must lie in 0..2^64-1\n"),
+    *((["verify", "--claim", claim, "--n", n], 3, "budget: ") for claim, n in (
+        ("phi-descents", "20"), ("inverses", "20"), ("bijection-D", "20"),
+        ("stat-gaps", "20"), ("elizalde-equivalence", "20"), ("colored", "12"))),
 ], ids=["budget", "budget-refined", "syntax", "repeated", "map-instrument",
         "map-r", "map-color", "invert-r", "pretty-alone", "verify-negative-count",
         "sample-negative-count", "stat-gaps-zero", "stat-gaps-negative",
         "moments-below-4", "verify-zero-count", "budget-past-the-digit-limit",
-        "sample-seed-range"])
+        "sample-seed-range", "budget-phi-descents", "budget-inverses",
+        "budget-bijection-D", "budget-stat-gaps", "budget-elizalde-equivalence",
+        "budget-colored"])
 def test_exit_codes_in_a_fresh_process(argv, code, err):
     # the budget error class lives in a module the CLI imports lazily
     res = fresh("-m", "cyclic_descents.cli", *argv)

@@ -174,6 +174,27 @@ def test_bijection_refuses_an_unknown_parity(monkeypatch):
         check_bijection(2, "X")
 
 
+def test_claims_past_the_budget_are_refused_before_any_row(monkeypatch):
+    # the budget is read when a claim runs; a refused claim reaches no
+    # range driver and walks no row
+    monkeypatch.setattr(verify, "BUDGET_LIMIT", 100)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_over_range", None)
+        m.setattr(verify, "iterate_words", None)
+        for call, rows in ((partial(check_phi_descents, 4), 768),
+                           (partial(check_bijection, 4, "D"), 384),
+                           (partial(check_colored, 3, 3), 486)):
+            with pytest.raises(domains.BudgetError,
+                               match=f"holds {rows} rows, over the 100 budget$"):
+                call()
+    # a shard is counted by its own range, and the inverse laws by both
+    # their sweeps: B(2) and CB(3), 8 + 16 rows
+    r = check_phi_descents(4, shard=(0, 8))
+    assert r.passed and r.checked == 96
+    assert check_inverses(2).passed
+    assert check_colored(3, 2).passed
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_pair_rows_key_each_rank_of_the_range_once(N):
     # every range at N < 4; at N = 4 (blocks of 16, pairs i and i ^ 15) cuts
@@ -185,6 +206,8 @@ def test_pair_rows_key_each_rank_of_the_range_once(N):
         for hi in (e for e in edges if e > lo):
             keys = []
             for pos, key, neg_key, phi in verify._pair_rows(N, lo, hi):
+                # no pair outside the range is rewritten
+                assert (key, neg_key) != (None, None)
                 assert phi == transfer._capital_phi_pair(pos)
                 for k, w in ((key, pos), (neg_key, tuple(-v for v in pos))):
                     if k is not None:
