@@ -33,9 +33,10 @@ this script diff empty.  The families are:
   elizalde-equivalence at n = 20 and colored at n = 12;
 - the command line, run in-process through cli.main: one line per
   subcommand case and --format, each the (argv, exit code, stdout, stderr)
-  of its calls, with verify's elapsed time left out, and one line each
+  of its calls, with verify's elapsed time left out, one line each
   over every format for the flags verify, tabulate and sample refuse and
-  for those map and invert refuse;
+  for those map and invert refuse, and one over every format for sample
+  streams of every kind at degrees 1 to 1001;
 - the repr and str of a fixed set of each value record: StatRecord,
   TransferTrace (empty and filled), DomainSpec and ColoredPermutation
   (checked and built by iterate);
@@ -292,6 +293,16 @@ MAP_FLAG_REFUSALS = [
     ["map", "--fn", "Phi", "--pretty", "[2,1]"]]
 
 
+# sample over every kind at degrees 1 to 1001, at the default seed and at
+# 2^64 - 1; the counts leave each stream mid-block of four Philox words
+SAMPLE_STREAMS = [
+    ["sample", "--domain", k, "--n", str(n), "--samples", str(count), *color, *seed]
+    for k, color in [(k, []) for k in ROW_KINDS] + [("CSnr", []),
+                                                      ("CSnr", ["--color", "1"])]
+    for n, count in ((1, 7), (8, 7), (60, 3), (1001, 3))
+    for seed in ([], ["--seed", str(2 ** 64 - 1)])]
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
@@ -314,6 +325,9 @@ def cli_lines():
     # text format only, one line over all eight words
     argvs = [["map", "--fn", "phi", str(x), "--instrument"] for x in stress_elements()]
     yield "cli map phi W_N text", digest((argv, *run_cli(argv)) for argv in argvs)
+    yield "cli sample n<=1001", digest(
+        (argv, fmt, *run_cli(argv + ["--format", fmt]))
+        for argv in SAMPLE_STREAMS for fmt in FORMATS)
 
 
 def claim_calls():

@@ -178,6 +178,27 @@ def test_tabulate_refined_budget_refusal_on_cyclic(capsys):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--domain", "CB", "--n", "8", "--seed", "7", "--samples", "9"],
+    ["sample", "--domain", "CSnr", "--n", "60", "--color", "1", "--samples", "3",
+     "--format", "json"],
+    ["sample", "--domain", "D", "--n", "1001", "--seed", str(2**64 - 1),
+     "--samples", "2", "--format", "csv"],
+], ids=["CB8", "CSnr60-json", "D1001-csv"])
+def test_sample_prints_the_same_bytes_from_either_stream(capsys, monkeypatch, argv):
+    from cyclic_descents import cli, domains
+
+    made = []
+    monkeypatch.setattr(domains, "make_rng",
+                        lambda *a, real=domains.make_rng: made.append(a) or real(*a))
+    code, ints, err = run(capsys, *argv)
+    assert (code, err, made) == (0, "", [])
+    # with no words to spare for integers, numpy draws the stream
+    monkeypatch.setattr(cli, "INT_STREAM_WORDS", 0)
+    assert run(capsys, *argv) == (0, ints, "")
+    assert len(made) == 1
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--domain", "CD", "--n", "6", "--samples", "4",
             "--seed", "123", "--format", "json")
@@ -306,12 +327,12 @@ HEAVY = ("cyclic_descents.lab", "cyclic_descents.verify",
     (["stats", "--format", "csv", "[-3,1,2,-5,-4,6]"], HEAVY),
     (["map", "--fn", "Phi", "(-4,-1,2,5,-3,-6,7)"], HEAVY),
     (["invert", "--fn", "PsiD", "--format", "json", "[1,2,-6,-3,-5,4]"], HEAVY),
-    # numpy itself loads inspect
+    # a short stream is drawn in integers, so numpy (which loads inspect) stays out
     (["sample", "--domain", "CB", "--n", "4"],
      ("cyclic_descents.lab", "cyclic_descents.verify",
       "cyclic_descents.transfer", "cyclic_descents.classic",
       "cyclic_descents.colored", "cyclic_descents.tracing", "fractions",
-      "dataclasses")),
+      "dataclasses", "numpy", "inspect")),
     (["tabulate", "--domain", "CB", "--n", "4"],
      ("cyclic_descents.colored", "cyclic_descents.transfer",
       "cyclic_descents.verify", "numpy", "fractions")),

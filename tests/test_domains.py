@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -18,7 +19,8 @@ from cyclic_descents import domains
 from cyclic_descents.colored import ColoredPermutation, color_of
 from cyclic_descents.cycles import is_cyclic
 from cyclic_descents.domains import (KINDS, SAMPLE_CHUNK, BudgetError,
-                                     DomainSpec, _perm_rank, _perm_unrank,
+                                     DomainSpec, IntPhilox, _perm_rank,
+                                     _perm_unrank,
                                      _radix_runs, _sign_bits, _skip_sign_bits,
                                      _uniform_index, cardinality, iterate,
                                      iterate_words, make_rng, rank, sample,
@@ -276,6 +278,112 @@ def test_rng_streams_are_stable_and_worker_split():
     c = make_rng(123, worker=1).integers(0, 1 << 32, size=4)
     assert (a == b).all()
     assert (a != c).any()
+
+
+def test_rng_takes_numpy_integers():
+    # a numpy worker id once shifted to 0, so worker 1 drew worker 0's stream
+    want = make_rng(5, worker=1).integers(0, 1 << 32, size=4)
+    for worker in (np.uint64(1), np.int64(1)):
+        assert (make_rng(5, worker=worker).integers(0, 1 << 32, size=4) == want).all()
+    assert (make_rng(np.uint64(5), 1).integers(0, 1 << 32, size=4) == want).all()
+    assert (make_rng(2**64 - 1, np.int64(3)).integers(0, 1 << 32, size=4) ==
+            make_rng(2**64 - 1, 3).integers(0, 1 << 32, size=4)).all()
+    d = DomainSpec("CB", 6)
+    one = sample_stat_batch(d, "des", 50, 5, worker=np.uint64(1))
+    assert np.array_equal(one, sample_stat_batch(d, "des", 50, 5, worker=1))
+    assert not np.array_equal(one, sample_stat_batch(d, "des", 50, 5))
+    for make in (make_rng, IntPhilox):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make(5.0)
+        with pytest.raises(ValueError, match=r"seed and worker must lie in 0\.\.2\^64-1"):
+            make(np.int64(-1))
+
+
+_TOP = (1 << 64) - 1
+_rnd = random.Random(28)
+# the extreme keys, then random ones
+_KEYS = [(0, 0), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)] + [
+    (_rnd.getrandbits(64), _rnd.getrandbits(64)) for _ in range(12)]
+
+
+def _numpy_words(seed, worker, counter=0):
+    """make_rng(seed, worker)'s bit generator with its 256-bit counter set."""
+    bg = make_rng(seed, worker).bit_generator
+    st = bg.state
+    st["state"]["counter"] = np.array([counter >> s & _TOP for s in (0, 64, 128, 192)],
+                                      dtype=np.uint64)
+    bg.state = st
+    return bg
+
+
+def _int_words(seed, worker, counter=0):
+    words = IntPhilox(seed, worker)
+    words._counter = counter
+    return words
+
+
+@pytest.mark.parametrize("key", _KEYS, ids=str)
+def test_int_philox_draws_numpy_philox_words(key):
+    # draws of 0..9 words, in orders that start and end at every position
+    # of a four-word block, then one draw the size of a degree-1001 index
+    rnd = random.Random(f"{key}")
+    sizes = [*range(10), *range(9, -1, -1)] + [rnd.randrange(10) for _ in range(40)]
+    a, b = IntPhilox(*key), make_rng(*key).bit_generator
+    for k in sizes + [149, 3]:
+        assert a.random_raw(k) == b.random_raw(k).tolist(), k
+
+
+# two blocks short of a carry out of limb 0, and of the wrap at 2^256
+@pytest.mark.parametrize("counter", [_TOP - 1, (1 << 256) - 2], ids=["carry", "wrap"])
+def test_int_philox_counter_carries_and_wraps_as_numpys(counter):
+    for key in _KEYS[:4]:
+        a, b = _int_words(*key, counter), _numpy_words(*key, counter)
+        for k in (1, 3, 2, 4, 5, 0, 9, 7):
+            assert a.random_raw(k) == b.random_raw(k).tolist(), (key, k)
+        limbs = b.state["state"]["counter"].tolist()
+        assert a._counter == sum(c << 64 * i for i, c in enumerate(limbs))
+        # limb 0 did carry out
+        assert limbs[0] < 16
+
+
+# bounds of 1, 2, 3 and 149 64-bit words
+@pytest.mark.parametrize("k", [2**63 + 1, 3 << 100, 5 << 180,
+                               math.factorial(1000) << 1000], ids=[1, 2, 3, 149])
+def test_uniform_index_reads_the_same_index_from_both_sources(k):
+    for key in _KEYS[:5]:
+        a, b = IntPhilox(*key), make_rng(*key)
+        assert [_uniform_index(a, k) for _ in range(20)] == \
+            [_uniform_index(b, k) for _ in range(20)]
+        assert a.random_raw(1) == b.bit_generator.random_raw(1).tolist()
+
+
+def test_sample_reads_an_int_philox_as_its_generator():
+    for kind in KINDS:
+        d = DomainSpec(kind, 9, r=3 if kind == "CSnr" else None)
+        a, b = IntPhilox(11), make_rng(11)
+        assert [sample(d, a) for _ in range(5)] == [sample(d, b) for _ in range(5)]
+    d = DomainSpec("CD", 5)
+    assert sample(d, np.int64(99)) == sample(d, 99) == sample(d, make_rng(99))
+
+
+def test_sample_refuses_a_seed_that_is_not_an_integer():
+    d = DomainSpec("CB", 4)
+    for bad in (5.0, None, "5"):
+        with pytest.raises(TypeError, match="sample takes an integer seed or a "
+                                            f"generator, not {type(bad).__name__}"):
+            sample(d, bad)
+    # deciding loads no numpy
+    code = ("import sys\n"
+            "from cyclic_descents.domains import DomainSpec, sample\n"
+            "try:\n"
+            "    sample(DomainSpec('CB', 4), 5.0)\n"
+            "except TypeError:\n"
+            "    print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 def test_scalar_sampling_uniform_chi_square():
@@ -559,8 +667,6 @@ def _philox_state(rng):
             tuple(st["buffer"].tolist()), st["buffer_pos"], st["has_uint32"],
             st["uinteger"])
 
-
-_TOP = (1 << 64) - 1
 
 
 # the counter at the start: fresh, two steps short of a carry out of limb 0,
