@@ -40,7 +40,7 @@ DOMAIN_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
 # from numpy past that; both print the same bytes.  A cold process loads
 # numpy in 80-90 ms and IntPhilox makes a word in about 1.2 us, so the
 # integer side wins a cold `sample` up to about 25000 words of one-word
-# draws (CB at n = 8) and 40000 of 149-word draws (CB at n = 1001); the
+# draws (CB at n = 8) and 45000 of 149-word draws (CB at n = 1001); the
 # bound stays below both (medians of 5-9 alternating runs, 2-vCPU VM,
 # CPython 3.11, numpy 2.4.6)
 INT_STREAM_WORDS = 1 << 14

@@ -37,10 +37,14 @@ builds the code right to left, counting each entry's smaller later entries
 in a bitset; unrank pops each digit's entry from a pool.  A row stream
 unranks its first magnitudes only and steps to the lex successor.
 
-Randomness comes from a counter-based generator (Philox) keyed by
-(worker_id << 64) | seed, each below 2^64: fixed (seed, worker) pairs give
-reproducible streams, distinct pairs distinct ones.  The scalar sampler draws a
-uniform index by rejection on raw 64-bit words and unranks it.  The batch
+Randomness comes from a counter-based generator, Philox4x64-10 (Salmon et
+al., SC 2011), keyed by (worker_id << 64) | seed, each an integer below
+2^64: fixed (seed, worker) pairs give reproducible streams, distinct pairs
+distinct ones.  make_rng draws it through numpy; IntPhilox computes the
+same raw words in Python integers, which costs far more per word but loads
+no numpy, so it suits short streams in a cold process.  The scalar sampler
+draws a uniform index by rejection on raw 64-bit words from either source
+and unranks it.  The batch
 sampler vectorizes cycle words straight into statistic values for large
 degrees.  Its stream is that of numpy's row-wise shuffle and of numpy's
 bounded integer draws, and it makes exactly those draws more cheaply: it

@@ -306,7 +306,7 @@ _KEYS = [(0, 0), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)] + [
     (_rnd.getrandbits(64), _rnd.getrandbits(64)) for _ in range(12)]
 
 
-def _numpy_words(seed, worker, counter=0):
+def _numpy_words(seed, worker, counter):
     """make_rng(seed, worker)'s bit generator with its 256-bit counter set."""
     bg = make_rng(seed, worker).bit_generator
     st = bg.state
@@ -314,12 +314,6 @@ def _numpy_words(seed, worker, counter=0):
                                       dtype=np.uint64)
     bg.state = st
     return bg
-
-
-def _int_words(seed, worker, counter=0):
-    words = IntPhilox(seed, worker)
-    words._counter = counter
-    return words
 
 
 @pytest.mark.parametrize("key", _KEYS, ids=str)
@@ -337,7 +331,8 @@ def test_int_philox_draws_numpy_philox_words(key):
 @pytest.mark.parametrize("counter", [_TOP - 1, (1 << 256) - 2], ids=["carry", "wrap"])
 def test_int_philox_counter_carries_and_wraps_as_numpys(counter):
     for key in _KEYS[:4]:
-        a, b = _int_words(*key, counter), _numpy_words(*key, counter)
+        a, b = IntPhilox(*key), _numpy_words(*key, counter)
+        a._counter = counter
         for k in (1, 3, 2, 4, 5, 0, 9, 7):
             assert a.random_raw(k) == b.random_raw(k).tolist(), (key, k)
         limbs = b.state["state"]["counter"].tolist()

@@ -128,6 +128,17 @@ BENCH_PAIRS = [
                           ("sweep", "latency_p50_ms"): ("inside",),
                           ("cli_cold", "latency_p50_ms"): ("inside",)},
                  [("clt", "peak_rss_mb", 3, operator.le, 61)], True, id="pr27"),
+    # short `cycdes sample` streams drawn in integers, without numpy, made
+    # cli_cold faster on every seed, its median above the parent's
+    # quartiles and at least 10 % up; scale and clt, which keep numpy, and
+    # sweep read flat
+    pytest.param(28, 24, {("cli_cold", "checks_per_s"): ("10/10", "above"),
+                          ("cli_cold", "latency_tail_ms"): ("10/10", "below"),
+                          ("scale", "checks_per_s"): ("inside",),
+                          ("clt", "samples_per_s"): ("inside",),
+                          ("sweep", "checks_per_s"): ("inside",)},
+                 [("cli_cold", "checks_per_s", 4, operator.ge, 1.1),
+                  ("clt", "peak_rss_mb", 3, operator.le, 61)], True, id="pr28"),
 ]
 
 
