@@ -35,16 +35,6 @@ CLAIM_FLAGS = {
 }
 DOMAIN_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
 
-# `sample` takes make_rng's raw words from IntPhilox, which computes them
-# in Python integers, when its draws need at most this many words, and
-# from numpy past that; both print the same bytes.  A cold process loads
-# numpy in 80-90 ms and IntPhilox makes a word in about 1.2 us, so the
-# integer side wins a cold `sample` up to about 25000 words of one-word
-# draws (CB at n = 8) and 45000 of 149-word draws (CB at n = 1001); the
-# bound stays below both (medians of 5-9 alternating runs, 2-vCPU VM,
-# CPython 3.11, numpy 2.4.6)
-INT_STREAM_WORDS = 1 << 14
-
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -319,14 +309,13 @@ def _cmd_tabulate(cfg):
 
 
 def _cmd_sample(cfg):
-    from .domains import IntPhilox, cardinality, make_rng, sample
+    from .domains import IntPhilox, sample
 
     if cfg.samples < 0:
         raise ValueError(f"bad sample count {cfg.samples}")
     d = _domain_from(cfg)
-    words = -(-(cardinality(d) - 1).bit_length() // 64)
-    short = cfg.samples * words <= INT_STREAM_WORDS
-    rng = (IntPhilox if short else make_rng)(cfg.seed)
+    # make_rng(seed)'s words, computed without loading numpy
+    rng = IntPhilox(cfg.seed)
     xs = [str(sample(d, rng)) for _ in range(cfg.samples)]
     payload = {"domain": d.kind, "n": d.n, "seed": cfg.seed, "samples": xs}
     _emit(cfg, payload, xs,

@@ -178,25 +178,23 @@ def test_tabulate_refined_budget_refusal_on_cyclic(capsys):
     assert code == 3 and "budget" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--domain", "CB", "--n", "8", "--seed", "7", "--samples", "9"],
-    ["sample", "--domain", "CSnr", "--n", "60", "--color", "1", "--samples", "3",
-     "--format", "json"],
-    ["sample", "--domain", "D", "--n", "1001", "--seed", str(2**64 - 1),
-     "--samples", "2", "--format", "csv"],
-], ids=["CB8", "CSnr60-json", "D1001-csv"])
-def test_sample_prints_the_same_bytes_from_either_stream(capsys, monkeypatch, argv):
-    from cyclic_descents import cli, domains
+# 600 one-word draws pass a batch of the integer stream's words, and a
+# degree-1001 draw takes 149 words
+@pytest.mark.parametrize("argv,domain", [
+    (["--domain", "CB", "--n", "8", "--seed", "7", "--samples", "600"], ("CB", 8)),
+    (["--domain", "CSnr", "--n", "60", "--color", "1", "--samples", "3"],
+     ("CSnr", 60, 2, 1)),
+    (["--domain", "D", "--n", "1001", "--seed", str(2**64 - 1), "--samples", "5"],
+     ("D", 1001)),
+], ids=["CB8", "CSnr60", "D1001"])
+def test_sample_prints_the_stream_of_make_rng(capsys, argv, domain):
+    from cyclic_descents.domains import DomainSpec, make_rng, sample
 
-    made = []
-    monkeypatch.setattr(domains, "make_rng",
-                        lambda *a, real=domains.make_rng: made.append(a) or real(*a))
-    code, ints, err = run(capsys, *argv)
-    assert (code, err, made) == (0, "", [])
-    # with no words to spare for integers, numpy draws the stream
-    monkeypatch.setattr(cli, "INT_STREAM_WORDS", 0)
-    assert run(capsys, *argv) == (0, ints, "")
-    assert len(made) == 1
+    code, out, err = run(capsys, "sample", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    d, rng = DomainSpec(*domain), make_rng(got["seed"])
+    assert got["samples"] == [str(sample(d, rng)) for _ in got["samples"]]
 
 
 def test_sample_deterministic(capsys):

@@ -316,29 +316,34 @@ def _numpy_words(seed, worker, counter):
     return bg
 
 
+def _raw_bytes(bg, k):
+    return bg.random_raw(k).astype(">u8").tobytes()
+
+
 @pytest.mark.parametrize("key", _KEYS, ids=str)
 def test_int_philox_draws_numpy_philox_words(key):
     # draws of 0..9 words, in orders that start and end at every position
-    # of a four-word block, then one draw the size of a degree-1001 index
+    # of a four-word block, then draws the size of a degree-1001 index
+    # across a batch's end, and draws longer than a batch
     rnd = random.Random(f"{key}")
     sizes = [*range(10), *range(9, -1, -1)] + [rnd.randrange(10) for _ in range(40)]
     a, b = IntPhilox(*key), make_rng(*key).bit_generator
-    for k in sizes + [149, 3]:
-        assert a.random_raw(k) == b.random_raw(k).tolist(), k
+    for k in sizes + [149, 3, 149, 149, 600, 1500, 7]:
+        assert a.raw_bytes(k) == _raw_bytes(b, k), k
 
 
-# two blocks short of a carry out of limb 0, and of the wrap at 2^256
-@pytest.mark.parametrize("counter", [_TOP - 1, (1 << 256) - 2], ids=["carry", "wrap"])
+# two blocks short of a carry out of limb 0, and of the wrap at 2^256, and
+# a batch short of each, so that it falls on the second batch's first block
+@pytest.mark.parametrize("counter", [_TOP - 1, (1 << 256) - 2, _TOP - 128, (1 << 256) - 129],
+                         ids=["carry", "wrap", "carry-at-batch", "wrap-at-batch"])
 def test_int_philox_counter_carries_and_wraps_as_numpys(counter):
     for key in _KEYS[:4]:
         a, b = IntPhilox(*key), _numpy_words(*key, counter)
         a._counter = counter
-        for k in (1, 3, 2, 4, 5, 0, 9, 7):
-            assert a.random_raw(k) == b.random_raw(k).tolist(), (key, k)
-        limbs = b.state["state"]["counter"].tolist()
-        assert a._counter == sum(c << 64 * i for i, c in enumerate(limbs))
+        for k in (1, 3, 2, 4, 5, 0, 9, 7, 600):
+            assert a.raw_bytes(k) == _raw_bytes(b, k), (key, k)
         # limb 0 did carry out
-        assert limbs[0] < 16
+        assert b.state["state"]["counter"][0] < 200
 
 
 # bounds of 1, 2, 3 and 149 64-bit words
@@ -349,7 +354,7 @@ def test_uniform_index_reads_the_same_index_from_both_sources(k):
         a, b = IntPhilox(*key), make_rng(*key)
         assert [_uniform_index(a, k) for _ in range(20)] == \
             [_uniform_index(b, k) for _ in range(20)]
-        assert a.random_raw(1) == b.bit_generator.random_raw(1).tolist()
+        assert a.raw_bytes(1) == _raw_bytes(b.bit_generator, 1)
 
 
 def test_sample_reads_an_int_philox_as_its_generator():
