@@ -128,7 +128,7 @@ BENCH_PAIRS = [
                           ("sweep", "latency_p50_ms"): ("inside",),
                           ("cli_cold", "latency_p50_ms"): ("inside",)},
                  [("clt", "peak_rss_mb", 3, operator.le, 61)], True, id="pr27"),
-    # short `cycdes sample` streams drawn in integers, without numpy, made
+    # `cycdes sample` drawing its words in integers, without numpy, made
     # cli_cold faster on every seed, its median above the parent's
     # quartiles and at least 10 % up; scale and clt, which keep numpy, and
     # sweep read flat
