@@ -10,6 +10,8 @@ this script diff empty.  The families are:
   sample/rank/unrank at degree 1001 (the script exits non-zero if
   rank(unrank(i)) != i anywhere);
 - seeded sample streams, and _uniform_index at 1, 2, 3 and 149 words;
+- sample from integer seeds over every kind at degrees 1 to 1001, and
+  the raw bytes of one IntPhilox stream over draws of growing size;
 - sample_stat_batch streams, also at counts that end mid-chunk, and one
   worker's stream over several chunks;
 - the transfer maps: capital_phi over CB(<=6), phi_plus over its positive
@@ -62,10 +64,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cyclic_descents import classic, cli, colored, lab, transfer, verify
 from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
 from cyclic_descents.cycles import _word_to_images, is_cyclic, to_canonical_cycles
-from cyclic_descents.domains import (SAMPLE_CHUNK, DomainSpec, _uniform_index,
-                                     cardinality, iterate, iterate_words,
-                                     make_rng, rank, sample, sample_stat_batch,
-                                     unrank)
+from cyclic_descents.domains import (SAMPLE_CHUNK, DomainSpec, IntPhilox,
+                                     _uniform_index, cardinality, iterate,
+                                     iterate_words, make_rng, rank, sample,
+                                     sample_stat_batch, unrank)
 from cyclic_descents.lab import MomentReport
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import DescentSet, StatRecord, descent_set, stats
@@ -433,6 +435,12 @@ def main():
     for k in INDEX_BOUNDS:
         words = -(-(k - 1).bit_length() // 64)
         lines.append((f"_uniform_index {words} words", digest(index_stream(k))))
+    rng = IntPhilox(SEED)
+    lines.append(("sample int seed, raw_bytes", digest(
+        [str(sample(DomainSpec(kind, n, r=3 if kind == "CSnr" else None), s))
+         for kind in ROW_KINDS + ("CSnr",) for n in (1, 8, 60, 1001)
+         for s in (0, SEED, 2 ** 64 - 1)]
+        + [rng.raw_bytes(k) for k in (0, 1, 3, 4, 149, 7, 600, 5000, 2)])))
     for kind in ("CB", "CD", "CDbar"):
         for stat in ("des", "maj", "neg", "fmaj"):
             lines.append((f"sample_stat_batch {kind} {stat}", digest(

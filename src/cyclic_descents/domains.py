@@ -41,15 +41,16 @@ Randomness comes from a counter-based generator, Philox4x64-10 (Salmon et
 al., SC 2011), keyed by (worker_id << 64) | seed, each an integer below
 2^64: fixed (seed, worker) pairs give reproducible streams, distinct pairs
 distinct ones.  make_rng draws it through numpy; IntPhilox computes the
-same raw words in Python integers, a batch of blocks per packed integer.  A
-long index costs more per word that way, but no numpy is loaded, so the
-CLI's `sample` draws from it.  The scalar sampler draws a uniform index by
-rejection on raw 64-bit words from either source and unranks it.  The batch
-sampler vectorizes cycle words straight into statistic values for large
-degrees.  Its stream is that of numpy's row-wise shuffle and of numpy's
-bounded integer draws, and it makes exactly those draws more cheaply: it
-shuffles pointer-sized rows, numpy's fast case, and reads each sign bit from
-a raw word where numpy's bounded draw on a range of two would read it.
+same raw words in Python integers, a batch of blocks per packed integer,
+each batch sized to the draw.  The scalar sampler draws a uniform index by
+rejection on raw 64-bit words from either source and unranks it; from an
+integer seed it reads IntPhilox, so a scalar draw loads no numpy.  The
+batch sampler vectorizes cycle words straight into statistic values for
+large degrees.  Its stream is that of numpy's row-wise shuffle and of
+numpy's bounded integer draws, and it makes exactly those draws more
+cheaply: it shuffles pointer-sized rows, numpy's fast case, and reads each
+sign bit from a raw word where numpy's bounded draw on a range of two would
+read it.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def _rows(d: DomainSpec, start, stop):
     cyclic, bits, parity = _layout(d)
     n = d.n
     block = 1 << bits
-    q, s = divmod(start, block)
+    q, s = start >> bits, start & (block - 1)
     remaining = stop - start
     if not remaining:
         return
@@ -549,15 +550,23 @@ def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# IntPhilox runs _LANES blocks at once, one packed integer per limb: lane j
-# of a packed integer is its bits 256 j .. 256 j + 255, and block b of a
-# batch sits in lane _LANES - 1 - b, so the packed words print in stream
-# order
+# IntPhilox runs up to _LANES blocks at once, one packed integer per limb:
+# lane j of a packed integer is its bits 256 j .. 256 j + 255, and block b of
+# a batch of L blocks sits in lane L - 1 - b, so the packed words print in
+# stream order
 _LANES = 128
 _REP = int.from_bytes((b"\0" * 31 + b"\1") * _LANES, "big")  # 1 in each lane
 _RAMP = int.from_bytes(b"".join(b.to_bytes(32, "big") for b in range(_LANES)),
                        "big")  # b in block b's lane
 _LO = _MASK64 * _REP  # each lane's low limb
+
+
+@lru_cache(maxsize=16)
+def _lane_constants(lanes):
+    """_REP, _LO and _RAMP for a batch of `lanes` blocks: the low lanes of
+    the first two, the high lanes of the ramp."""
+    cut = (1 << 256 * lanes) - 1
+    return _REP & cut, _LO & cut, _RAMP >> 256 * (_LANES - lanes)
 
 
 class IntPhilox:
@@ -572,51 +581,67 @@ class IntPhilox:
     the key, mod 2^64.  As in numpy, the counter steps before each block
     and wraps at 2^256.
 
-    The rounds run on _LANES blocks at once, so each multiply, shift and
-    mask is one big-integer operation over all of them.  On a 2-vCPU VM
-    (CPython 3.11, numpy 2.4) a batch took 100-200 us, 0.8-1.6 us a block,
-    where the same rounds on one block's four integers took 5 us.  A
-    one-word index took 1.6 us
-    here against 3 us through numpy, and a degree-1001 index of 149 words
-    50-60 us against 7 us.  So the library's samplers keep numpy, and the
-    CLI's `sample`, which would load numpy (85-90 ms) for its draws, takes
-    this stream."""
+    The rounds run on a batch of blocks at once, one lane each, so each
+    multiply, shift and mask is one big-integer operation over all of them.
+    A batch covers what a draw still needs and at least doubles the last
+    batch, up to _LANES blocks, so a short stream computes few blocks and a
+    long one soon runs at the widest batch's cost per block.  The round
+    keys are packed for a batch's lane count when it changes.  On a 2-vCPU
+    VM (CPython 3.11, numpy 2.4) construction took 3 us, and a batch of 1,
+    4, 8, 38 and 128 blocks about 6, 2.2, 1.5, 1.3 and 0.9-1.4 us a block.
+    A one-word index took 2 us here against 3 us through numpy; the first
+    degree-1001 index of a stream, 149 words in 37 or 38 blocks, took 66-73
+    us against 18-19 us through a new numpy Generator.  Every scalar draw
+    of the library reads this stream, which loads no numpy (85-90 ms in a
+    cold process); only the batch sampler draws through make_rng."""
 
-    __slots__ = ("_keys", "_counter", "_buf", "_at")
+    __slots__ = ("_round_keys", "_keys", "_lanes", "_counter", "_buf", "_at")
 
     def __init__(self, seed: int, worker: int = 0):
         key = _philox_key(seed, worker)
         k0, k1 = key & _MASK64, key >> 64
         w0, w1 = _PHILOX_W
-        # each round's key, in every lane
-        self._keys = [(((k0 + i * w0) & _MASK64) * _REP,
-                       ((k1 + i * w1) & _MASK64) * _REP) for i in range(10)]
+        # each round's key, and each packed in every lane of the last batch
+        self._round_keys = [((k0 + i * w0) & _MASK64, (k1 + i * w1) & _MASK64)
+                       for i in range(10)]
+        self._keys = ()
+        self._lanes = 0
         # the last block's counter, and the bytes made but not yet read
         self._counter = 0
         self._buf = b""
         self._at = 0
 
-    def _batch(self):
+    def _batch(self, lanes):
+        """The bytes of the next `lanes` blocks."""
+        rep, lo, ramp = _lane_constants(lanes)
+        if lanes != self._lanes:
+            self._lanes = lanes
+            self._keys = [(k0 * rep, k1 * rep) for k0, k1 in self._round_keys]
         start = self._counter + 1
-        self._counter = (self._counter + _LANES) % (1 << 256)
+        self._counter = (self._counter + lanes) % (1 << 256)
         # each lane's counter; a lane that passed 2^256 carried 1 into the
         # lane above, which the last term takes back
-        wrapped = max(0, start + _LANES - (1 << 256))
-        v = start * _REP + _RAMP - ((_REP & ((1 << 256 * wrapped) - 1)) << 256)
-        c0, c1, c2, c3 = (v >> s & _LO for s in (0, 64, 128, 192))
+        wrapped = max(0, start + lanes - (1 << 256))
+        v = start * rep + ramp - ((rep & ((1 << 256 * wrapped) - 1)) << 256)
+        c0, c1, c2, c3 = (v >> s & lo for s in (0, 64, 128, 192))
         m0, m1 = _PHILOX_M
         for k0, k1 in self._keys:
             p0, p1 = c0 * m0, c2 * m1
             # c1 and c3 hold whole products; the mask after the xor cuts them
-            c0, c1, c2, c3 = ((p1 >> 64 ^ c1) & _LO ^ k0, p1,
-                              (p0 >> 64 ^ c3) & _LO ^ k1, p0)
-        words = c0 << 192 | (c1 & _LO) << 128 | c2 << 64 | c3 & _LO
-        return words.to_bytes(32 * _LANES, "big")
+            c0, c1, c2, c3 = ((p1 >> 64 ^ c1) & lo ^ k0, p1,
+                              (p0 >> 64 ^ c3) & lo ^ k1, p0)
+        words = c0 << 192 | (c1 & lo) << 128 | c2 << 64 | c3 & lo
+        return words.to_bytes(32 * lanes, "big")
 
     def raw_bytes(self, k: int) -> bytes:
+        if k < 0:  # refused as numpy's random_raw refuses it
+            raise ValueError("negative dimensions are not allowed")
         end = self._at + 8 * k
         while end > len(self._buf):
-            self._buf = self._buf[self._at:] + self._batch()
+            # the blocks the draw still needs, and at least twice the last batch
+            need = -(-(end - len(self._buf)) // 32)
+            lanes = min(_LANES, max(need, 2 * self._lanes))
+            self._buf = self._buf[self._at:] + self._batch(lanes)
             end -= self._at
             self._at = 0
         out = self._buf[self._at:end]
@@ -711,14 +736,17 @@ def _skip_sign_bits(rng, m):
 
 def sample(d: DomainSpec, rng) -> object:
     """One exactly uniform element.  rng is a Generator, an IntPhilox, or an
-    integer seed of make_rng."""
+    integer seed, which draws from IntPhilox(seed): the words of
+    make_rng(seed), so the same element, without loading numpy.  At degree
+    1001 a seed's first index took 66-73 us that way, against 18-19 us
+    through make_rng once numpy is loaded (85-90 ms)."""
     if not isinstance(rng, IntPhilox) and not hasattr(rng, "bit_generator"):
         try:
             seed = index(rng)
         except TypeError:
             raise TypeError("sample takes an integer seed or a generator, not "
                             f"{type(rng).__name__}") from None
-        rng = make_rng(seed)
+        rng = IntPhilox(seed)
     i = _uniform_index(rng, cardinality(d))
     return next(iterate(d, True, i, i + 1))
 

@@ -41,9 +41,9 @@ from functools import partial
 from itertools import chain, product
 
 from .cycles import _word_to_images
-from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, _over_range,
-                      _shown, _uniform_index, cardinality, iterate_words,
-                      make_rng, rank)
+from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, IntPhilox,
+                      _over_range, _shown, _uniform_index, cardinality,
+                      iterate_words, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
@@ -451,7 +451,7 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
         raise ValueError(f"bad sample count {count}")
     if degree < 1:
         raise ValueError(f"bad degree {degree}")
-    rng = make_rng(seed)
+    rng = IntPhilox(seed)
     perms = math.factorial(degree - 1)
     # every index is drawn here, in stream order, and the parts split the
     # list.  Sign bit degree-1 stays clear, so each word ends in +degree

@@ -338,7 +338,12 @@ HEAVY = ("cyclic_descents.lab", "cyclic_descents.verify",
      ("cyclic_descents.lab", "cyclic_descents.classic",
       "cyclic_descents.colored", "cyclic_descents.tracing", "numpy",
       "fractions")),
-], ids=["stats", "stats-csv", "map", "invert-json", "sample", "tabulate", "verify"])
+    # the order-swap claim draws its indices in integers
+    (["verify", "--claim", "order-swap-properties", "--samples", "20"],
+     ("cyclic_descents.lab", "cyclic_descents.classic",
+      "cyclic_descents.colored", "numpy", "fractions")),
+], ids=["stats", "stats-csv", "map", "invert-json", "sample", "tabulate", "verify",
+        "verify-order-swap"])
 def test_commands_import_only_what_they_run(argv, absent):
     res = fresh("-c", (
         "import contextlib, io, sys\n"

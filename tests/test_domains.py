@@ -1,5 +1,6 @@
 """Enumeration, ranking and sampling over the eight element families."""
 
+import ast
 import hashlib
 import math
 import os
@@ -346,6 +347,49 @@ def test_int_philox_counter_carries_and_wraps_as_numpys(counter):
         assert b.state["state"]["counter"][0] < 200
 
 
+def test_int_philox_grows_its_batches_to_the_draw():
+    # each batch covers the draw and at least doubles the last: one block
+    # for one word, 37 more for a degree-1001 index, then the full width
+    for key in _KEYS[:5]:
+        a, b = IntPhilox(*key), make_rng(*key).bit_generator
+        lanes = []
+        for k in (1, 149, 600, 5000):
+            assert a.raw_bytes(k) == _raw_bytes(b, k), (key, k)
+            lanes.append(a._lanes)
+        assert lanes == [1, 37, 128, 128]
+
+
+# a carry out of limb 0, and the wrap at 2^256, inside a first batch of one
+# block and of 38 blocks
+@pytest.mark.parametrize("counter, k", [(_TOP, 1), ((1 << 256) - 1, 1),
+                                        (_TOP - 20, 149), ((1 << 256) - 21, 149)],
+                         ids=["carry-1", "wrap-1", "carry-38", "wrap-38"])
+def test_int_philox_carries_and_wraps_inside_a_first_batch(counter, k):
+    for key in _KEYS[:4]:
+        a, b = IntPhilox(*key), _numpy_words(*key, counter)
+        a._counter = counter
+        assert a.raw_bytes(k) == _raw_bytes(b, k), key
+        assert a._lanes == -(-k // 4)
+        assert a.raw_bytes(9) == _raw_bytes(b, 9), key
+
+
+def test_int_philox_refuses_a_negative_count():
+    # a negative count once moved the stream back, or made the next draw
+    # empty, which _uniform_index read as index 0
+    a, b = IntPhilox(1), make_rng(1).bit_generator
+    two = a.raw_bytes(2)
+    assert two == _raw_bytes(b, 2)
+    for k in (-1, -3):
+        for draw in (a.raw_bytes, b.random_raw):
+            with pytest.raises(ValueError, match="^negative dimensions are not allowed$"):
+                draw(k)
+    assert a.raw_bytes(1) == _raw_bytes(b, 1) != two[8:]
+    a, b = IntPhilox(1), make_rng(1).bit_generator
+    with pytest.raises(ValueError):
+        a.raw_bytes(-3)
+    assert a.raw_bytes(1) == _raw_bytes(b, 1)
+
+
 # bounds of 1, 2, 3 and 149 64-bit words
 @pytest.mark.parametrize("k", [2**63 + 1, 3 << 100, 5 << 180,
                                math.factorial(1000) << 1000], ids=[1, 2, 3, 149])
@@ -364,6 +408,29 @@ def test_sample_reads_an_int_philox_as_its_generator():
         assert [sample(d, a) for _ in range(5)] == [sample(d, b) for _ in range(5)]
 
 
+@pytest.mark.parametrize("n", [1, 9, 60, 1001])
+def test_sample_with_an_integer_seed_draws_make_rngs_element(n):
+    specs = [DomainSpec(kind, n, r=3 if kind == "CSnr" else None) for kind in KINDS]
+    specs.append(DomainSpec("CSnr", n, r=3, color_filter=1))
+    for d in specs:
+        for seed in (0, 2**64 - 1, np.int64(7)):
+            assert sample(d, seed) == sample(d, make_rng(seed)), (d, seed)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _loaded_after(code, names):
+    """Those of the modules names that code leaves in sys.modules of a fresh
+    interpreter on this source tree."""
+    code += f"\nimport sys\nprint([m for m in {names!r} if m in sys.modules])\n"
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
 def test_sample_refuses_a_seed_that_is_not_an_integer():
     d = DomainSpec("CB", 4)
     for bad in (5.0, None, "5"):
@@ -371,17 +438,27 @@ def test_sample_refuses_a_seed_that_is_not_an_integer():
                                             f"generator, not {type(bad).__name__}"):
             sample(d, bad)
     # deciding loads no numpy
-    code = ("import sys\n"
-            "from cyclic_descents.domains import DomainSpec, sample\n"
+    code = ("from cyclic_descents.domains import DomainSpec, sample\n"
             "try:\n"
             "    sample(DomainSpec('CB', 4), 5.0)\n"
             "except TypeError:\n"
-            "    print('numpy' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+            "    pass\n")
+    assert _loaded_after(code, ["numpy"]) == "[]\n"
+
+
+def test_scalar_draws_load_no_numpy():
+    # the benchmark's scale set-up samples at degree 1001 from an integer seed
+    tree = ast.parse((_ROOT / "bench" / "workloads.py").read_text())
+    scale = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Scale")
+    setup = next(ast.literal_eval(a.value) for a in scale.body
+                 if isinstance(a, ast.Assign) and a.targets[0].id == "setup_code")
+    assert "sample(" in setup
+    assert _loaded_after(setup, ["numpy", "inspect"]) == "[]\n"
+    # the order-swap claim's index draws; verify's ClaimResult, a
+    # dataclass, brings inspect
+    code = ("from cyclic_descents.verify import check_order_swap_properties\n"
+            "assert check_order_swap_properties(50, 10, 3).passed\n")
+    assert _loaded_after(code, ["numpy"]) == "[]\n"
 
 
 def test_scalar_sampling_uniform_chi_square():
