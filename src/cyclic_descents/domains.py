@@ -561,14 +561,6 @@ _RAMP = int.from_bytes(b"".join(b.to_bytes(32, "big") for b in range(_LANES)),
 _LO = _MASK64 * _REP  # each lane's low limb
 
 
-@lru_cache(maxsize=16)
-def _lane_constants(lanes):
-    """_REP, _LO and _RAMP for a batch of `lanes` blocks: the low lanes of
-    the first two, the high lanes of the ramp."""
-    cut = (1 << 256 * lanes) - 1
-    return _REP & cut, _LO & cut, _RAMP >> 256 * (_LANES - lanes)
-
-
 class IntPhilox:
     """The raw words of make_rng(seed, worker), computed in Python integers.
 
@@ -613,7 +605,9 @@ class IntPhilox:
 
     def _batch(self, lanes):
         """The bytes of the next `lanes` blocks."""
-        rep, lo, ramp = _lane_constants(lanes)
+        # the constants' low lanes, and the ramp's high ones
+        cut = (1 << 256 * lanes) - 1
+        rep, lo, ramp = _REP & cut, _LO & cut, _RAMP >> 256 * (_LANES - lanes)
         if lanes != self._lanes:
             self._lanes = lanes
             self._keys = [(k0 * rep, k1 * rep) for k0, k1 in self._round_keys]
