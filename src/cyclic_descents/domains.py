@@ -595,7 +595,7 @@ class IntPhilox:
         w0, w1 = _PHILOX_W
         # each round's key, and each packed in every lane of the last batch
         self._round_keys = [((k0 + i * w0) & _MASK64, (k1 + i * w1) & _MASK64)
-                       for i in range(10)]
+                            for i in range(10)]
         self._keys = ()
         self._lanes = 0
         # the last block's counter, and the bytes made but not yet read
