@@ -551,12 +551,12 @@ def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
 
 
 # IntPhilox runs up to _LANES blocks at once, one packed integer per limb:
-# lane j of a packed integer is its bits 256 j .. 256 j + 255, and block b of
-# a batch of L blocks sits in lane L - 1 - b, so the packed words print in
-# stream order
+# lane j of a packed integer is its bits 128 j .. 128 j + 127, which hold a
+# limb and its product by a round multiplier, and block b of a batch of L
+# blocks sits in lane L - 1 - b, so the packed limbs print in stream order
 _LANES = 128
-_REP = int.from_bytes((b"\0" * 31 + b"\1") * _LANES, "big")  # 1 in each lane
-_RAMP = int.from_bytes(b"".join(b.to_bytes(32, "big") for b in range(_LANES)),
+_REP = int.from_bytes((b"\0" * 15 + b"\1") * _LANES, "big")  # 1 in each lane
+_RAMP = int.from_bytes(b"".join(b.to_bytes(16, "big") for b in range(_LANES)),
                        "big")  # b in block b's lane
 _LO = _MASK64 * _REP  # each lane's low limb
 
@@ -579,13 +579,15 @@ class IntPhilox:
     batch, up to _LANES blocks, so a short stream computes few blocks and a
     long one soon runs at the widest batch's cost per block.  The round
     keys are packed for a batch's lane count when it changes.  On a 2-vCPU
-    VM (CPython 3.11, numpy 2.4) construction took 3 us, and a batch of 1,
-    4, 8, 38 and 128 blocks about 6, 2.2, 1.5, 1.3 and 0.9-1.4 us a block.
-    A one-word index took 2 us here against 3 us through numpy; the first
-    degree-1001 index of a stream, 149 words in 37 or 38 blocks, took 66-73
-    us against 18-19 us through a new numpy Generator.  Every scalar draw
-    of the library reads this stream, which loads no numpy (85-90 ms in a
-    cold process); only the batch sampler draws through make_rng."""
+    VM (CPython 3.11, numpy 2.4; host load moved every figure up to 2x)
+    construction took 6 us, and a batch of 1, 8, 38 and 128 blocks 9-17,
+    1.5-3, 0.7-1.5 and 0.6-1.2 us a block.  A one-word index took 2-3.6 us
+    against 3.5-7 us through numpy.  The first degree-1001 index of a
+    stream, 149 words in 38 blocks, took 87-100 us, 23 of them packing the
+    keys: about three times the 20-34 us through a new numpy Generator.
+    Every scalar draw of the library reads this stream, which loads no
+    numpy (85-90 ms in a cold process); only the batch sampler draws
+    through make_rng."""
 
     __slots__ = ("_round_keys", "_keys", "_lanes", "_counter", "_buf", "_at")
 
@@ -606,26 +608,36 @@ class IntPhilox:
     def _batch(self, lanes):
         """The bytes of the next `lanes` blocks."""
         # the constants' low lanes, and the ramp's high ones
-        cut = (1 << 256 * lanes) - 1
-        rep, lo, ramp = _REP & cut, _LO & cut, _RAMP >> 256 * (_LANES - lanes)
+        cut = (1 << 128 * lanes) - 1
+        rep, lo = _REP & cut, _LO & cut
         if lanes != self._lanes:
             self._lanes = lanes
             self._keys = [(k0 * rep, k1 * rep) for k0, k1 in self._round_keys]
         start = self._counter + 1
         self._counter = (self._counter + lanes) % (1 << 256)
-        # each lane's counter; a lane that passed 2^256 carried 1 into the
-        # lane above, which the last term takes back
-        wrapped = max(0, start + lanes - (1 << 256))
-        v = start * rep + ramp - ((rep & ((1 << 256 * wrapped) - 1)) << 256)
-        c0, c1, c2, c3 = (v >> s & lo for s in (0, 64, 128, 192))
+        # each lane's counter, a limb at a time from the lowest: a lane's
+        # bit 64 is its carry into the next limb, and the carry out of the
+        # top limb is the wrap at 2^256
+        v = (start & _MASK64) * rep + (_RAMP >> 128 * (_LANES - lanes))
+        c = [v & lo]
+        for s in (64, 128, 192):
+            v = (start >> s & _MASK64) * rep + (v >> 64 & lo)
+            c.append(v & lo)
+        c0, c1, c2, c3 = c
         m0, m1 = _PHILOX_M
         for k0, k1 in self._keys:
             p0, p1 = c0 * m0, c2 * m1
             # c1 and c3 hold whole products; the mask after the xor cuts them
             c0, c1, c2, c3 = ((p1 >> 64 ^ c1) & lo ^ k0, p1,
                               (p0 >> 64 ^ c3) & lo ^ k1, p0)
-        words = c0 << 192 | (c1 & lo) << 128 | c2 << 64 | c3 & lo
-        return words.to_bytes(32 * lanes, "big")
+        # each block's words (c0, c1) and (c2, c3), interleaved as 8-byte
+        # items, whose byte order the copy keeps
+        out = bytearray(32 * lanes)
+        items = memoryview(out).cast("Q")
+        for i, pair in ((0, c0 << 64 | c1 & lo), (2, c2 << 64 | c3 & lo)):
+            half = memoryview(pair.to_bytes(16 * lanes, "big")).cast("Q")
+            items[i::4], items[i + 1::4] = half[::2], half[1::2]
+        return bytes(out)
 
     def raw_bytes(self, k: int) -> bytes:
         if k < 0:  # refused as numpy's random_raw refuses it
@@ -732,8 +744,8 @@ def sample(d: DomainSpec, rng) -> object:
     """One exactly uniform element.  rng is a Generator, an IntPhilox, or an
     integer seed, which draws from IntPhilox(seed): the words of
     make_rng(seed), so the same element, without loading numpy.  At degree
-    1001 a seed's first index took 66-73 us that way, against 18-19 us
-    through make_rng once numpy is loaded (85-90 ms)."""
+    1001 a seed's first index costs about 60 us more that way than through
+    make_rng once numpy is loaded, which takes 85-90 ms (see IntPhilox)."""
     if not isinstance(rng, IntPhilox) and not hasattr(rng, "bit_generator"):
         try:
             seed = index(rng)
