@@ -579,15 +579,14 @@ class IntPhilox:
     batch, up to _LANES blocks, so a short stream computes few blocks and a
     long one soon runs at the widest batch's cost per block.  The round
     keys are packed for a batch's lane count when it changes.  On a 2-vCPU
-    VM (CPython 3.11, numpy 2.4; host load moved every figure up to 2x)
-    construction took 6 us, and a batch of 1, 8, 38 and 128 blocks 9-17,
-    1.5-3, 0.7-1.5 and 0.6-1.2 us a block.  A one-word index took 2-3.6 us
-    against 3.5-7 us through numpy.  The first degree-1001 index of a
-    stream, 149 words in 38 blocks, took 87-100 us, 23 of them packing the
-    keys: about three times the 20-34 us through a new numpy Generator.
-    Every scalar draw of the library reads this stream, which loads no
-    numpy (85-90 ms in a cold process); only the batch sampler draws
-    through make_rng."""
+    VM (CPython 3.11, numpy 2.4) in a quiet spell, which host load can
+    double, construction took 3 us, and a batch of 1, 8, 38 and 128 blocks
+    8, 1.2, 0.75 and 0.6 us a block.  A one-word index took 1.6 us against
+    3.3 us through numpy.  The first degree-1001 index of a stream, 149
+    words in 38 blocks, took 51 us, about a quarter of it packing the keys,
+    against 17-18 us through a new numpy Generator.  Every scalar draw of
+    the library reads this stream, which loads no numpy (85-90 ms in a
+    cold process); only the batch sampler draws through make_rng."""
 
     __slots__ = ("_round_keys", "_keys", "_lanes", "_counter", "_buf", "_at")
 
@@ -609,7 +608,7 @@ class IntPhilox:
         """The bytes of the next `lanes` blocks."""
         # the constants' low lanes, and the ramp's high ones
         cut = (1 << 128 * lanes) - 1
-        rep, lo = _REP & cut, _LO & cut
+        rep, lo, ramp = _REP & cut, _LO & cut, _RAMP >> 128 * (_LANES - lanes)
         if lanes != self._lanes:
             self._lanes = lanes
             self._keys = [(k0 * rep, k1 * rep) for k0, k1 in self._round_keys]
@@ -618,7 +617,7 @@ class IntPhilox:
         # each lane's counter, a limb at a time from the lowest: a lane's
         # bit 64 is its carry into the next limb, and the carry out of the
         # top limb is the wrap at 2^256
-        v = (start & _MASK64) * rep + (_RAMP >> 128 * (_LANES - lanes))
+        v = (start & _MASK64) * rep + ramp
         c = [v & lo]
         for s in (64, 128, 192):
             v = (start >> s & _MASK64) * rep + (v >> 64 & lo)
@@ -744,7 +743,7 @@ def sample(d: DomainSpec, rng) -> object:
     """One exactly uniform element.  rng is a Generator, an IntPhilox, or an
     integer seed, which draws from IntPhilox(seed): the words of
     make_rng(seed), so the same element, without loading numpy.  At degree
-    1001 a seed's first index costs about 60 us more that way than through
+    1001 a seed's first index costs about 35 us more that way than through
     make_rng once numpy is loaded, which takes 85-90 ms (see IntPhilox)."""
     if not isinstance(rng, IntPhilox) and not hasattr(rng, "bit_generator"):
         try:

@@ -139,6 +139,19 @@ BENCH_PAIRS = [
                           ("sweep", "checks_per_s"): ("inside",)},
                  [("cli_cold", "checks_per_s", 4, operator.ge, 1.1),
                   ("clt", "peak_rss_mb", 3, operator.le, 61)], True, id="pr28"),
+    # library `sample` drawing integer seeds' words in integers made scale's
+    # set-up, which no longer loads numpy, faster on every seed, its median
+    # below the parent's quartiles and under half of the parent's; scale's
+    # ops, sweep (whose order-swap claim draws the same way), clt and
+    # cli_cold read flat
+    pytest.param(29, 24, {("scale", "setup_s"): ("10/10", "below"),
+                          ("scale", "checks_per_s"): ("inside",),
+                          ("scale", "latency_tail_ms"): ("inside",),
+                          ("sweep", "checks_per_s"): ("inside",),
+                          ("clt", "samples_per_s"): ("inside",),
+                          ("cli_cold", "checks_per_s"): ("inside",)},
+                 [("scale", "setup_s", 4, operator.le, 0.5),
+                  ("clt", "peak_rss_mb", 3, operator.le, 61)], True, id="pr29"),
 ]
 
 
