@@ -12,8 +12,9 @@ this script diff empty.  The families are:
 - seeded sample streams, and _uniform_index at 1, 2, 3 and 149 words;
 - sample from integer seeds over every kind at degrees 1 to 1001, and
   the raw bytes of one IntPhilox stream over draws of growing size;
-- sample_stat_batch streams, also at counts that end mid-chunk, and one
-  worker's stream over several chunks;
+- sample_stat_batch streams, also at counts that end mid-chunk, one
+  worker's stream over several chunks, three chunks and a row at degree
+  800, and numpy-integer counts;
 - the transfer maps: capital_phi over CB(<=6), phi_plus over its positive
   class, psi_plus, capital_psi_D, capital_psi_Dbar and preimage_quadruple
   over B(<=5), colored_phi over cyclic colored degree 4 and colored_psi
@@ -58,6 +59,8 @@ import sys
 from functools import partial
 from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -456,6 +459,14 @@ def main():
         sample_stat_batch(DomainSpec(kind, 801), "fmaj", 3 * SAMPLE_CHUNK + 257,
                           SEED, worker=1).tolist()
         for kind in ("CB", "CD", "CDbar"))))
+    # three chunks and one row at degree 800, each chunk handed over in
+    # blocks, then a numpy-integer count, which draws the int count's stream
+    lines.append(("sample_stat_batch n=800 blocks", digest(
+        [sample_stat_batch(DomainSpec(kind, 800), stat, 3 * SAMPLE_CHUNK + 1,
+                           SEED).tolist()
+         for kind in ("CB", "CD", "CDbar") for stat in ("des", "fmaj")]
+        + [sample_stat_batch(DomainSpec("CD", 50), "fmaj", count(SAMPLE_CHUNK + 3),
+                             SEED).tolist() for count in (np.int64, np.int32)])))
     lines += list(map_lines())
     lines.append(("records", digest((repr(x), str(x)) for x in records())))
     lines.append(("value types", digest(map(round_tripped, value_types()))))

@@ -97,6 +97,10 @@ class DomainSpec(Record):
                  color_filter: int | None = None):
         if kind not in KINDS:
             raise ValueError(f"unknown domain kind {kind!r}")
+        # a numpy integer would carry its fixed width into the cardinality
+        n = index(n)
+        r = None if r is None else index(r)
+        color_filter = None if color_filter is None else index(color_filter)
         low = 0 if kind in ("B", "S") else 1
         if n < low:
             raise ValueError(f"{kind} needs degree >= {low}")
@@ -588,7 +592,7 @@ class IntPhilox:
     the library reads this stream, which loads no numpy (85-90 ms in a
     cold process); only the batch sampler draws through make_rng."""
 
-    __slots__ = ("_round_keys", "_keys", "_lanes", "_counter", "_buf", "_at")
+    __slots__ = ("_round_keys", "_keys", "_lanes", "_made", "_counter", "_buf", "_at")
 
     def __init__(self, seed: int, worker: int = 0):
         key = _philox_key(seed, worker)
@@ -598,7 +602,7 @@ class IntPhilox:
         self._round_keys = [((k0 + i * w0) & _MASK64, (k1 + i * w1) & _MASK64)
                             for i in range(10)]
         self._keys = ()
-        self._lanes = 0
+        self._lanes = self._made = 0
         # the last block's counter, and the bytes made but not yet read
         self._counter = 0
         self._buf = b""
@@ -643,9 +647,12 @@ class IntPhilox:
             raise ValueError("negative dimensions are not allowed")
         end = self._at + 8 * k
         while end > len(self._buf):
-            # the blocks the draw still needs, and at least twice the last batch
+            # the blocks the draw still needs, and at least the blocks made
+            # so far: short draws double the stream's blocks at each batch,
+            # and a draw retried at about one batch's size makes one again
             need = -(-(end - len(self._buf)) // 32)
-            lanes = min(_LANES, max(need, 2 * self._lanes))
+            lanes = min(_LANES, max(need, self._made))
+            self._made += lanes
             self._buf = self._buf[self._at:] + self._batch(lanes)
             end -= self._at
             self._at = 0
@@ -787,6 +794,9 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
         raise ValueError(f"batch sampling covers the cyclic signed domains, not {d.kind}")
     if stat not in ("des", "maj", "neg", "fmaj"):
         raise ValueError(f"unknown statistic {stat!r}")
+    # a numpy integer count would reach the generator's advance in its
+    # fixed width
+    count = index(count)
     if count < 0:
         raise ValueError(f"bad sample count {count}")
     n = d.n
@@ -802,25 +812,29 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
 
     def draw(c):
         # numpy's shuffle is fastest on pointer-sized items, and shuffling
-        # the rows block by block, in order, makes the draws of one call
-        w = np.empty((c, n), dtype=dt)
+        # the rows block by block, in order, makes the draws of one call;
+        # each block is its own array, so the caller can free it on its own
+        blocks = []
         buf = np.empty((min(SHUFFLE_BLOCK, c), n - 1), dtype=np.intp)
         for r in range(0, c, SHUFFLE_BLOCK):
             blk = buf[:min(SHUFFLE_BLOCK, c - r)]
             blk[...] = mags
             rng.permuted(blk, axis=1, out=blk)
-            w[r:r + len(blk), : n - 1] = blk
-        w[:, n - 1] = n
+            w = np.empty((len(blk), n), dtype=dt)
+            w[:, : n - 1] = blk
+            w[:, n - 1] = n
+            blocks.append(w)
         # then the chunk's c * n signs, which the caller draws from the
         # state they start in while this generator steps past them
         start = rng.bit_generator.state
         _skip_sign_bits(rng, c * n)
-        return w, start
+        return blocks, start
 
     # one drawing thread shuffles the chunks in order, each handed over in
-    # `box`.  It starts on chunk k+1 when the caller takes chunk k, so at
-    # most two chunks are alive; an error is handed over in place of the
-    # chunk, and `cancel` stops the drawer when the caller fails
+    # `box`.  It starts on chunk k+1 when the caller takes chunk k, and the
+    # caller, which runs faster, frees chunk k block by block meanwhile, so
+    # about one chunk and a block are alive; an error is handed over in
+    # place of the chunk, and `cancel` stops the drawer when the caller fails
     box, cancel = [], []
     ready, taken = threading.Semaphore(0), threading.Semaphore(0)
 
@@ -850,14 +864,14 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
             if isinstance(got, BaseException):
                 raise got
             taken.release()
-            chunk_w, start = got
+            blocks, start = got
             signs.bit_generator.state = start
-            c = len(chunk_w)
-            # slices small enough that their temporaries stay in cache;
-            # _sign_bits on consecutive slices draws what one call on the
-            # whole chunk would
-            for r in range(0, c, SHUFFLE_BLOCK):
-                w = chunk_w[r:r + SHUFFLE_BLOCK]
+            # blocks small enough that their temporaries stay in cache, each
+            # dropped from the list as it is taken, so it is freed once it
+            # has turned into values; _sign_bits on consecutive blocks draws
+            # what one call on the whole chunk would
+            for r in range(done, min(done + SAMPLE_CHUNK, count), SHUFFLE_BLOCK):
+                w = blocks.pop(0)
                 s = len(w)
                 neg = _sign_bits(signs, s * n).reshape(s, n)
                 if parity is not None:
@@ -885,7 +899,7 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
                     vals = np.einsum("ij,j->i", flags, positions)
                     if stat == "fmaj":
                         vals = 2 * vals + np.count_nonzero(pol < 0, axis=1)
-                out[done + r:done + r + s] = vals
+                out[r:r + s] = vals
     finally:
         cancel.append(True)
         taken.release()
