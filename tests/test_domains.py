@@ -44,6 +44,29 @@ def test_cardinalities():
         3**1000 * math.factorial(1000)
 
 
+@pytest.mark.parametrize("to", [np.int64, np.int32, np.uint64])
+def test_domain_spec_reads_numpy_integers_as_ints(to):
+    # a numpy degree once sized CB(18) at 1007604782250065920 in int64, a
+    # negative number at 20 and an OverflowError at 30, and sample and
+    # exact_distribution raised AttributeError on it
+    from cyclic_descents.lab import exact_distribution
+
+    for n in (5, 18, 20, 30):
+        d = DomainSpec("CB", to(n))
+        assert type(d.n) is int and d == DomainSpec("CB", n)
+        assert cardinality(d) == cardinality(DomainSpec("CB", n))
+    assert sample(DomainSpec("CB", to(18)), 7) == sample(DomainSpec("CB", 18), 7)
+    assert exact_distribution(DomainSpec("CB", to(5)), "des") == \
+        exact_distribution(DomainSpec("CB", 5), "des")
+    d = DomainSpec("CSnr", to(4), r=to(3), color_filter=to(1))
+    assert [type(v) for v in (d.n, d.r, d.color_filter)] == [int] * 3
+    assert cardinality(d) == cardinality(DomainSpec("CSnr", 4, r=3, color_filter=1))
+    for args, kw in ((("CB", 5.0), {}), (("CSnr", 4), {"r": 3.0}),
+                     (("CSnr", 4), {"r": 3, "color_filter": 1.0})):
+        with pytest.raises(TypeError):
+            DomainSpec(*args, **kw)
+
+
 def test_domain_validation():
     for args, kw, msg in [
             (("Q", 3), {}, "unknown domain kind 'Q'"),
@@ -348,8 +371,9 @@ def test_int_philox_counter_carries_and_wraps_as_numpys(counter):
 
 
 def test_int_philox_grows_its_batches_to_the_draw():
-    # each batch covers the draw and at least doubles the last: one block
-    # for one word, 37 more for a degree-1001 index, then the full width
+    # each batch covers the draw and is at least the blocks made so far:
+    # one block for one word, 37 more for a degree-1001 index, then the
+    # full width
     for key in _KEYS[:5]:
         a, b = IntPhilox(*key), make_rng(*key).bit_generator
         lanes = []
@@ -357,6 +381,27 @@ def test_int_philox_grows_its_batches_to_the_draw():
             assert a.raw_bytes(k) == _raw_bytes(b, k), (key, k)
             lanes.append(a._lanes)
         assert lanes == [1, 37, 128, 128]
+
+
+def test_int_philox_retries_an_index_in_a_batch_of_its_size(monkeypatch):
+    # a rejected degree-1001 index (149 words, 37.25 blocks) once took a
+    # second batch of 76 blocks to read 37 of them; now a retry computes
+    # one spare block, and only a second retry a wider batch
+    lanes = []
+    real = IntPhilox._batch
+    monkeypatch.setattr(IntPhilox, "_batch", lambda a, k: lanes.append(k) or real(a, k))
+    d = DomainSpec("CD", 1001)
+    for seed, want in ((1, [38]), (0, [38, 38]), (13, [38, 38, 76]),
+                       (3, [38, 38, 76, 128])):
+        lanes.clear()
+        assert sample(d, seed) == sample(d, make_rng(seed)), seed
+        assert lanes == want, seed
+    # a stream of one-word draws, as the order-swap claim makes, still
+    # doubles its blocks up to the full width
+    lanes.clear()
+    a, b = IntPhilox(5), make_rng(5).bit_generator
+    assert b"".join(a.raw_bytes(1) for _ in range(1200)) == _raw_bytes(b, 1200)
+    assert lanes == [1, 1, 2, 4, 8, 16, 32, 64, 128, 128]
 
 
 # a carry out of limb 0, and the wrap at 2^256, inside a first batch of one
@@ -619,6 +664,20 @@ def test_batch_sampler_refuses_a_negative_count(monkeypatch):
         sample_stat_batch(DomainSpec("CB", 9), "des", -1, seed=1)
     monkeypatch.undo()
     assert sample_stat_batch(DomainSpec("CB", 9), "des", 0, seed=1).shape == (0,)
+
+
+def test_batch_sampler_reads_a_numpy_integer_count_as_an_int():
+    # a numpy count once reached the generator's advance in its fixed width
+    # and raised OverflowError
+    from cyclic_descents.lab import normality_diagnostics
+
+    d = DomainSpec("CB", 5)
+    want = sample_stat_batch(d, "des", SAMPLE_CHUNK + 3, seed=3)
+    for to in (np.int64, np.int32):
+        assert np.array_equal(sample_stat_batch(d, "des", to(SAMPLE_CHUNK + 3), seed=3),
+                              want)
+    assert normality_diagnostics("CB", "des", 50, np.int64(1000), seed=3) == \
+        normality_diagnostics("CB", "des", 50, 1000, seed=3)
 
 
 def test_batch_sampler_leaves_no_thread_running(monkeypatch):
@@ -885,28 +944,36 @@ def test_iterate_words_steps_through_ranges(kind, n):
         assert list(iterate_words(d, lo, hi)) == want[lo:hi]
 
 
-def test_batch_sampler_memory_stays_bounded():
-    # three chunks, of which at most two are alive: one being drawn while
-    # the one before turns into values
+@pytest.fixture(scope="module")
+def batch_peak():
+    """The traced peak of three chunks of CD(800) fmaj, in bytes."""
     tracemalloc.start()
     try:
         sample_stat_batch(DomainSpec("CD", 800), "fmaj", 3 * SAMPLE_CHUNK,
                           seed=_GOLDEN_SEED)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 60 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
-def test_batch_sampler_holds_no_chunk_of_signs():
+def test_batch_sampler_memory_stays_bounded(batch_peak):
+    # three chunks, of which about one and a block are alive: one being
+    # drawn while the one before is freed block by block as it turns into
+    # values, and never more than two
+    assert batch_peak <= 60 * 2 ** 20, f"{batch_peak / 2 ** 20:.1f} MB"
+
+
+def test_batch_sampler_holds_no_chunk_of_signs(batch_peak):
     # the signs are drawn one slice at a time in the caller, so the run
-    # above holds no chunk-sized sign array: 16.7 MiB at its peak, against
-    # 22.8 MiB when the drawer handed over each chunk's signs
-    tracemalloc.start()
-    try:
-        sample_stat_batch(DomainSpec("CD", 800), "fmaj", 3 * SAMPLE_CHUNK,
-                          seed=_GOLDEN_SEED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    # holds no chunk-sized sign array: 10.5 MiB at its peak, against
+    # 16.7 MiB when the caller held each whole chunk of rows and 22.8 MiB
+    # when the drawer also handed over each chunk's signs
+    assert batch_peak <= 20 * 2 ** 20, f"{batch_peak / 2 ** 20:.1f} MiB"
+
+
+def test_batch_sampler_holds_one_chunk_of_rows(batch_peak):
+    # each chunk is handed over as its shuffled blocks, which the caller
+    # frees one by one while the next chunk is drawn, and the caller runs
+    # ahead of the drawer: about one chunk of rows (6.25 MiB) is alive,
+    # with the drawer's intp block and the caller's block temporaries
+    assert batch_peak <= 12 * 2 ** 20, f"{batch_peak / 2 ** 20:.1f} MiB"

@@ -152,6 +152,15 @@ BENCH_PAIRS = [
                           ("cli_cold", "checks_per_s"): ("inside",)},
                  [("scale", "setup_s", 4, operator.le, 0.5),
                   ("clt", "peak_rss_mb", 3, operator.le, 61)], True, id="pr29"),
+    # the batch sampler handing each chunk over block by block lowered
+    # clt's peak memory on every seed, its median below the parent's
+    # quartiles and at least 7 % down; sweep, scale, clt's rates and
+    # cli_cold stay within their bounds
+    pytest.param(32, 24, {("clt", "peak_rss_mb"): ("10/10", "below"),
+                          ("clt", "samples_per_s"): ("inside",),
+                          ("sweep", "checks_per_s"): ("inside",)},
+                 [("clt", "peak_rss_mb", 4, operator.le, 0.93),
+                  ("clt", "peak_rss_mb", 3, operator.le, 55.9)], True, id="pr32"),
 ]
 
 
