@@ -584,11 +584,10 @@ class IntPhilox:
     multiply, shift and mask is one big-integer operation over all of them.
     A batch covers what a draw still needs and is at least as many blocks
     as the stream has made, up to _LANES: a stream of short draws doubles
-    its blocks at each batch, so it computes few blocks and a long one soon
-    runs at the widest batch's cost per block, while a draw retried at
-    about one batch's size computes about one batch again (a degree-1001
-    index computes 38 blocks, and its retry after a rejection 38 more).  The round keys are
-    packed for a batch's lane count when it changes.  On a 2-vCPU
+    its blocks at each batch and soon runs at the widest batch's cost per
+    block, while a degree-1001 index (38 blocks) retried after a rejection
+    computes 38 blocks again.  The round keys are packed for a batch's
+    lane count when it changes.  On a 2-vCPU
     VM (CPython 3.11, numpy 2.4) in a quiet spell, which host load can
     double, construction took 3 us, and a batch of 1, 8, 38 and 128 blocks
     8, 1.2, 0.75 and 0.6 us a block.  A one-word index took 1.6 us against
@@ -653,9 +652,7 @@ class IntPhilox:
             raise ValueError("negative dimensions are not allowed")
         end = self._at + 8 * k
         while end > len(self._buf):
-            # the blocks the draw still needs, and at least the blocks made
-            # so far: short draws double the stream's blocks at each batch,
-            # and a draw retried at about one batch's size makes one again
+            # the blocks the draw still needs, and at least the blocks made so far
             need = -(-(end - len(self._buf)) // 32)
             lanes = min(_LANES, max(need, self._made))
             self._made += lanes
