@@ -26,7 +26,8 @@ this script diff empty.  The families are:
 - the trace events, every (loop index, snapshot, swap events) triple of
   phi_plus over the positive class of CB(<=6) and W_N at N <= 101, and of
   psi_plus over B(<=5);
-- each claim's (params, passed, checked, failures), its time left out,
+- each claim's (params, passed, checked, failures) over the calls of
+  `verify_all.py --quick` (its suite), the time left out,
   and the report or error of a claim asked to check nothing;
 - one line per injected fault: each claim's (params, passed, checked,
   details, failures) with MAX_REPORTED at 5 and at 10^6, with the
@@ -75,7 +76,6 @@ from cyclic_descents.lab import MomentReport
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import DescentSet, StatRecord, descent_set, stats
 from cyclic_descents.verify import (check_bijection, check_colored,
-                                    check_corollary_counts,
                                     check_elizalde_equivalence,
                                     check_inverses, check_moments,
                                     check_order_swap_properties,
@@ -83,6 +83,7 @@ from cyclic_descents.verify import (check_bijection, check_colored,
 from cyclic_descents.transfer import (TransferTrace, capital_phi,
                                       capital_psi_D, capital_psi_Dbar,
                                       phi_plus, preimage_quadruple, psi_plus)
+from verify_all import suite
 
 SEED = 20261018
 ROW_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS")
@@ -335,23 +336,10 @@ def cli_lines():
         for argv in SAMPLE_STREAMS for fmt in FORMATS)
 
 
-def claim_calls():
-    """The claim runs of the digest, each a call not yet made."""
-    calls = [partial(check_phi_descents, n) for n in range(1, 6)]
-    for n in range(1, 5):
-        calls += [partial(check_bijection, n, "D"), partial(check_bijection, n, "Dbar"),
-                  partial(check_inverses, n), partial(check_corollary_counts, n)]
-    calls += [partial(check_elizalde_equivalence, n) for n in range(1, 6)]
-    calls += [partial(check_colored, n, r) for n in range(1, 4) for r in range(1, 4)]
-    return calls + [partial(check_moments, 5, 6), partial(check_stat_gaps, 5),
-                    partial(check_order_swap_properties, count=1000, degree=10,
-                            seed=SEED)]
-
-
 def fault_calls():
     # the two worker processes inherit the patches under the fork start
     # method, the Linux default before Python 3.14
-    return claim_calls() + [partial(check_phi_descents, 4, shard=(i, 7))
+    return suite(True, SEED) + [partial(check_phi_descents, 4, shard=(i, 7))
                             for i in range(7)] + [
         partial(check_phi_descents, 4, threads=2)]
 
@@ -472,7 +460,7 @@ def main():
     lines.append(("value types", digest(map(round_tripped, value_types()))))
     lines += list(cli_lines())
     by_claim = {}
-    for c in (call() for call in claim_calls()):
+    for c in (call() for call in suite(True, SEED)):
         by_claim.setdefault(c.claim, []).append(
             (c.params, c.passed, c.checked, c.failures))
     lines += [(f"claim {name}", digest(rs)) for name, rs in by_claim.items()]

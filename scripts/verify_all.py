@@ -13,6 +13,7 @@ process per usable core.
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -25,6 +26,26 @@ from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_phi_descents, check_stat_gaps)
 
 
+def suite(quick, seed, threads=None):
+    """The claim runs, in order, each a call not yet made; the quick suite
+    is also scripts/output_digests.py's.  threads reaches the descent
+    sweeps only when it is set, so that a call's args and keywords, which
+    that script digests when a fault makes the call raise, stay as written
+    here."""
+    top, bij_top, inv_top, samples = (5, 4, 4, 1000) if quick else (7, 7, 6, 10000)
+    procs = {} if threads is None else {"threads": threads}
+    calls = [partial(check_phi_descents, n, **procs) for n in range(1, top + 1)]
+    for n in range(1, bij_top + 1):
+        calls += [partial(check_bijection, n, "D"), partial(check_bijection, n, "Dbar")]
+    for n in range(1, inv_top + 1):
+        calls += [partial(check_inverses, n), partial(check_corollary_counts, n)]
+    calls += [partial(check_elizalde_equivalence, n) for n in range(1, top + 1)]
+    calls += [partial(check_colored, n, r) for n in range(1, 4) for r in range(1, 4)]
+    return calls + [partial(check_moments, 5, 6 if quick else 7), partial(check_stat_gaps, top),
+                    partial(check_order_swap_properties, count=samples, degree=10,
+                            seed=seed)]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true")
@@ -32,30 +53,8 @@ def main():
     ap.add_argument("--seed", type=int, default=20260823)
     args = ap.parse_args()
 
-    if args.quick:
-        top, bij_top, inv_top, samples = 5, 4, 4, 1000
-    else:
-        top, bij_top, inv_top, samples = 7, 7, 6, 10000
-
     t0 = time.perf_counter()
-    results = []
-    for n in range(1, top + 1):
-        results.append(check_phi_descents(n, threads=args.threads))
-    for n in range(1, bij_top + 1):
-        results.append(check_bijection(n, "D"))
-        results.append(check_bijection(n, "Dbar"))
-    for n in range(1, inv_top + 1):
-        results.append(check_inverses(n))
-        results.append(check_corollary_counts(n))
-    for n in range(1, top + 1):
-        results.append(check_elizalde_equivalence(n))
-    for n in range(1, 4):
-        for r in range(1, 4):
-            results.append(check_colored(n, r))
-    results.append(check_moments(5, 6 if args.quick else 7))
-    results.append(check_stat_gaps(top))
-    results.append(check_order_swap_properties(count=samples, degree=10,
-                                               seed=args.seed))
+    results = [call() for call in suite(args.quick, args.seed, args.threads)]
     elapsed = time.perf_counter() - t0
 
     bad = 0

@@ -12,28 +12,12 @@ import argparse
 import sys
 from importlib import import_module
 
+from .catalog import CLAIM_ROWS, KINDS
 from .cycles import CycleNotation, from_cycles, to_canonical_cycles
 from .permutations import SignedPermutation
 
 # Each command imports the library modules it runs, so a process pays only
-# for its own subcommand.  CLAIM_FLAGS and DOMAIN_KINDS copy the names of
-# verify.CLAIMS and domains.KINDS, which a test keeps equal, so that
-# building the parser loads neither module.  Per claim, CLAIM_FLAGS maps
-# each verify flag it takes to the keywords that flag sets; a test keeps
-# those keywords parameters of the claim.
-CLAIM_FLAGS = {
-    "bijection-D": {"n": ("n",)},
-    "bijection-Dbar": {"n": ("n",)},
-    "colored": {"n": ("n",), "r": ("r",)},
-    "corollary-counts": {"n": ("n",)},
-    "elizalde-equivalence": {"n": ("n",)},
-    "inverses": {"n": ("n",)},
-    "moments": {"n": ("n_lo", "n_hi")},
-    "order-swap-properties": {"samples": ("count",), "seed": ("seed",)},
-    "phi-descents": {"n": ("n",), "shard": ("shard",), "threads": ("threads",)},
-    "stat-gaps": {"n": ("n_hi",)},
-}
-DOMAIN_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
+# for its own subcommand; the parser's names come from the catalog.
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -250,7 +234,7 @@ def _cmd_stats(cfg):
 
 def _cmd_verify(cfg):
     claim = cfg.claim
-    takes = CLAIM_FLAGS[claim]
+    takes = CLAIM_ROWS[claim][2]
     given = _given(cfg, f"--claim {claim}", takes,
                    ("n", "r", "samples", "seed", "shard", "threads"))
     if given is None:
@@ -376,7 +360,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run one claim suite")
     common(p)
-    p.add_argument("--claim", required=True, choices=CLAIM_FLAGS)
+    p.add_argument("--claim", required=True, choices=CLAIM_ROWS)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--samples", type=int)
@@ -387,7 +371,7 @@ def build_parser():
 
     p = sub.add_parser("tabulate", help="exact statistic distribution")
     common(p)
-    p.add_argument("--domain", required=True, choices=DOMAIN_KINDS)
+    p.add_argument("--domain", required=True, choices=KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=("des", "maj", "neg", "fmaj", "col"), default="des")
     p.add_argument("--r", type=int)
@@ -399,7 +383,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw uniform elements")
     common(p)
-    p.add_argument("--domain", required=True, choices=DOMAIN_KINDS)
+    p.add_argument("--domain", required=True, choices=KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--color", type=int)

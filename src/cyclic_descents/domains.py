@@ -52,25 +52,27 @@ cheaply: it shuffles pointer-sized rows, numpy's fast case, and reads each
 sign bit from a raw word where numpy's bounded draw on a range of two would
 read it.  A drawing thread shuffles the next chunk of rows while the caller
 turns the chunk before into values, and it hands a chunk over as its
-shuffled blocks, which the caller frees one by one; so about one chunk and
-a block are alive.
+shuffled blocks, which the caller frees one by one; it makes a block only
+while fewer than a chunk and a block are alive, so that is the most alive
+however the threads are scheduled.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from functools import lru_cache
 from operator import index, mul
 from typing import TYPE_CHECKING
 
+from .catalog import KINDS
 from .cycles import _images_to_word, _word_to_images
 from .permutations import Record, SignedPermutation
 
 if TYPE_CHECKING:
     import numpy as np
 
-KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS", "CSnr")
 BUDGET_LIMIT = 2 ** 32
 SAMPLE_CHUNK = 4096
 # rows per shuffle call of the batch sampler; at degree 800 these 1.6 MB
@@ -268,17 +270,18 @@ def _shown(x):
 
 def _checked_range(d: DomainSpec, start, stop, allow_big):
     """Validate an unrank range and apply the BUDGET_LIMIT refusal;
-    returns the resolved stop."""
+    returns (start, stop) as ints, stop resolved."""
     total = cardinality(d)
-    if stop is None:
-        stop = total
+    # a numpy integer bound would carry its fixed width into the rows
+    start = index(start)
+    stop = total if stop is None else index(stop)
     if not 0 <= start <= stop <= total:
         raise ValueError(f"bad range [{_shown(start)},{_shown(stop)}) for {d}")
     if stop - start > BUDGET_LIMIT and not allow_big:
         raise BudgetError(
             f"{d} range holds {_shown(stop - start)} elements, over the "
             f"{BUDGET_LIMIT} budget; pass allow_big to proceed")
-    return stop
+    return start, stop
 
 
 def _cores():
@@ -387,7 +390,7 @@ def iterate_words(d: DomainSpec, start=0, stop=None):
     exact tables read, and that iterate() turns into elements."""
     if d.kind not in _FAMILIES:
         raise ValueError(f"{d.kind} has no row stream")
-    return _rows(d, start, _checked_range(d, start, stop, allow_big=True))
+    return _rows(d, *_checked_range(d, start, stop, allow_big=True))
 
 
 def _rows(d: DomainSpec, start, stop):
@@ -444,9 +447,10 @@ def _rows(d: DomainSpec, start, stop):
 
 def unrank(d: DomainSpec, index: int):
     """The element at index: the first element iterate yields from it."""
-    if not 0 <= index < cardinality(d):
-        raise ValueError(f"index {_shown(index)} out of range for {d}")
-    return next(iterate(d, True, index, index + 1))
+    i = operator.index(index)
+    if not 0 <= i < cardinality(d):
+        raise ValueError(f"index {_shown(i)} out of range for {d}")
+    return next(iterate(d, True, i, i + 1))
 
 
 def rank(d: DomainSpec, element) -> int:
@@ -481,7 +485,7 @@ def rank(d: DomainSpec, element) -> int:
 def _image_rows(d: DomainSpec, start=0, stop=None, allow_big=False):
     """One-line images of a signed or plain family's elements, in unrank
     order, after the range and budget checks."""
-    rows = _rows(d, start, _checked_range(d, start, stop, allow_big))
+    rows = _rows(d, *_checked_range(d, start, stop, allow_big))
     return map(_word_to_images, rows) if _layout(d)[0] else rows
 
 
@@ -499,7 +503,7 @@ def iterate(d: DomainSpec, allow_big: bool = False, start=0, stop=None):
     # low digits from a table of at most 2^LOW_SIGN_BITS codes, the high ones
     # decoded once, then stepped per table pass (Algorithm M, TAOCP 7.2.1.1)
     n, r, fix = d.n, d.r, d.color_filter
-    stop = _checked_range(d, start, stop, allow_big)
+    start, stop = _checked_range(d, start, stop, allow_big)
     remaining = stop - start
     free = n if fix is None else n - 1
     block = r ** free
@@ -786,12 +790,14 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     the generator's state at the chunk's signs, and steps its own generator
     past them by counter arithmetic (_skip_sign_bits).  The caller sets its
     own generator to that state, draws each block's signs just before the
-    block turns into values, and then drops the block.  The drawer's
-    shuffles take most of the time (about 1.3 of 1.4 s per 100k rows at
-    n = 800), so chunk k is freed block by block while chunk k+1 is drawn,
-    and about one chunk and a block are alive: three chunks of CD(800) fmaj
-    trace a peak of 10.5 MiB, against 16.7 MiB when the caller held each
-    whole chunk of rows.  Each generator state is used by one thread
+    block turns into values, and then drops the block.  The drawer makes a
+    block only while fewer than a chunk and a block are made and not yet
+    dropped, so at most that many are alive whatever the thread timing.
+    The drawer's shuffles take most of the time (about 1.3 of 1.4 s per
+    100k rows at n = 800), so the caller keeps ahead and the drawer does
+    not wait: three chunks of CD(800) fmaj trace a peak of 10.5 MiB, and
+    no more with the caller slowed by 4 ms a block, against 16.7 MiB when
+    the caller held each whole chunk of rows.  Each generator state is used by one thread
     only, so the stream does not depend on the threads.
     """
     import threading
@@ -821,10 +827,14 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     def draw(c):
         # numpy's shuffle is fastest on pointer-sized items, and shuffling
         # the rows block by block, in order, makes the draws of one call;
-        # each block is its own array, so the caller can free it on its own
+        # each block is its own array, so the caller can free it on its own.
+        # None when the caller has stopped
         blocks = []
         buf = np.empty((min(SHUFFLE_BLOCK, c), n - 1), dtype=np.intp)
         for r in range(0, c, SHUFFLE_BLOCK):
+            room.acquire()
+            if cancel:
+                return None
             blk = buf[:min(SHUFFLE_BLOCK, c - r)]
             blk[...] = mags
             rng.permuted(blk, axis=1, out=blk)
@@ -839,24 +849,27 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
         return blocks, start
 
     # one drawing thread shuffles the chunks in order, each handed over in
-    # `box`.  It starts on chunk k+1 when the caller takes chunk k, and the
-    # caller, which runs faster, frees chunk k block by block meanwhile, so
-    # about one chunk and a block are alive; an error is handed over in
-    # place of the chunk, and `cancel` stops the drawer when the caller fails
+    # `box`.  It makes a block only while fewer than a chunk and a block are
+    # made and not yet dropped by the caller, which releases `room` for
+    # each block it drops; so however the threads run, at most a chunk and
+    # a block are alive, and a caller that keeps ahead never makes the
+    # drawer wait.  An error is handed over in place of the chunk, and
+    # `cancel` stops the drawer when the caller leaves
     box, cancel = [], []
-    ready, taken = threading.Semaphore(0), threading.Semaphore(0)
+    ready = threading.Semaphore(0)
+    room = threading.Semaphore(-(-SAMPLE_CHUNK // SHUFFLE_BLOCK) + 1)
 
     def work():
         for done in range(0, count, SAMPLE_CHUNK):
             try:
-                box.append(draw(min(SAMPLE_CHUNK, count - done)))
+                got = draw(min(SAMPLE_CHUNK, count - done))
             except BaseException as e:  # re-raised by the caller
-                box.append(e)
-                ready.release()
+                got = e
+            if got is None:
                 return
+            box.append(got)
             ready.release()
-            taken.acquire()
-            if cancel:
+            if isinstance(got, BaseException):
                 return
 
     out = np.empty(count, dtype=np.int64)
@@ -868,10 +881,9 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     try:
         for done in range(0, count, SAMPLE_CHUNK):
             ready.acquire()
-            got = box.pop()
+            got = box.pop(0)
             if isinstance(got, BaseException):
                 raise got
-            taken.release()
             blocks, start = got
             signs.bit_generator.state = start
             # blocks small enough that their temporaries stay in cache, each
@@ -908,8 +920,10 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
                     if stat == "fmaj":
                         vals = 2 * vals + np.count_nonzero(pol < 0, axis=1)
                 out[r:r + s] = vals
+                del w
+                room.release()
     finally:
         cancel.append(True)
-        taken.release()
+        room.release()
         drawer.join()
     return out

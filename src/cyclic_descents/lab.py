@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING
 
 from .domains import (DomainSpec, _checked_range, _image_rows, _layout,
@@ -109,7 +110,7 @@ def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
     allowed = _COLORED_STATS if d.kind == "CSnr" else _SIGNED_STATS
     if stat not in allowed:
         raise ValueError(f"statistic {stat!r} not defined on {d.kind}")
-    stop = _checked_range(d, start, stop, allow_big)
+    start, stop = _checked_range(d, start, stop, allow_big)
     # Counter + keeps each key's first place, so the sum lists the values in
     # the order one sweep first meets them
     return sum(_over_range(_counts_part, start, stop, d, allowed.index(stat),
@@ -134,7 +135,7 @@ def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
     if d.kind == "CSnr":
         raise ValueError("refined tables cover the signed and plain families")
     m = d.n - 1 if _layout(d)[0] else d.n
-    stop = _checked_range(d, 0, None, allow_big)
+    _, stop = _checked_range(d, 0, None, allow_big)
     out = sum(_over_range(_masks_part, 0, stop, d, (1 << m) - 1, cost=_ROW_COST),
               Counter())
     return RefinedTable(d, {DescentSet(m, k): c for k, c in out.items()})
@@ -163,6 +164,8 @@ def theoretical_moments(stat: str, n: int) -> MomentReport:
     """
     from fractions import Fraction
 
+    # a numpy integer would overflow its fixed width in the variance
+    n = index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     if stat == "des":
@@ -218,6 +221,8 @@ def normality_diagnostics(kind: str, stat: str, n: int, samples: int,
     statistics are integer-valued, so only the excess of the distance over
     the floor can shrink with the sample size.  Deterministic given
     (seed, worker)."""
+    # the report keeps ints, which serialize, whatever integers it is given
+    n, samples, seed, worker = index(n), index(samples), index(seed), index(worker)
     if n < 4:
         raise ValueError("closed-form moments require n >= 4")
     if samples < 10 ** 3:

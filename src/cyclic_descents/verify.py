@@ -2,7 +2,8 @@
 
 Each checker exhaustively sweeps (or, where stated, randomly samples) its
 domain and returns a ClaimResult; nothing is asserted so callers decide how
-to report.  Each claim keys every failure by its rank or visit index and
+to report.  Integer arguments are read with operator.index, so a numpy
+integer runs and reports as an int.  Each claim keys every failure by its rank or visit index and
 reports the MAX_REPORTED failures of smallest key, in key order.
 A swept claim checks its arguments and hands the runner, _swept, a list
 of sweeps, each a rank range, a row source, which turns a rank range into
@@ -39,7 +40,9 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, product
+from operator import index
 
+from .catalog import CLAIM_ROWS
 from .cycles import _word_to_images
 from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, IntPhilox,
                       _over_range, _shown, _uniform_index, cardinality,
@@ -168,6 +171,8 @@ def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
     """Descents at 0..n-1 agree between each cyclic permutation of degree
     n+1 and its image in B_n; exhaustive over the (sharded) domain, on
     `threads` processes, by default as many as domains._over_range picks."""
+    n = index(n)
+    threads = None if threads is None else index(threads)
     if threads is not None and threads < 1:
         raise ValueError(f"bad thread count {threads}")
     N = n + 1
@@ -175,7 +180,7 @@ def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
     if shard is None:
         lo, hi = 0, total
     else:
-        i, t = shard
+        i, t = shard = tuple(map(index, shard))
         if not 0 <= i < t:
             raise ValueError(f"bad shard {i}/{t}")
         lo, hi = total * i // t, total * (i + 1) // t
@@ -214,6 +219,7 @@ def check_bijection(n, parity="D") -> ClaimResult:
     argsort give the ranks that are not their image's first visit."""
     if parity not in ("D", "Dbar"):
         raise ValueError(f"bad parity {parity!r}")
+    n = index(n)
     t0 = time.perf_counter()
     d = DomainSpec("CD" if parity == "D" else "CDbar", n + 1)
     total = cardinality(d)
@@ -280,6 +286,7 @@ def _right_inverse_row(N, row, note):
 def check_inverses(n) -> ClaimResult:
     """Six composition laws: the parity-class maps invert each other in both
     orders, and the raw positive-class maps do as well."""
+    n = index(n)
     # one sweep per phase, so each splits evenly whatever its rows cost
     B, CB = DomainSpec("B", n), DomainSpec("CB", n + 1)
     return _swept("inverses", {"n": n}, [
@@ -293,6 +300,7 @@ def check_corollary_counts(n) -> ClaimResult:
     cyclic degree n+1 under descent-set truncation."""
     from .lab import refined_descent_table
 
+    n = index(n)
     t0 = time.perf_counter()
     tb = refined_descent_table(DomainSpec("B", n))
     tc = refined_descent_table(DomainSpec("CD", n + 1))
@@ -324,6 +332,7 @@ def check_elizalde_equivalence(n) -> ClaimResult:
     plain permutation of degree n+1, with its internal cross-checks armed."""
     from .classic import _phi_classic_word
 
+    n = index(n)
     d = DomainSpec("CS", n + 1)
     return _swept("elizalde-equivalence", {"n": n}, [
         (0, cardinality(d), partial(_ranked, d), partial(_elizalde_row, _phi_classic_word), 5)])
@@ -342,6 +351,7 @@ def check_colored(n, r=2) -> ClaimResult:
     from .colored import (ColoredPermutation, _inner_descents, color_of,
                           colored_phi, colored_psi)
 
+    n, r = index(n), index(r)
     _within_budget("colored", r ** (n + 1) * math.factorial(n))
     t0 = time.perf_counter()
     checked = 0
@@ -382,6 +392,7 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
     hold from n = 4 on, so a lower degree is refused."""
     from .lab import exact_distribution, exact_moments, theoretical_moments
 
+    n_lo, n_hi = index(n_lo), index(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty degree range {n_lo}..{n_hi}")
     if n_lo < 4:
@@ -423,6 +434,7 @@ def _gap_row(n, row, note):
 def check_stat_gaps(n_hi=7) -> ClaimResult:
     """Per-element statistic gaps across the map: descents drop by 0 or 1,
     the flag major index by 0 to 2n+1, over cyclic degree-n domains."""
+    n_hi = index(n_hi)
     if n_hi < 1:
         raise ValueError(f"bad degree bound {n_hi}")
     return _swept("stat-gaps", {"n": f"1..{n_hi}"}, [
@@ -447,6 +459,7 @@ def _order_swap_row(d, row, note):
 def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
     """Instrumented runs on random positive-class cyclic words: all working
     order/swap invariants hold, and tracing never changes the output."""
+    count, degree, seed = index(count), index(degree), index(seed)
     if count < 1:
         raise ValueError(f"bad sample count {count}")
     if degree < 1:
@@ -464,15 +477,6 @@ def check_order_swap_properties(count=10000, degree=10, seed=0) -> ClaimResult:
                     partial(_order_swap_row, DomainSpec("CB", degree)), 27)])
 
 
-CLAIMS = {
-    "phi-descents": check_phi_descents,
-    "bijection-D": partial(check_bijection, parity="D"),
-    "bijection-Dbar": partial(check_bijection, parity="Dbar"),
-    "inverses": check_inverses,
-    "corollary-counts": check_corollary_counts,
-    "elizalde-equivalence": check_elizalde_equivalence,
-    "colored": check_colored,
-    "moments": check_moments,
-    "stat-gaps": check_stat_gaps,
-    "order-swap-properties": check_order_swap_properties,
-}
+# each claim's checker over the keywords it fixes
+CLAIMS = {name: partial(globals()[checker], **fixed)
+          for name, (checker, fixed, _) in CLAIM_ROWS.items()}

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_descents.cli import (CLAIM_FLAGS, MAP_FNS, ParseError, build_parser,
-                                 main, parse_permutation_text, render_cycles)
+from cyclic_descents.catalog import CLAIM_ROWS
+from cyclic_descents.cli import (MAP_FNS, ParseError, build_parser, main,
+                                 parse_permutation_text, render_cycles)
 from cyclic_descents.colored import ColoredPermutation
 from cyclic_descents.cycles import CycleNotation, from_cycles
 from cyclic_descents.permutations import SignedPermutation
@@ -356,8 +358,6 @@ def test_commands_import_only_what_they_run(argv, absent):
 
 
 def test_parser_choices_match_the_library():
-    import inspect
-
     from cyclic_descents import domains, verify
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
@@ -372,12 +372,59 @@ def test_parser_choices_match_the_library():
     assert set(choices("invert", "--fn")) <= set(choices("map", "--fn")) == set(MAP_FNS)
     dests = {a.dest for a in subs["map"]._actions}
     assert {f for _, _, takes in MAP_FNS.values() for f in takes} <= dests
-    for name, flags in CLAIM_FLAGS.items():
-        params = inspect.signature(verify.CLAIMS[name]).parameters
-        assert {kw for kws in flags.values() for kw in kws} <= set(params), name
-        # the CLI demands --n exactly where the claim's n has no default
-        required = {k for k, v in params.items() if v.default is v.empty}
-        assert required == ({"n"} if flags.get("n") == ("n",) else set()), name
+    assert list(CLAIM_ROWS) == sorted(CLAIM_ROWS)
+
+
+@pytest.mark.parametrize("name", CLAIM_ROWS)
+def test_catalog_rows_match_their_checkers(name):
+    import inspect
+
+    from cyclic_descents import verify
+    checker, fixed, flags = CLAIM_ROWS[name]
+    params = inspect.signature(getattr(verify, checker)).parameters
+    assert set(fixed) <= set(params)
+    assert {kw for kws in flags.values() for kw in kws} <= set(params)
+    # the CLI demands --n exactly where the claim's n has no default
+    required = {k for k, v in params.items() if v.default is v.empty}
+    assert required == ({"n"} if flags.get("n") == ("n",) else set())
+    # CLAIMS binds the checker to the fixed keywords, and the checker still
+    # names its report itself: run at degree 4 (moments' least) or on five
+    # samples, it reports the row's name
+    assert verify.CLAIMS[name].func is getattr(verify, checker)
+    assert verify.CLAIMS[name].keywords == fixed
+    small = {"n": 4, "samples": 5}
+    kw = {k: small[flag] for flag, kws in flags.items() if flag in small for k in kws}
+    assert verify.CLAIMS[name](**kw).claim == name
+
+
+# each verify flag, with a value the flag's parser takes
+VERIFY_FLAGS = {"n": "3", "r": "2", "samples": "3", "seed": "9", "shard": "1/4",
+                "threads": "1"}
+
+
+@pytest.mark.parametrize("name", CLAIM_ROWS)
+def test_verify_refuses_each_flag_a_claim_does_not_take(capsys, name):
+    refused = [f for f in VERIFY_FLAGS if f not in CLAIM_ROWS[name][2]]
+    assert refused
+    for flag in refused:
+        code, out, err = run(capsys, "verify", "--claim", name, f"--{flag}",
+                             VERIFY_FLAGS[flag])
+        assert (code, out, err) == (2, "", f"--claim {name} does not take --{flag}\n")
+
+
+def test_readme_lists_each_claims_flags():
+    # the bullets after "Claims of `verify` and the flags each takes", each
+    # its claims, a colon, then the flags they take
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("Claims of `verify` and the\nflags each takes", 1)[1]
+    block = block.split("\n\n")[1]
+    listed = {}
+    for bullet in block.split("\n- "):
+        names, flags = bullet.split(": ", 1)
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in listed, name
+            listed[name] = set(re.findall(r"`--([a-z]+)`", flags))
+    assert listed == {name: set(flags) for name, (_, _, flags) in CLAIM_ROWS.items()}
 
 
 @pytest.mark.parametrize("argv, code, err", [

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import islice, permutations
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from cyclic_descents import domains
+from cyclic_descents import domains, lab, verify
 from cyclic_descents.colored import ColoredPermutation, color_of
 from cyclic_descents.cycles import is_cyclic
 from cyclic_descents.domains import (KINDS, SAMPLE_CHUNK, BudgetError,
@@ -65,6 +66,47 @@ def test_domain_spec_reads_numpy_integers_as_ints(to):
                      (("CSnr", 4), {"r": 3, "color_filter": 1.0})):
         with pytest.raises(TypeError):
             DomainSpec(*args, **kw)
+
+
+def _claim_fields(c):
+    """A claim's report without its time."""
+    return c.claim, c.params, c.passed, c.checked, c.details, c.failures
+
+
+def _json_report(rep):
+    import json
+    from dataclasses import asdict
+
+    return json.dumps(asdict(rep))
+
+
+# each call of a public entry point on integers made by `to`; a numpy
+# integer once raised AttributeError (bit_length) in the row walk,
+# overflowed a closed-form variance, or reached a report that json refuses
+_NUMPY_INT_CALLS = {
+    "iterate_words": lambda to: list(iterate_words(DomainSpec("B", 3), to(2), to(9))),
+    "iterate": lambda to: list(iterate(DomainSpec("CB", 3), False, to(2), to(9))),
+    "iterate CSnr": lambda to: list(iterate(DomainSpec("CSnr", 3, r=2), False, to(2),
+                                            to(9))),
+    "unrank": lambda to: unrank(DomainSpec("B", 3), to(5)),
+    "count_range": lambda to: lab.count_range(DomainSpec("CB", 4), "des", to(3), to(40)),
+    "phi-descents": lambda to: _claim_fields(verify.check_phi_descents(to(3))),
+    "phi-descents shard": lambda to: _claim_fields(
+        verify.check_phi_descents(to(3), shard=(to(1), to(4)))),
+    "inverses": lambda to: _claim_fields(verify.check_inverses(to(3))),
+    "order-swap-properties": lambda to: _claim_fields(
+        verify.check_order_swap_properties(20, to(10), 3)),
+    "theoretical_moments": lambda to: [
+        lab.theoretical_moments("fmaj", to(n)) for n in (1_400_000, 1_800_000)],
+    "normality_diagnostics": lambda to: _json_report(
+        lab.normality_diagnostics("CB", "des", to(50), 1000, 3)),
+}
+
+
+@pytest.mark.parametrize("call", _NUMPY_INT_CALLS.values(), ids=_NUMPY_INT_CALLS)
+def test_entry_points_read_numpy_integers_as_ints(call):
+    # equal reprs: the results hold ints, not the numpy integers given
+    assert repr(call(np.int64)) == repr(call(int))
 
 
 def test_domain_validation():
@@ -944,8 +986,7 @@ def test_iterate_words_steps_through_ranges(kind, n):
         assert list(iterate_words(d, lo, hi)) == want[lo:hi]
 
 
-@pytest.fixture(scope="module")
-def batch_peak():
+def _three_chunk_peak():
     """The traced peak of three chunks of CD(800) fmaj, in bytes."""
     tracemalloc.start()
     try:
@@ -954,6 +995,11 @@ def batch_peak():
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def batch_peak():
+    return _three_chunk_peak()
 
 
 def test_batch_sampler_memory_stays_bounded(batch_peak):
@@ -977,3 +1023,18 @@ def test_batch_sampler_holds_one_chunk_of_rows(batch_peak):
     # ahead of the drawer: about one chunk of rows (6.25 MiB) is alive,
     # with the drawer's intp block and the caller's block temporaries
     assert batch_peak <= 12 * 2 ** 20, f"{batch_peak / 2 ** 20:.1f} MiB"
+
+
+def test_batch_sampler_holds_one_chunk_of_rows_under_a_slow_caller(monkeypatch):
+    # a caller slowed by 4 ms a block lets the drawer run ahead, which once
+    # drew a whole chunk beside the one the caller held (12.8-14.0 MiB);
+    # the drawer now waits for the caller to drop a block before it makes
+    # one past a chunk and a block
+    sign_bits = domains._sign_bits
+
+    def slow(rng, m):
+        time.sleep(0.004)
+        return sign_bits(rng, m)
+    monkeypatch.setattr(domains, "_sign_bits", slow)
+    peak = _three_chunk_peak()
+    assert peak <= 12 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
