@@ -161,6 +161,15 @@ BENCH_PAIRS = [
                           ("sweep", "checks_per_s"): ("inside",)},
                  [("clt", "peak_rss_mb", 4, operator.le, 0.93),
                   ("clt", "peak_rss_mb", 3, operator.le, 55.9)], True, id="pr32"),
+    # the claim catalog and the per-block bound of the batch sampler claim
+    # no gain: sweep, cli_cold and clt, whose code moved, read inside the
+    # parent's quartiles, clt keeps PR 32's peak memory, and no median is
+    # worse than its BENCHMARK.json bound
+    pytest.param(33, 18, {("sweep", "checks_per_s"): ("inside",),
+                          ("cli_cold", "checks_per_s"): ("inside",),
+                          ("clt", "samples_per_s"): ("inside",),
+                          ("clt", "peak_rss_mb"): ("inside",)},
+                 [("clt", "peak_rss_mb", 3, operator.le, 55.9)], True, id="pr33"),
 ]
 
 
