@@ -29,9 +29,11 @@ this script diff empty.  The families are:
 - each claim's (params, passed, checked, failures) over the calls of
   `verify_all.py --quick` (its suite), the time left out,
   and the report or error of a claim asked to check nothing;
-- one line per injected fault: each claim's (params, passed, checked,
-  details, failures) with MAX_REPORTED at 5 and at 10^6, with the
-  descent sweep also sharded and on two processes;
+- one line per (fault, claim) for each fault of tests/faults.py: the
+  (params, passed, checked, details, failures) of that claim's calls, or
+  the error a call raised, under its checker's name, with MAX_REPORTED at
+  5 and at 10^6, the descent sweep also sharded and on two processes, in
+  an order of their own, so that reordering the suite moves no line;
 - the refusal of each exhaustive claim asked to sweep more than the
   enumeration budget: phi-descents, inverses, bijection-D, stat-gaps and
   elizalde-equivalence at n = 20 and colored at n = 12;
@@ -64,15 +66,15 @@ from unittest import mock
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from cyclic_descents import classic, cli, colored, lab, transfer, verify
+from cyclic_descents import cli, verify
 from cyclic_descents.colored import ColoredPermutation, colored_phi, colored_psi
 from cyclic_descents.cycles import _word_to_images, is_cyclic, to_canonical_cycles
 from cyclic_descents.domains import (SAMPLE_CHUNK, DomainSpec, IntPhilox,
                                      _uniform_index, cardinality, iterate,
                                      iterate_words, make_rng, rank, sample,
                                      sample_stat_batch, unrank)
-from cyclic_descents.lab import MomentReport
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import DescentSet, StatRecord, descent_set, stats
 from cyclic_descents.verify import (check_bijection, check_colored,
@@ -83,9 +85,9 @@ from cyclic_descents.verify import (check_bijection, check_colored,
 from cyclic_descents.transfer import (TransferTrace, capital_phi,
                                       capital_psi_D, capital_psi_Dbar,
                                       phi_plus, preimage_quadruple, psi_plus)
+from faults import FAULTS, SEED, patches
 from verify_all import suite
 
-SEED = 20261018
 ROW_KINDS = ("B", "D", "CB", "CD", "CDbar", "S", "CS")
 # bounds of 1, 2, 3 and 149 64-bit words
 INDEX_BOUNDS = (2 ** 63 + 1, 3 << 100, 5 << 180, math.factorial(1000) << 1000)
@@ -353,55 +355,21 @@ def fault_row(call):
     return c.claim, c.params, c.passed, c.checked, c.details, c.failures
 
 
-def _negative_class_fixup(word, res, real=transfer._phi_fixup):
-    out = real(word, res)
-    return [-v for v in out] if word[-1] < 0 else out
-
-
-def _first_two_swapped(images, trace=None, real=transfer._psi_plus_word):
-    w = real(images, trace)
-    return w[1::-1] + w[2:]
-
-
-def _first_sign_dropped(word, real=transfer._capital_phi_word):
-    out = real(word)
-    return [abs(v) for v in out[:1]] + out[1:]
-
-
-def _traced_output_changed(word, trace=None, real=transfer._phi_plus_word):
-    out = real(word, trace)
-    if trace is not None and len(out) > 1:
-        out[1] = -out[1]
-    return out
-
-
-FAULTS = {
-    "fixup negative class": ("_phi_fixup", _negative_class_fixup),
-    "psi_plus first two swapped": ("_psi_plus_word", _first_two_swapped),
-    "descent trigger inverted": (
-        "_descent_trigger", lambda *a, real=classic._descent_trigger: not real(*a)),
-    "colored_phi constant": ("colored_phi", lambda p: ColoredPermutation(
-        p.n - 1, p.r, tuple(range(1, p.n)), (0,) * (p.n - 1))),
-    "theoretical_moments wrong": (
-        "theoretical_moments", lambda stat, n: MomentReport(-1, 0)),
-    "capital_phi many-to-one": ("_capital_phi_word", _first_sign_dropped),
-    "phi_plus traced output": ("_phi_plus_word", _traced_output_changed),
-}
-
-
 def fault_lines():
-    """One line per fault, patched into every library module that binds
-    its name; every patch is undone on leaving."""
-    for label, (name, fake) in FAULTS.items():
-        rows = []
+    """One line per (fault, claim), the fault patched into every library
+    module that binds its name; every patch is undone on leaving.  A call
+    that raises is digested under its checker's name."""
+    for label in FAULTS:
+        by_claim = {}
         with contextlib.ExitStack() as stack:
-            for mod in (transfer, verify, classic, colored, lab):
-                if hasattr(mod, name):
-                    stack.enter_context(mock.patch.object(mod, name, fake))
+            for mod, name, fake in patches(label):
+                stack.enter_context(mock.patch.object(mod, name, fake))
             for cap in (5, 10 ** 6):
                 with mock.patch.object(verify, "MAX_REPORTED", cap):
-                    rows += [(cap, *fault_row(call)) for call in fault_calls()]
-        yield f"fault {label}", digest(rows)
+                    for row in map(fault_row, fault_calls()):
+                        by_claim.setdefault(row[0], []).append((cap, *row))
+        for claim in sorted(by_claim):
+            yield f"fault {label} {claim}", digest(sorted(by_claim[claim], key=repr))
 
 
 def main():

@@ -52,6 +52,8 @@ def main():
     ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--seed", type=int, default=20260823)
     args = ap.parse_args()
+    if args.threads is not None and args.threads < 1:
+        ap.error(f"--threads must be at least 1, not {args.threads}")
 
     t0 = time.perf_counter()
     results = [call() for call in suite(args.quick, args.seed, args.threads)]

@@ -28,6 +28,24 @@ def test_verify_all_quick_from_elsewhere(tmp_path):
     assert re.fullmatch(r"\d+ checks in \d+\.\d\ds, \d+ checks/s", lines[-1])
 
 
+@pytest.mark.parametrize("script, args", [
+    ("verify_all.py", ["--quick", "--threads", "0"]),
+    ("verify_all.py", ["--threads", "-2"]),
+    ("clt_report.py", ["--schedule", "25,3"]),
+    ("clt_report.py", ["--schedule", "25,,50"]),
+    ("clt_report.py", ["--schedule", "25,x"]),
+    ("clt_report.py", ["--samples", "999"]),
+], ids=["threads-0", "threads-negative", "schedule-below-4", "schedule-empty-entry",
+        "schedule-not-integer", "samples-below-1000"])
+def test_bad_arguments_are_usage_errors(tmp_path, script, args):
+    # refused before any claim runs or any CSV row is written
+    res = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert "usage:" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_bench_imports_resolve():
     names = []
     for path in sorted((ROOT / "bench").glob("*.py")):

@@ -3,23 +3,25 @@
 import multiprocessing
 import os
 import pickle
+import runpy
 import signal
 import time
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from cyclic_descents import classic, colored, domains, lab, transfer, verify
-from cyclic_descents.colored import ColoredPermutation
+from cyclic_descents import domains, lab, transfer, verify
+from cyclic_descents.catalog import CLAIM_ROWS
 from cyclic_descents.domains import DomainSpec, cardinality, iterate, iterate_words
-from cyclic_descents.lab import MomentReport
 from cyclic_descents.verify import (CLAIMS, MAX_REPORTED, check_bijection,
                                     check_colored, check_corollary_counts,
                                     check_elizalde_equivalence,
                                     check_inverses, check_moments,
                                     check_order_swap_properties,
                                     check_phi_descents, check_stat_gaps)
+from faults import FAULTS, SEED, patches
 
 
 def test_claim_registry_is_complete():
@@ -232,15 +234,14 @@ def test_phi_descents_shards_split_sign_pairs(t):
     assert two.passed and two.checked == whole.checked
 
 
+def _inject(monkeypatch, label):
+    """Patch the fault of FAULTS[label] in for the rest of the test."""
+    for mod, name, fake in patches(label):
+        monkeypatch.setattr(mod, name, fake)
+
+
 def test_negative_class_faults_are_caught(monkeypatch):
-    real = transfer._phi_fixup
-
-    def corrupt(word, res):
-        out = real(word, res)
-        # negate the images of the negative class only
-        return [-v for v in out] if word[-1] < 0 else out
-
-    monkeypatch.setattr(transfer, "_phi_fixup", corrupt)
+    _inject(monkeypatch, "fixup negative class")
     r = check_phi_descents(4)
     assert not r.passed and r.failures
     assert all(w[-1] == -5 for w in r.failures)
@@ -257,7 +258,7 @@ def test_negative_class_faults_are_caught(monkeypatch):
 def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
     # a psi rewrite that swaps the first two word entries breaks every law
     # on every element, so each of the six laws must report every element
-    _psi_first_two_swapped(monkeypatch)
+    _inject(monkeypatch, "psi_plus first two swapped")
     monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
     r = check_inverses(3)
     assert r.checked == 288 and not r.passed
@@ -269,100 +270,51 @@ def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
     assert rows == list(iterate(DomainSpec("B", 3)))
 
 
-# each fault patches the library and returns the claim run that reports it
-
-def _inverted_trigger(monkeypatch):
+@pytest.mark.parametrize("label, run, shows", [
     # a trigger oracle that always disagrees trips the cross-check on every word
-    real = classic._descent_trigger
-    monkeypatch.setattr(classic, "_descent_trigger", lambda *args: not real(*args))
-
-    def run():
-        r = check_elizalde_equivalence(4)
-        assert all(msg.startswith("cross-check: ") for _, msg in r.failures)
-        return r
-
-    return run
-
-
-def _constant_colored_phi(monkeypatch):
+    ("descent trigger inverted", partial(check_elizalde_equivalence, 4),
+     lambda r: all(msg.startswith("cross-check: ") for _, msg in r.failures)),
     # every element mapped to one output fails descents and every color class
-    monkeypatch.setattr(colored, "colored_phi", lambda p: ColoredPermutation(
-        p.n - 1, p.r, tuple(range(1, p.n)), (0,) * (p.n - 1)))
-    return lambda: check_colored(3, 2)
-
-
-def _wrong_moments(monkeypatch):
-    monkeypatch.setattr(lab, "theoretical_moments",
-                        lambda stat, n: MomentReport(-1, 0))
-    return lambda: check_moments(4, 6)
-
-
-def _many_to_one(monkeypatch):
-    # dropping the sign of the first image merges the images in pairs
-    real = transfer._capital_phi_word
-
-    def merged(w):
-        out = real(w)
-        return [abs(out[0]), *out[1:]]
-
-    monkeypatch.setattr(verify, "_capital_phi_word", merged)
-
-    def run():
-        r = check_bijection(3)
-        assert r.details == "24/48 distinct images"
-        return r
-
-    return run
-
-
-def _trace_changes_output(monkeypatch):
-    real = transfer._phi_plus_word
-
-    def traced_differs(word, trace=None):
-        out = real(word, trace)
-        if trace is not None:
-            out[1] = -out[1]
-        return out
-
-    monkeypatch.setattr(verify, "_phi_plus_word", traced_differs)
-
-    def run():
-        r = check_order_swap_properties(count=50, degree=8, seed=1)
-        assert all(msg == "trace changed the output" for _, msg in r.failures)
-        return r
-
-    return run
-
-
-def _psi_first_two_swapped(monkeypatch):
-    # at degree 2 the swapped word no longer ends in +-N, so Phi cannot
-    # rewrite it and the law must fail without calling it
-    real = transfer._psi_plus_word
-
-    def faulty(images, trace=None):
-        w = real(images, trace)
-        return w[1::-1] + w[2:]
-
-    monkeypatch.setattr(transfer, "_psi_plus_word", faulty)
-    monkeypatch.setattr(verify, "_psi_plus_word", faulty)
-    return lambda: check_inverses(1)
-
-
-@pytest.mark.parametrize("fault", [_inverted_trigger, _constant_colored_phi,
-                                   _wrong_moments, _many_to_one,
-                                   _trace_changes_output, _psi_first_two_swapped],
-                         ids=["cross-check", "color-class", "moments",
-                              "bijection", "order-swap", "inverses"])
-def test_failures_are_capped(monkeypatch, fault):
+    ("colored_phi constant", partial(check_colored, 3, 2), None),
+    ("theoretical_moments wrong", partial(check_moments, 4, 6), None),
+    ("capital_phi many-to-one", partial(check_bijection, 3),
+     lambda r: r.details == "24/48 distinct images"),
+    ("phi_plus traced output",
+     partial(check_order_swap_properties, count=50, degree=8, seed=1),
+     lambda r: all(msg == "trace changed the output" for _, msg in r.failures)),
+    ("psi_plus first two swapped", partial(check_inverses, 1), None),
+], ids=["cross-check", "color-class", "moments", "bijection", "order-swap", "inverses"])
+def test_failures_are_capped(monkeypatch, label, run, shows):
     # the report is the first MAX_REPORTED failures of the full list
-    run = fault(monkeypatch)
+    _inject(monkeypatch, label)
     r = run()
+    assert shows is None or shows(r)
     assert not r.passed and len(r.failures) == MAX_REPORTED
     monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
     every = run()
+    assert shows is None or shows(every)
     assert len(every.failures) > MAX_REPORTED
     assert every.failures[:MAX_REPORTED] == r.failures
     assert (every.checked, every.details) == (r.checked, r.details)
+
+
+SUITE = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts"
+                           / "verify_all.py"))["suite"]
+
+
+@pytest.mark.parametrize("label", FAULTS)
+def test_each_fault_fails_exactly_its_claims(monkeypatch, label):
+    _inject(monkeypatch, label)
+    failing = {r.claim for r in (call() for call in SUITE(True, SEED)) if not r.passed}
+    claims = FAULTS[label][2]
+    assert failing == claims, (f"failed but not listed: {sorted(failing - claims)}, "
+                               f"listed but passed: {sorted(claims - failing)}")
+
+
+def test_every_claim_fails_under_some_fault():
+    missing = set(CLAIM_ROWS).difference(*(claims for _, _, claims in FAULTS.values()))
+    assert not missing, f"no fault fails {sorted(missing)}"
+
 
 
 def test_elapsed_ignores_the_wall_clock(monkeypatch):
@@ -390,49 +342,6 @@ def _on_workers(monkeypatch, k):
     monkeypatch.setattr(domains, "_cores", lambda: k)
 
 
-def _negative_class_fixup(monkeypatch):
-    real = transfer._phi_fixup
-    monkeypatch.setattr(transfer, "_phi_fixup", lambda word, res: (
-        [-v for v in real(word, res)] if word[-1] < 0 else real(word, res)))
-
-
-def _first_sign_dropped(monkeypatch):
-    # merges the images in pairs.  Every rewriting path of a sweep, paired
-    # or lone row, ends in the fix-up, so each split sees the same fault
-    real = transfer._phi_fixup
-
-    def merged(word, res):
-        out = real(word, res)
-        return [abs(v) for v in out[:1]] + out[1:]
-
-    monkeypatch.setattr(transfer, "_phi_fixup", merged)
-    monkeypatch.setattr(verify, "_phi_fixup", merged)
-
-
-def _last_image_repeats_the_first(monkeypatch):
-    # the last word of each parity class of degree 5 takes the image of the
-    # first: one repeat, in the last part whatever the number of parts
-    real = transfer._capital_phi_word
-    swap = {}
-    for kind in ("CD", "CDbar"):
-        d = DomainSpec(kind, 5)
-        swap[next(iterate_words(d, cardinality(d) - 1))] = next(iterate_words(d))
-    monkeypatch.setattr(verify, "_capital_phi_word",
-                        lambda w: real(swap.get(tuple(w), w)))
-
-
-def _negated_image_damaged(monkeypatch):
-    # only the image of the negated word is wrong, so only the negative
-    # rows fail, whether their + partner lies in their part or not
-    real = transfer._capital_phi_pair
-
-    def damaged(word):
-        raw, res, neg = real(word)
-        return raw, res, [-v for v in neg[:1]] + neg[1:]
-
-    monkeypatch.setattr(verify, "_capital_phi_pair", damaged)
-
-
 DRIVEN = [partial(check_phi_descents, 4), partial(check_phi_descents, 4, shard=(1, 7)),
           partial(check_bijection, 4, "D"), partial(check_bijection, 4, "Dbar"),
           partial(check_inverses, 3), partial(check_stat_gaps, 5),
@@ -442,44 +351,44 @@ DRIVEN = [partial(check_phi_descents, 4), partial(check_phi_descents, 4, shard=(
 TABLES = [partial(check_corollary_counts, 4), partial(check_moments, 5, 5)]
 
 
-@pytest.mark.parametrize("fault", [None, _negative_class_fixup, _first_sign_dropped,
-                                   _psi_first_two_swapped,
-                                   _last_image_repeats_the_first,
-                                   _negated_image_damaged, _inverted_trigger,
-                                   _trace_changes_output],
+@pytest.mark.parametrize("label", [None, "fixup negative class", "fixup first sign dropped",
+                                   "psi_plus first two swapped",
+                                   "last image repeats the first",
+                                   "negated image damaged", "descent trigger inverted",
+                                   "phi_plus traced output"],
                          ids=["none", "fixup", "many-to-one", "inverses",
                               "repeat-across-parts", "negated-image",
                               "cross-check", "order-swap"])
-def test_claims_agree_on_any_number_of_workers(monkeypatch, fault):
+def test_claims_agree_on_any_number_of_workers(monkeypatch, label):
     # the parts' edges fall inside magnitude blocks and +- pairs (in the
     # shard, in the right inverse laws at degree 2 and 3 workers, and in
     # the gaps at small degree)
-    if fault is not None:
-        fault(monkeypatch)
+    if label is not None:
+        _inject(monkeypatch, label)
     for cap in (MAX_REPORTED, 10 ** 6):
         monkeypatch.setattr(verify, "MAX_REPORTED", cap)
         reports = {}
         for k in (1, 2, 3):
             _on_workers(monkeypatch, k)
-            runs = [call() for call in DRIVEN + (TABLES if fault is None else [])]
+            runs = [call() for call in DRIVEN + (TABLES if label is None else [])]
             assert runs[0].params["threads"] == k
             reports[k] = [(r.passed, r.checked, r.details, r.failures) for r in runs]
         assert reports[2] == reports[1] and reports[3] == reports[1]
-    if fault is _last_image_repeats_the_first:
+    if label == "last image repeats the first":
         for (passed, _, details, failures), kind in zip(reports[1][2:4], ("CD", "CDbar")):
             d = DomainSpec(kind, 5)
             assert not passed and details == "383/384 distinct images"
             assert failures == [next(iterate_words(d, cardinality(d) - 1))]
-    if fault is _psi_first_two_swapped:
+    if label == "psi_plus first two swapped":
         tags = {tag for tag, _ in reports[1][4][3]}
         assert {"D-left", "plus-right", "CDbar-right"} <= tags
-    if fault is _negated_image_damaged:
+    if label == "negated image damaged":
         # the shard's lone negative rows fail as its paired ones do
         passed, _, _, failures = reports[1][1]
         assert not passed and all(w[-1] < 0 for w in failures)
-    if fault is _inverted_trigger:
+    if label == "descent trigger inverted":
         assert not reports[1][7][0]
-    if fault is _trace_changes_output:
+    if label == "phi_plus traced output":
         assert not reports[1][8][0]
 
 
