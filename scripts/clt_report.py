@@ -39,6 +39,8 @@ def main():
     args = ap.parse_args()
     if args.samples < 1000:
         ap.error(f"--samples must be at least 1000, not {args.samples}")
+    if not 0 <= args.seed < 1 << 64:
+        ap.error(f"--seed must lie in 0..2^64-1, not {args.seed}")
 
     sink = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     w = csv.writer(sink, lineterminator="\n")

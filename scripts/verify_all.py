@@ -54,6 +54,8 @@ def main():
     args = ap.parse_args()
     if args.threads is not None and args.threads < 1:
         ap.error(f"--threads must be at least 1, not {args.threads}")
+    if not 0 <= args.seed < 1 << 64:
+        ap.error(f"--seed must lie in 0..2^64-1, not {args.seed}")
 
     t0 = time.perf_counter()
     results = [call() for call in suite(args.quick, args.seed, args.threads)]

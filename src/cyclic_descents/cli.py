@@ -84,7 +84,12 @@ def parse_permutation_text(s, r=None):
     if i == len(s):
         raise ParseError("empty input", i)
     if s[i] == "[":
-        entries, i = _scan_group(s, i + 1, "]")
+        j = _skip_ws(s, i + 1)
+        # [] is the degree-0 permutation, which the printer writes so
+        if j < len(s) and s[j] == "]":
+            entries, i = [], j + 1
+        else:
+            entries, i = _scan_group(s, i + 1, "]")
         if _skip_ws(s, i) != len(s):
             raise ParseError("trailing input", i)
         colored = r is not None or any(c is not None for c in (c for _, c in entries))

@@ -52,9 +52,9 @@ cheaply: it shuffles pointer-sized rows, numpy's fast case, and reads each
 sign bit from a raw word where numpy's bounded draw on a range of two would
 read it.  A drawing thread shuffles the next chunk of rows while the caller
 turns the chunk before into values, and it hands a chunk over as its
-shuffled blocks, which the caller frees one by one; it makes a block only
-while fewer than a chunk and a block are alive, so that is the most alive
-however the threads are scheduled.
+shuffled blocks, of at most 2^16 entries each, which the caller frees one
+by one; it makes a block only while fewer than a chunk and a block are
+alive, so that is the most alive however the threads are scheduled.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ if TYPE_CHECKING:
 
 BUDGET_LIMIT = 2 ** 32
 SAMPLE_CHUNK = 4096
-# rows per shuffle call of the batch sampler; at degree 800 these 1.6 MB
-# intp blocks shuffle a chunk about 25 % faster than blocks of 1024 rows
-SHUFFLE_BLOCK = 256
+# entries per block of the batch sampler (see _block_rows): at degree 800
+# a block's 0.4 MB intp rows and its temporaries stay small beside a chunk,
+# and at degree 50 a chunk is 4 blocks, not 16
+BLOCK_ENTRIES = 1 << 16
 # the streams tabulate at most 2^10 low sign or color codes, so that their
 # memory stays bounded whatever the number of sign bits or colors
 LOW_SIGN_BITS = 10
@@ -570,6 +571,9 @@ _REP = int.from_bytes((b"\0" * 15 + b"\1") * _LANES, "big")  # 1 in each lane
 _RAMP = int.from_bytes(b"".join(b.to_bytes(16, "big") for b in range(_LANES)),
                        "big")  # b in block b's lane
 _LO = _MASK64 * _REP  # each lane's low limb
+# a draw that still needs fewer blocks than this is short: its batch also
+# covers as many blocks as the stream has made, which later draws will read
+_SHORT_DRAW = 16
 
 
 class IntPhilox:
@@ -586,12 +590,14 @@ class IntPhilox:
 
     The rounds run on a batch of blocks at once, one lane each, so each
     multiply, shift and mask is one big-integer operation over all of them.
-    A batch covers what a draw still needs and is at least as many blocks
-    as the stream has made, up to _LANES: a stream of short draws doubles
-    its blocks at each batch and soon runs at the widest batch's cost per
-    block, while a degree-1001 index (38 blocks) retried after a rejection
-    computes 38 blocks again.  The round keys are packed for a batch's
-    lane count when it changes.  On a 2-vCPU
+    A batch covers what a draw still needs, up to _LANES.  For a short draw,
+    one that needs fewer than _SHORT_DRAW blocks, it is also at least as
+    many blocks as the stream has made: a stream of short draws doubles its
+    blocks at each batch and soon runs at the widest batch's cost per
+    block.  A long draw's batch is already near that cost, and a retry of it
+    may never come, so each try of a degree-1001 index (37.25 blocks)
+    computes the 37 or 38 blocks it reads.  The round keys are packed for
+    a batch's lane count when it changes.  On a 2-vCPU
     VM (CPython 3.11, numpy 2.4) in a quiet spell, which host load can
     double, construction took 3 us, and a batch of 1, 8, 38 and 128 blocks
     8, 1.2, 0.75 and 0.6 us a block.  A one-word index took 1.6 us against
@@ -656,9 +662,10 @@ class IntPhilox:
             raise ValueError("negative dimensions are not allowed")
         end = self._at + 8 * k
         while end > len(self._buf):
-            # the blocks the draw still needs, and at least the blocks made so far
+            # the blocks the draw still needs, and for a short draw at least
+            # the blocks made so far
             need = -(-(end - len(self._buf)) // 32)
-            lanes = min(_LANES, max(need, self._made))
+            lanes = min(_LANES, need if need >= _SHORT_DRAW else max(need, self._made))
             self._made += lanes
             self._buf = self._buf[self._at:] + self._batch(lanes)
             end -= self._at
@@ -770,6 +777,13 @@ def sample(d: DomainSpec, rng) -> object:
     return next(iterate(d, True, i, i + 1))
 
 
+def _block_rows(n):
+    """Rows per block of the batch sampler at degree n: the largest power of
+    two whose rows fit BLOCK_ENTRIES entries, at least 1 and at most
+    SAMPLE_CHUNK."""
+    return min(1 << (max(BLOCK_ENTRIES // n, 1).bit_length() - 1), SAMPLE_CHUNK)
+
+
 def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
                       worker: int = 0) -> np.ndarray:
     """Statistic values of `count` uniform elements of a cyclic signed
@@ -782,12 +796,18 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
 
     A chunk of c rows draws exactly what rng.permuted(rows, axis=1) on its
     c magnitude rows and then rng.integers(0, 2, size=(c, n)) would draw,
-    more cheaply: the shuffle runs on blocks of SHUFFLE_BLOCK intp rows in
-    order, which is one such call split up, and _sign_bits reads the signs
-    from raw generator words.  A drawing thread shuffles the chunks in
-    order while the caller turns the chunk before into values.  It hands
-    over each chunk as its shuffled blocks, each its own int16 array, with
-    the generator's state at the chunk's signs, and steps its own generator
+    more cheaply: the shuffle runs on blocks of intp rows in order, which is
+    one such call split up, and _sign_bits reads the signs from raw
+    generator words, a block at a time, which is one such draw split up.
+    A block is _block_rows(n) rows, the most rows within BLOCK_ENTRIES
+    entries: 64 rows at n = 800, 256 at n = 200 and 1024 at n = 50.  So at
+    large degree the drawer's intp block and the caller's block
+    temporaries stay small beside the chunk of rows the stream holds, and
+    at small degree a chunk is a few blocks, not many tiny ones.  A drawing
+    thread shuffles the chunks in order while the caller turns the chunk
+    before into values.  It hands over each chunk as its shuffled blocks,
+    each its own int16 array, with the generator's state at the chunk's
+    signs, and steps its own generator
     past them by counter arithmetic (_skip_sign_bits).  The caller sets its
     own generator to that state, draws each block's signs just before the
     block turns into values, and then drops the block.  The drawer makes a
@@ -795,10 +815,11 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     dropped, so at most that many are alive whatever the thread timing.
     The drawer's shuffles take most of the time (about 1.3 of 1.4 s per
     100k rows at n = 800), so the caller keeps ahead and the drawer does
-    not wait: three chunks of CD(800) fmaj trace a peak of 10.5 MiB, and
-    no more with the caller slowed by 4 ms a block, against 16.7 MiB when
-    the caller held each whole chunk of rows.  Each generator state is used by one thread
-    only, so the stream does not depend on the threads.
+    not wait: three chunks of CD(800) fmaj trace a peak of 7.5 MiB, and no
+    more with the caller slowed by 4 ms a block, against 10.5 MiB with
+    blocks of 256 rows and 16.7 MiB when the caller held each whole chunk
+    of rows.  Each generator state is used by one thread only, so the
+    stream does not depend on the threads or on the block size.
     """
     import threading
 
@@ -819,8 +840,9 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     # the caller's own generator, set to each chunk's sign state in turn;
     # only the drawing thread uses rng
     signs = make_rng(seed, worker)
-    # entries lie in [-n, n] and flat slice indices below SHUFFLE_BLOCK * n,
-    # so the degree picks the narrowest types that hold them
+    block = _block_rows(n)
+    # entries lie in [-n, n] and flat slice indices below block * n, so the
+    # degree picks the narrowest types that hold them
     dt, flat = (np.int16, np.int32) if n < 1 << 15 else (np.int32, np.int64)
     mags = np.arange(1, n, dtype=np.intp)
 
@@ -830,12 +852,12 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
         # each block is its own array, so the caller can free it on its own.
         # None when the caller has stopped
         blocks = []
-        buf = np.empty((min(SHUFFLE_BLOCK, c), n - 1), dtype=np.intp)
-        for r in range(0, c, SHUFFLE_BLOCK):
+        buf = np.empty((min(block, c), n - 1), dtype=np.intp)
+        for r in range(0, c, block):
             room.acquire()
             if cancel:
                 return None
-            blk = buf[:min(SHUFFLE_BLOCK, c - r)]
+            blk = buf[:min(block, c - r)]
             blk[...] = mags
             rng.permuted(blk, axis=1, out=blk)
             w = np.empty((len(blk), n), dtype=dt)
@@ -857,7 +879,7 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     # `cancel` stops the drawer when the caller leaves
     box, cancel = [], []
     ready = threading.Semaphore(0)
-    room = threading.Semaphore(-(-SAMPLE_CHUNK // SHUFFLE_BLOCK) + 1)
+    room = threading.Semaphore(-(-SAMPLE_CHUNK // block) + 1)
 
     def work():
         for done in range(0, count, SAMPLE_CHUNK):
@@ -875,7 +897,7 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
     out = np.empty(count, dtype=np.int64)
     positions = np.arange(n, dtype=np.int64)
     # flat index of each row's entry 0, less one for the 1-based magnitudes
-    row_start = np.arange(-1, SHUFFLE_BLOCK * n - 1, n, dtype=flat)[:, None]
+    row_start = np.arange(-1, block * n - 1, n, dtype=flat)[:, None]
     drawer = threading.Thread(target=work)
     drawer.start()
     try:
@@ -890,7 +912,7 @@ def sample_stat_batch(d: DomainSpec, stat: str, count: int, seed: int,
             # dropped from the list as it is taken, so it is freed once it
             # has turned into values; _sign_bits on consecutive blocks draws
             # what one call on the whole chunk would
-            for r in range(done, min(done + SAMPLE_CHUNK, count), SHUFFLE_BLOCK):
+            for r in range(done, min(done + SAMPLE_CHUNK, count), block):
                 w = blocks.pop(0)
                 s = len(w)
                 neg = _sign_bits(signs, s * n).reshape(s, n)

@@ -352,6 +352,8 @@ def check_colored(n, r=2) -> ClaimResult:
                           colored_phi, colored_psi)
 
     n, r = index(n), index(r)
+    if n < 0:
+        raise ValueError(f"bad degree {n}")
     _within_budget("colored", r ** (n + 1) * math.factorial(n))
     t0 = time.perf_counter()
     checked = 0

@@ -46,6 +46,22 @@ def test_parse_colored():
     assert p.omega == (2, 1, 3) and p.tau == (1, 0, 2)
 
 
+def test_parse_degree_zero():
+    # the printer writes the degree-0 permutation as [], so it parses back
+    for text in ("[]", " [ ] "):
+        p = parse_permutation_text(text)
+        assert isinstance(p, SignedPermutation) and p.images == ()
+    assert str(parse_permutation_text("[]")) == "[]"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["invert", "--fn", "PsiD", "[]"], "[1]\n"),
+    (["stats", "[]"], "des=0 maj=0 neg=0 fmaj=0\n"),
+], ids=["invert", "stats"])
+def test_degree_zero_input(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_parse_syntax_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_permutation_text("[1,,2]")
@@ -445,6 +461,7 @@ def test_readme_lists_each_claims_flags():
      "error: bad sample count -1\n"),
     (["verify", "--claim", "stat-gaps", "--n", "0"], 2, "error: bad degree bound 0\n"),
     (["verify", "--claim", "stat-gaps", "--n", "-3"], 2, "error: bad degree bound -3\n"),
+    (["verify", "--claim", "colored", "--n", "-1"], 2, "error: bad degree -1\n"),
     (["verify", "--claim", "moments", "--n", "3"], 2,
      "error: closed-form moments require n >= 4\n"),
     (["verify", "--claim", "order-swap-properties", "--samples", "0"], 2,
@@ -457,7 +474,7 @@ def test_readme_lists_each_claims_flags():
         ("stat-gaps", "20"), ("elizalde-equivalence", "20"), ("colored", "12"))),
 ], ids=["budget", "budget-refined", "syntax", "repeated", "map-instrument",
         "map-r", "map-color", "invert-r", "pretty-alone", "verify-negative-count",
-        "sample-negative-count", "stat-gaps-zero", "stat-gaps-negative",
+        "sample-negative-count", "stat-gaps-zero", "stat-gaps-negative", "colored-negative",
         "moments-below-4", "verify-zero-count", "budget-past-the-digit-limit",
         "sample-seed-range", "budget-phi-descents", "budget-inverses",
         "budget-bijection-D", "budget-stat-gaps", "budget-elizalde-equivalence",

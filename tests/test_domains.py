@@ -412,29 +412,34 @@ def test_int_philox_counter_carries_and_wraps_as_numpys(counter):
         assert b.state["state"]["counter"][0] < 200
 
 
-def test_int_philox_grows_its_batches_to_the_draw():
-    # each batch covers the draw and is at least the blocks made so far:
-    # one block for one word, 37 more for a degree-1001 index, then the
-    # full width
+def test_int_philox_grows_its_batches_to_the_draw(monkeypatch):
+    # each batch covers what the draw still needs, up to the full width, and
+    # a short draw's is at least the blocks made so far: one block for one
+    # word, 37 more for a degree-1001 index, then just what each long draw
+    # still needs
+    lanes = []
+    real = IntPhilox._batch
+    monkeypatch.setattr(IntPhilox, "_batch", lambda a, k: lanes.append(k) or real(a, k))
     for key in _KEYS[:5]:
         a, b = IntPhilox(*key), make_rng(*key).bit_generator
-        lanes = []
+        batches = []
         for k in (1, 149, 600, 5000):
+            lanes.clear()
             assert a.raw_bytes(k) == _raw_bytes(b, k), (key, k)
-            lanes.append(a._lanes)
-        assert lanes == [1, 37, 128, 128]
+            batches.append(lanes[:])
+        assert batches == [[1], [37], [128, 22], [128] * 9 + [98]]
 
 
 def test_int_philox_retries_an_index_in_a_batch_of_its_size(monkeypatch):
     # a rejected degree-1001 index (149 words, 37.25 blocks) once took a
-    # second batch of 76 blocks to read 37 of them; now a retry computes
-    # one spare block, and only a second retry a wider batch
+    # second batch of 76 blocks to read 37 of them, and later a third try
+    # still did; now every try computes just the blocks it still needs
     lanes = []
     real = IntPhilox._batch
     monkeypatch.setattr(IntPhilox, "_batch", lambda a, k: lanes.append(k) or real(a, k))
     d = DomainSpec("CD", 1001)
-    for seed, want in ((1, [38]), (0, [38, 38]), (13, [38, 38, 76]),
-                       (3, [38, 38, 76, 128])):
+    for seed, want in ((1, [38]), (0, [38, 37]), (13, [38, 37, 37]),
+                       (3, [38, 37, 37, 37, 38])):
         lanes.clear()
         assert sample(d, seed) == sample(d, make_rng(seed)), seed
         assert lanes == want, seed
@@ -652,11 +657,14 @@ def test_seeded_sample_stream_is_pinned(d, digest):
     assert _sha("\n".join(str(sample(d, rng)) for _ in range(200))) == digest
 
 
-@pytest.mark.parametrize("kind,digest", [
+_PINNED_BATCHES = [
     ("CB", "2d2d9679fbf770bb25c4c9d12565a4acb51899763ed340ee8aaf5c01455246a9"),
     ("CD", "120866930c2c15b732ab0611890c50d7d466d643108215f37e71b3ff58c43231"),
     ("CDbar", "0fdcf71e0d7b50805a08d717d59c783005b4c08c920a631c2caa6c807623d004"),
-], ids=["CB", "CD", "CDbar"])
+]
+
+
+@pytest.mark.parametrize("kind,digest", _PINNED_BATCHES, ids=["CB", "CD", "CDbar"])
 def test_seeded_batch_stream_is_pinned(kind, digest):
     vals = sample_stat_batch(DomainSpec(kind, 9), "fmaj", 5000, seed=_GOLDEN_SEED)
     assert _sha(",".join(map(str, vals.tolist()))) == digest
@@ -694,6 +702,37 @@ _LONG_BATCHES = [
 @pytest.mark.parametrize("kind,n,stat,count,digest", _LONG_BATCHES,
                          ids=[f"{k}-{n}-{s}x{c}" for k, n, s, c, _ in _LONG_BATCHES])
 def test_batch_stream_is_pinned_over_several_chunks(kind, n, stat, count, digest):
+    vals = sample_stat_batch(DomainSpec(kind, n), stat, count, seed=_GOLDEN_SEED)
+    assert _sha(",".join(map(str, vals.tolist()))) == digest
+
+
+def test_batch_blocks_are_sized_by_entries():
+    # the largest power of two of rows within BLOCK_ENTRIES entries, at
+    # least one row and at most a chunk
+    assert domains.BLOCK_ENTRIES == 1 << 16
+    assert [domains._block_rows(n) for n in (800, 200, 50, 9, 1)] == \
+        [64, 256, 1024, SAMPLE_CHUNK, SAMPLE_CHUNK]
+    assert [domains._block_rows(n) for n in (1 << 15, (1 << 16) + 1, 1 << 20)] == \
+        [2, 1, 1]
+
+
+# every pinned batch stream, at 5000 rows, at counts that end inside a
+# block, and over several chunks
+_BATCH_DIGESTS = ([(k, 9, "fmaj", 5000, dg) for k, dg in _PINNED_BATCHES]
+                  + [(k, n, "fmaj", c, dg) for k, n, c, dg in _UNEVEN_BATCHES]
+                  + _LONG_BATCHES)
+
+
+@pytest.mark.parametrize("rows", [1, 64, SAMPLE_CHUNK])
+@pytest.mark.parametrize("kind,n,stat,count,digest", _BATCH_DIGESTS,
+                         ids=[f"{k}-{n}-{s}x{c}" for k, n, s, c, _ in _BATCH_DIGESTS])
+def test_batch_stream_does_not_depend_on_the_block_size(monkeypatch, rows, kind, n,
+                                                        stat, count, digest):
+    # consecutive blocks shuffled in order make the draws of one permuted
+    # call, and consecutive sign slices those of one draw, whatever the
+    # block size the entry budget picks
+    monkeypatch.setattr(domains, "BLOCK_ENTRIES", rows * n)
+    assert domains._block_rows(n) == rows
     vals = sample_stat_batch(DomainSpec(kind, n), stat, count, seed=_GOLDEN_SEED)
     assert _sha(",".join(map(str, vals.tolist()))) == digest
 
@@ -987,11 +1026,14 @@ def test_iterate_words_steps_through_ranges(kind, n):
 
 
 def _three_chunk_peak():
-    """The traced peak of three chunks of CD(800) fmaj, in bytes."""
+    """The traced peak of three chunks of CD(800) fmaj, in bytes, after a
+    first call has loaded what the sampler imports (a first call that
+    loads numpy traces 17.7 MiB)."""
+    d = DomainSpec("CD", 800)
+    sample_stat_batch(d, "fmaj", 1, seed=_GOLDEN_SEED)
     tracemalloc.start()
     try:
-        sample_stat_batch(DomainSpec("CD", 800), "fmaj", 3 * SAMPLE_CHUNK,
-                          seed=_GOLDEN_SEED)
+        sample_stat_batch(d, "fmaj", 3 * SAMPLE_CHUNK, seed=_GOLDEN_SEED)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1002,6 +1044,12 @@ def batch_peak():
     return _three_chunk_peak()
 
 
+# the int16 rows of a chunk and a block at degree 800 (6.35 MiB), with
+# 2 MiB for the drawer's intp block, the caller's block temporaries and
+# the output: 8.35 MiB
+_ONE_CHUNK_BOUND = (SAMPLE_CHUNK + domains._block_rows(800)) * 800 * 2 + 2 * 2 ** 20
+
+
 def test_batch_sampler_memory_stays_bounded(batch_peak):
     # three chunks, of which about one and a block are alive: one being
     # drawn while the one before is freed block by block as it turns into
@@ -1010,8 +1058,8 @@ def test_batch_sampler_memory_stays_bounded(batch_peak):
 
 
 def test_batch_sampler_holds_no_chunk_of_signs(batch_peak):
-    # the signs are drawn one slice at a time in the caller, so the run
-    # holds no chunk-sized sign array: 10.5 MiB at its peak, against
+    # the signs are drawn one block at a time in the caller, so the run
+    # holds no chunk-sized sign array: 7.5 MiB at its peak, against
     # 16.7 MiB when the caller held each whole chunk of rows and 22.8 MiB
     # when the drawer also handed over each chunk's signs
     assert batch_peak <= 20 * 2 ** 20, f"{batch_peak / 2 ** 20:.1f} MiB"
@@ -1020,9 +1068,11 @@ def test_batch_sampler_holds_no_chunk_of_signs(batch_peak):
 def test_batch_sampler_holds_one_chunk_of_rows(batch_peak):
     # each chunk is handed over as its shuffled blocks, which the caller
     # frees one by one while the next chunk is drawn, and the caller runs
-    # ahead of the drawer: about one chunk of rows (6.25 MiB) is alive,
-    # with the drawer's intp block and the caller's block temporaries
-    assert batch_peak <= 12 * 2 ** 20, f"{batch_peak / 2 ** 20:.1f} MiB"
+    # ahead of the drawer: about one chunk and a block of rows are alive,
+    # with the drawer's intp block and the caller's block temporaries, which
+    # blocks of 64 rows keep near 1 MiB (7.5 MiB in all, against 10.5 MiB
+    # with blocks of 256 rows)
+    assert batch_peak <= _ONE_CHUNK_BOUND, f"{batch_peak / 2 ** 20:.1f} MiB"
 
 
 def test_batch_sampler_holds_one_chunk_of_rows_under_a_slow_caller(monkeypatch):
@@ -1037,4 +1087,4 @@ def test_batch_sampler_holds_one_chunk_of_rows_under_a_slow_caller(monkeypatch):
         return sign_bits(rng, m)
     monkeypatch.setattr(domains, "_sign_bits", slow)
     peak = _three_chunk_peak()
-    assert peak <= 12 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert peak <= _ONE_CHUNK_BOUND, f"{peak / 2 ** 20:.1f} MiB"

@@ -35,8 +35,13 @@ def test_verify_all_quick_from_elsewhere(tmp_path):
     ("clt_report.py", ["--schedule", "25,,50"]),
     ("clt_report.py", ["--schedule", "25,x"]),
     ("clt_report.py", ["--samples", "999"]),
+    ("verify_all.py", ["--quick", "--seed", "-1"]),
+    ("verify_all.py", ["--quick", "--seed", str(2 ** 64)]),
+    ("clt_report.py", ["--seed", "-1"]),
+    ("clt_report.py", ["--seed", str(2 ** 64)]),
 ], ids=["threads-0", "threads-negative", "schedule-below-4", "schedule-empty-entry",
-        "schedule-not-integer", "samples-below-1000"])
+        "schedule-not-integer", "samples-below-1000", "verify-seed-negative",
+        "verify-seed-past-2^64", "clt-seed-negative", "clt-seed-past-2^64"])
 def test_bad_arguments_are_usage_errors(tmp_path, script, args):
     # refused before any claim runs or any CSV row is written
     res = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
