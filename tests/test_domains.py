@@ -690,7 +690,7 @@ def test_batch_stream_is_pinned_at_uneven_sizes(kind, n, count, digest):
 
 
 # streams of three chunks and more, where chunk k+1 is drawn while chunk k
-# turns into values, one of them ending mid-slice
+# turns into values, one of them ending mid-block
 _LONG_BATCHES = [
     ("CD", 64, "fmaj", 3 * SAMPLE_CHUNK + 257,
      "c01367e0e2d277fad6b7e6be46d4a8dfc152ad9312fc250a2dea0241d21825a2"),
@@ -765,9 +765,10 @@ def test_batch_sampler_leaves_no_thread_running(monkeypatch):
     before = threading.active_count()
     sample_stat_batch(DomainSpec("CD", 9), "fmaj", 3 * SAMPLE_CHUNK, seed=1)
     assert threading.active_count() == before
-    # the caller draws each slice's signs itself, and its second slice's
-    # draw fails while the drawer shuffles the second chunk: the error
-    # propagates, and the drawer is gone
+    # the caller draws each block's signs itself, and its second draw,
+    # the second chunk's (at degree 9 a block is a whole chunk), fails
+    # while the drawer may still shuffle the third: the error propagates,
+    # and the drawer is gone
     sign_bits, calls = domains._sign_bits, []
 
     def failing(rng, m):

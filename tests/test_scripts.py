@@ -193,6 +193,13 @@ BENCH_PAIRS = [
                           ("clt", "samples_per_s"): ("inside",),
                           ("clt", "peak_rss_mb"): ("inside",)},
                  [("clt", "peak_rss_mb", 3, operator.le, 55.9)], True, id="pr33"),
+    # blocks sized by entries lowered clt's peak memory on every seed, its
+    # median below the parent's quartiles and at least 7 % down; no median
+    # is worse than its BENCHMARK.json bound, and sweep reads flat
+    pytest.param(35, 24, {("clt", "peak_rss_mb"): ("10/10", "below"),
+                          ("sweep", "checks_per_s"): ("inside",)},
+                 [("clt", "peak_rss_mb", 4, operator.le, 0.93),
+                  ("clt", "peak_rss_mb", 3, operator.le, 50)], True, id="pr35"),
 ]
 
 
