@@ -42,7 +42,10 @@ def main():
     if not 0 <= args.seed < 1 << 64:
         ap.error(f"--seed must lie in 0..2^64-1, not {args.seed}")
 
-    sink = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    try:
+        sink = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    except OSError as e:
+        ap.error(f"--out {args.out}: {e.strerror}")
     w = csv.writer(sink, lineterminator="\n")
     w.writerow(["domain", "stat", "n", "samples", "seed", "mean", "variance",
                 "skewness", "excess_kurtosis", "ks_distance", "ks_floor"])

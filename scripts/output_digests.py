@@ -339,8 +339,8 @@ def cli_lines():
 
 
 def fault_calls():
-    # the two worker processes inherit the patches under the fork start
-    # method, the Linux default before Python 3.14
+    # the two worker processes inherit the patches: domains._over_range
+    # makes them with os.fork, which copies this process as it is
     return suite(True, SEED) + [partial(check_phi_descents, 4, shard=(i, 7))
                             for i in range(7)] + [
         partial(check_phi_descents, 4, threads=2)]

@@ -14,8 +14,10 @@ serves only the elizalde-equivalence check, `--fn phiS` and the tests.
 
 from __future__ import annotations
 
+from operator import index
+
 from .cycles import _images_to_word, _orbit, _word_to_images
-from .permutations import Record
+from .permutations import Record, _ints
 from .transfer import _phi_plus_word, _psi_plus_word
 
 
@@ -23,6 +25,8 @@ class ColoredPermutation(Record):
     __slots__ = ("n", "r", "omega", "tau")
 
     def __init__(self, n: int, r: int, omega: tuple, tau: tuple):
+        n, r = index(n), index(r)
+        omega, tau = _ints(omega, "image"), _ints(tau, "color")
         if r < 1:
             raise ValueError("need at least one color")
         if len(omega) != n or len(tau) != n:

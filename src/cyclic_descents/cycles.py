@@ -8,7 +8,9 @@ signed integer) comes first and lists cycles by increasing first entry.
 
 from __future__ import annotations
 
-from .permutations import Record, SignedPermutation
+from operator import index
+
+from .permutations import Record, SignedPermutation, _ints
 
 
 class SignedCycle(Record):
@@ -17,7 +19,7 @@ class SignedCycle(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(entries)
+        entries = _ints(entries, "entry")
         if not entries:
             raise ValueError("empty cycle")
         mags = set()
@@ -48,6 +50,7 @@ class CycleNotation(Record):
     __slots__ = ("n", "cycles")
 
     def __init__(self, n, cycles):
+        n = index(n)
         cycles = tuple(c if isinstance(c, SignedCycle) else SignedCycle(c) for c in cycles)
         seen = [False] * (n + 1)
         count = 0

@@ -63,6 +63,18 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _ints(values, what):
+    """values as a tuple of ints, each read with operator.index."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            if not hasattr(type(v), "__index__"):
+                raise TypeError(f"{what} {v!r} is not an integer") from None
+        raise
+
+
 class SignedPermutation(Record):
     """Immutable signed permutation stored as a tuple of images of 1..n.
 
@@ -73,12 +85,10 @@ class SignedPermutation(Record):
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = _ints(images, "image")
         n = len(images)
         seen = [False] * (n + 1)
         for v in images:
-            if not isinstance(v, int):
-                raise TypeError(f"image {v!r} is not an integer")
             a = abs(v)
             if a < 1 or a > n:
                 raise ValueError(f"image {v} out of range for degree {n}")

@@ -6,7 +6,9 @@ when s(1) < 0, i.e. Des(s) = {i in {0,...,n-1} : s(i) > s(i+1)} with s(0)=0.
 
 from __future__ import annotations
 
-from .permutations import Record, SignedPermutation
+from operator import index
+
+from .permutations import Record, SignedPermutation, _ints
 
 
 class DescentSet(Record):
@@ -15,16 +17,17 @@ class DescentSet(Record):
     __slots__ = ("n", "mask")
 
     def __init__(self, n, members=()):
-        mask = 0
-        if isinstance(members, int):
-            mask = members
-            if mask >> n:
-                raise ValueError(f"mask {mask:#x} has bits outside 0..{n - 1}")
-        else:
-            for i in members:
+        n = index(n)
+        try:
+            mask = index(members)
+        except TypeError:
+            mask = 0
+            for i in _ints(members, "member"):
                 if i < 0 or i >= n:
                     raise ValueError(f"member {i} outside 0..{n - 1}")
                 mask |= 1 << i
+        if mask >> n:
+            raise ValueError(f"mask {mask:#x} has bits outside 0..{n - 1}")
         Record.__init__(self, n, mask)
 
     @property
@@ -48,7 +51,7 @@ class StatRecord(Record):
     __slots__ = ("des", "maj", "neg", "fmaj")
 
     def __init__(self, des: int, maj: int, neg: int, fmaj: int):
-        Record.__init__(self, des, maj, neg, fmaj)
+        Record.__init__(self, index(des), index(maj), index(neg), index(fmaj))
 
 
 def _descent_mask(images):

@@ -9,8 +9,8 @@ A swept claim checks its arguments and hands the runner, _swept, a list
 of sweeps, each a rank range, a row source, which turns a rank range into
 rows, a check, which notes a row's failures and returns how many checks
 it made, and a cost.  The runner refuses a claim of more than
-BUDGET_LIMIT rows in all before it walks one (the bijection and colored
-claims refuse on their own counts, a descent shard on its own range),
+BUDGET_LIMIT rows in all before it walks one (the bijection claims
+refuse on their own counts, a descent shard on its own range),
 then runs each sweep through domains._over_range, which runs the walker
 _sweep over parts of the range.  It splits a sweep whose rows, weighed by
 their cost against a descent row, reach SERIAL_ROWS over this process,
@@ -18,11 +18,11 @@ which walks the first part, and one forked child per other usable core;
 the order-swap claim draws every word first and splits the list.  The
 costs are the measured times of a row at the benchmark's sizes over that
 of a descent row: 2 for a bijection row, 6 and 4 for a left and a right
-inverse row, 1.5 for a gap row, 5 for an Elizalde row and 27 for an
-instrumented run at degree 10.  The bijection claims, whose parts return
-every row's image as bytes for the parent to sort, and the exact tables
-behind the count and moment claims run their own workers; colored runs
-serially.  Each part keeps its first failures through _note and the
+inverse row, 1.5 for a gap row, 4 for a colored row, 5 for an Elizalde
+row and 27 for an instrumented run at degree 10.  The bijection claims,
+whose parts return every row's image as bytes for the parent to sort, and
+the exact tables behind the count and moment claims run their own
+workers.  Each part keeps its first failures through _note and the
 runner merges them through _note, so the processes never change what a
 claim reports.  Only the descent sweep can also be sharded by unrank
 range, or told its number of processes.  The +- pair claims (descents,
@@ -39,14 +39,14 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, product
+from itertools import chain
 from operator import index
 
 from .catalog import CLAIM_ROWS
 from .cycles import _word_to_images
 from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, IntPhilox,
                       _over_range, _shown, _uniform_index, cardinality,
-                      iterate_words, rank)
+                      iterate, iterate_words, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
@@ -338,54 +338,33 @@ def check_elizalde_equivalence(n) -> ClaimResult:
         (0, cardinality(d), partial(_ranked, d), partial(_elizalde_row, _phi_classic_word), 5)])
 
 
-def check_colored(n, r=2) -> ClaimResult:
-    """Colored transfer: descents in [n-1] preserved, each fixed-color class
-    of cyclic degree-(n+1) elements maps bijectively, and the lift with a
-    target color inverts it.
+def _colored_row(colored, row, note):
+    """One (rank, element) row of CSnr(n+1, r): colored_phi keeps the
+    descents at 1..n-1, and colored_psi lifts the image back to the row."""
+    k, p = row
+    q = colored.colored_phi(p)
+    inner = colored._inner_descents
+    if inner(p.omega[:-1], p.tau[:-1]) != inner(q.omega, q.tau):
+        note((0, k), ("descents", p))
+    if colored.colored_psi(q, colored.color_of(p)) != p:
+        note((1, k), ("roundtrip", p))
+    return 2
 
-    Both maps rewrite omega whatever the colors: colored_phi keeps the first
-    n colors and colored_psi appends the one that brings the total to the
-    target.  So each omega runs through the maps once, with all colors 0,
-    and the colorings loop over raw tuples.
-    """
-    from .colored import (ColoredPermutation, _inner_descents, color_of,
-                          colored_phi, colored_psi)
+
+def check_colored(n, r=2) -> ClaimResult:
+    """Colored transfer on every cyclic colored permutation of degree n+1:
+    descents in [n-1] preserved, and the lift to its own total color
+    inverts the map.  So each color class maps one-to-one, and being of the
+    same size, onto the r^n n! colored permutations of degree n."""
+    from . import colored
 
     n, r = index(n), index(r)
     if n < 0:
         raise ValueError(f"bad degree {n}")
-    _within_budget("colored", r ** (n + 1) * math.factorial(n))
-    t0 = time.perf_counter()
-    checked = 0
-    # failures are keyed (phase, visit index): descents, color classes and
-    # round trips, in that order
-    bad = []
-    images = set()
-    keep = set(range(1, n))
-    for w in iterate_words(DomainSpec("CS", n + 1)):
-        img = tuple(_word_to_images(w))
-        out = colored_phi(ColoredPermutation(n + 1, r, img, (0,) * (n + 1))).omega
-        images.add(out)
-        for tau in product(range(r), repeat=n + 1):
-            if _inner_descents(img, tau) & keep != _inner_descents(out, tau[:-1]):
-                _note(bad, (0, checked),
-                      ("descents", ColoredPermutation(n + 1, r, img, tau)))
-            checked += 1
-    # each color class is hit by every image under each of the r^n kept
-    # colorings, its last color set by the class
-    hit, full = len(images) * r ** n, r ** n * math.factorial(n)
-    if hit != full:
-        for c in range(r):
-            _note(bad, (1, c), ("color-class", (c, hit, full)))
-    for ww in iterate_words(DomainSpec("S", n)):
-        p = ColoredPermutation(n, r, ww, (0,) * n)
-        up = colored_psi(p, 0)
-        if color_of(up) != 0 or colored_phi(up) != p:
-            lifts = product(product(range(r), repeat=n), range(r))
-            for k, (tau, c) in enumerate(lifts, checked):
-                _note(bad, (2, k), ("roundtrip", (ColoredPermutation(n, r, ww, tau), c)))
-        checked += r ** (n + 1)
-    return _result("colored", {"n": n, "r": r}, t0, checked, bad)
+    d = DomainSpec("CSnr", n + 1, r=r)
+    return _swept("colored", {"n": n, "r": r}, [
+        (0, cardinality(d), lambda start, stop: enumerate(iterate(d, True, start, stop), start),
+         partial(_colored_row, colored), 4)])
 
 
 def check_moments(n_lo=5, n_hi=7) -> ClaimResult:

@@ -15,7 +15,7 @@ import importlib
 import pkgutil
 
 import cyclic_descents
-from cyclic_descents import classic, domains, statistics, transfer
+from cyclic_descents import classic, colored, domains, statistics, transfer
 from cyclic_descents.colored import ColoredPermutation
 from cyclic_descents.domains import DomainSpec, cardinality, iterate_words
 from cyclic_descents.lab import MomentReport
@@ -83,6 +83,18 @@ def _descent_mask_one_short(images, real=statistics._descent_mask):
     return real(images[:-1])
 
 
+def _phi_last_colors_kept(p, real=colored.colored_phi):
+    # keeps the last n colors instead of the first n
+    return ColoredPermutation(p.n - 1, p.r, real(p).omega, p.tau[1:])
+
+
+def _psi_kept_total_added(p, target_color, real=colored.colored_psi):
+    # the new position adds the kept total instead of subtracting it, the
+    # same color at r = 2, so only r >= 3 shows it
+    last = (target_color + sum(p.tau)) % p.r
+    return ColoredPermutation(p.n + 1, p.r, real(p, target_color).omega, p.tau + (last,))
+
+
 def _parity_flipped(d, start, stop, real=domains._rows):
     # the last entry's sign fixes the parity of the negative count, so every
     # D, CD and CDbar row lands in the other class of its degree
@@ -116,6 +128,8 @@ FAULTS = {
                               {"inverses", "phi-descents", "stat-gaps"}),
     "descent mask one short": ("_descent_mask", _descent_mask_one_short,
                                {"corollary-counts", "phi-descents"}),
+    "colored_phi last colors kept": ("colored_phi", _phi_last_colors_kept, {"colored"}),
+    "colored_psi kept total added": ("colored_psi", _psi_kept_total_added, {"colored"}),
     # no claim yet tells the two parity classes of a degree apart
     "parity sign flipped": ("_rows", _parity_flipped, set()),
 }

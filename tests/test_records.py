@@ -6,12 +6,13 @@ immutability."""
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from cyclic_descents.colored import ColoredPermutation
 from cyclic_descents.cycles import CycleNotation, SignedCycle, _images_to_word
 from cyclic_descents.domains import DomainSpec, iterate
-from cyclic_descents.permutations import SignedPermutation
+from cyclic_descents.permutations import Record, SignedPermutation
 from cyclic_descents.statistics import DescentSet, StatRecord
 from cyclic_descents.transfer import TransferTrace, phi_plus, psi_plus
 
@@ -105,6 +106,44 @@ def test_trusted_permutations_equal_checked_ones(images):
 def test_trusted_records_equal_checked_ones(make, values):
     a, b = make._trusted(*values), make(*values)
     assert type(a) is make and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def _held(x):
+    """Every field value a record holds, through tuples and nested records."""
+    if isinstance(x, (Record, tuple)):
+        for v in x.__reduce__()[1] if isinstance(x, Record) else x:
+            yield from _held(v)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: SignedPermutation([np.int64(2), 1]), "SignedPermutation([2, 1])"),
+    (lambda: SignedPermutation([True, -2]), "SignedPermutation([1, -2])"),
+    (lambda: SignedCycle([np.int64(3), -1]), "SignedCycle([3, -1])"),
+    (lambda: CycleNotation(np.int64(2), [(np.int64(1), 2)]), "CycleNotation(2, [[1, 2]])"),
+    (lambda: ColoredPermutation(np.int64(2), np.int64(2), (np.int64(2), 1), (True, 0)),
+     "ColoredPermutation(n=2, r=2, omega=(2, 1), tau=(1, 0))"),
+    (lambda: DescentSet(np.int64(3), np.int64(5)), "DescentSet(3, [0, 2])"),
+    (lambda: DescentSet(3, [np.int64(0), 2]), "DescentSet(3, [0, 2])"),
+    (lambda: StatRecord(np.int64(2), 3, 3, 9), "StatRecord(des=2, maj=3, neg=3, fmaj=9)"),
+    (lambda: SignedPermutation([1.0]), "image 1.0 is not an integer"),
+    (lambda: SignedCycle([1.0]), "entry 1.0 is not an integer"),
+    (lambda: ColoredPermutation(2, 2, (1, 2), (0.0, 1)), "color 0.0 is not an integer"),
+    (lambda: DescentSet(3, [0.0]), "member 0.0 is not an integer"),
+], ids=["permutation-numpy", "permutation-bool", "cycle", "notation", "colored",
+        "descents-mask", "descents-members", "stat", "permutation-float", "cycle-float",
+        "colored-float", "descents-float"])
+def test_records_read_integer_fields_as_ints(make, want):
+    # a numpy integer or a bool is stored as the int it stands for, and a
+    # float is refused
+    if want.endswith("is not an integer"):
+        with pytest.raises(TypeError, match=f"^{want}$"):
+            make()
+        return
+    rec = make()
+    assert repr(rec) == want
+    assert all(type(v) is int for v in _held(rec))
 
 
 def test_trace_snapshots_equal_checked_notations():

@@ -39,16 +39,19 @@ def test_verify_all_quick_from_elsewhere(tmp_path):
     ("verify_all.py", ["--quick", "--seed", str(2 ** 64)]),
     ("clt_report.py", ["--seed", "-1"]),
     ("clt_report.py", ["--seed", str(2 ** 64)]),
+    ("clt_report.py", ["--out", "missing/x.csv"]),
+    ("clt_report.py", ["--samples", "999", "--out", "x.csv"]),
 ], ids=["threads-0", "threads-negative", "schedule-below-4", "schedule-empty-entry",
         "schedule-not-integer", "samples-below-1000", "verify-seed-negative",
-        "verify-seed-past-2^64", "clt-seed-negative", "clt-seed-past-2^64"])
+        "verify-seed-past-2^64", "clt-seed-negative", "clt-seed-past-2^64",
+        "out-in-missing-directory", "out-not-made-when-refused"])
 def test_bad_arguments_are_usage_errors(tmp_path, script, args):
-    # refused before any claim runs or any CSV row is written
+    # refused before any claim runs or any CSV row or file is written
     res = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert res.returncode == 2
     assert "usage:" in res.stderr and "Traceback" not in res.stderr
-    assert res.stdout == ""
+    assert res.stdout == "" and not any(tmp_path.iterdir())
 
 
 def test_bench_imports_resolve():

@@ -255,6 +255,27 @@ def test_negative_class_faults_are_caught(monkeypatch):
     assert all(-p.n in p.images for p, _, _ in g.failures)
 
 
+def test_colored_reports_alike_on_one_and_two_processes(monkeypatch):
+    # 5832 rows at cost 4 reach SERIAL_ROWS, so the sweep splits by itself
+    _inject(monkeypatch, "colored_phi constant")
+    monkeypatch.setattr(domains, "_cores", lambda: 2)
+    parts = []
+
+    def counted(*args, **kw):
+        out = domains._over_range(*args, **kw)
+        parts.append(len(out))
+        return out
+
+    monkeypatch.setattr(verify, "_over_range", counted)
+    two = check_colored(4, 3)
+    monkeypatch.setattr(verify, "_over_range",
+                        lambda *args, **kw: counted(*args, **{**kw, "processes": 1}))
+    one = check_colored(4, 3)
+    assert parts == [2, 1]
+    assert not two.passed and two.checked == 2 * 24 * 3 ** 5
+    assert (one.passed, one.checked, one.failures) == (two.passed, two.checked, two.failures)
+
+
 def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
     # a psi rewrite that swaps the first two word entries breaks every law
     # on every element, so each of the six laws must report every element
@@ -274,7 +295,8 @@ def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
     # a trigger oracle that always disagrees trips the cross-check on every word
     ("descent trigger inverted", partial(check_elizalde_equivalence, 4),
      lambda r: all(msg.startswith("cross-check: ") for _, msg in r.failures)),
-    # every element mapped to one output fails descents and every color class
+    # every element mapped to one output fails its round trip, but for the
+    # one lift of that output in each color class
     ("colored_phi constant", partial(check_colored, 3, 2), None),
     ("theoretical_moments wrong", partial(check_moments, 4, 6), None),
     ("capital_phi many-to-one", partial(check_bijection, 3),
@@ -346,7 +368,7 @@ DRIVEN = [partial(check_phi_descents, 4), partial(check_phi_descents, 4, shard=(
           partial(check_bijection, 4, "D"), partial(check_bijection, 4, "Dbar"),
           partial(check_inverses, 3), partial(check_stat_gaps, 5),
           partial(check_inverses, 2), partial(check_elizalde_equivalence, 4),
-          partial(check_order_swap_properties, 300, 7, 5)]
+          partial(check_order_swap_properties, 300, 7, 5), partial(check_colored, 3, 3)]
 # the claims on exact tables, which no fault of the maps reaches
 TABLES = [partial(check_corollary_counts, 4), partial(check_moments, 5, 5)]
 
