@@ -42,12 +42,24 @@ def compare(parent, change):
     return rows
 
 
+def load(ap, path):
+    """The bench/repeat.py output at path; a file that is missing, not
+    JSON, or without seeds and workloads is a usage error."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        ap.error(f"cannot read {path}: {e}")
+    if not (isinstance(data, dict) and {"seeds", "workloads"} <= data.keys()):
+        ap.error(f"{path} is no bench/repeat.py output: it lacks seeds or workloads")
+    return data
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="bench/repeat.py output of the parent")
     ap.add_argument("change", help="bench/repeat.py output of the change")
     args = ap.parse_args()
-    parent, change = (json.loads(Path(f).read_text()) for f in (args.parent, args.change))
+    parent, change = load(ap, args.parent), load(ap, args.change)
     print(f"{'workload':<9} {'metric':<16} {'parent':>11} {'change':>11} {'ratio':>7} "
           f"{'parent q1..q3':>25} {'better':>7}  change median")
     for w, metric, p, c, q1, q3, wins, shared, where in compare(parent, change):

@@ -84,7 +84,8 @@ from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_phi_descents, check_stat_gaps)
 from cyclic_descents.transfer import (TransferTrace, capital_phi,
                                       capital_psi_D, capital_psi_Dbar,
-                                      phi_plus, preimage_quadruple, psi_plus)
+                                      phi_plus, preimage_quadruple, psi_plus,
+                                      stress_word)
 from faults import FAULTS, SEED, patches
 from verify_all import suite
 
@@ -139,12 +140,6 @@ def large(kind):
 
 def elements(kind, degrees):
     return (x for n in degrees for x in iterate(DomainSpec(kind, n)))
-
-
-def stress_word(N, one):
-    """W_N = [-4, -2, N-1, -(N-2), ..., -5, -3, one, N], one = +-1: a cycle
-    word whose forward rewriting makes 2N - 9 swaps."""
-    return [-4, -2, N - 1, *range(-(N - 2), -4), -3, one, N]
 
 
 def stress_elements():

@@ -4,7 +4,9 @@ diagnostics.
 Exact paths use big integers and rationals only; floating point appears
 solely in the Monte-Carlo normality report.  Tables are plain mappings with
 big-integer counts, so shard counts merge associatively and the full table
-is invariant under iteration order.
+is invariant under iteration order.  Every exact table is one `_tally` of
+a key over the rows: statistic tuples, projected after the merge, or cut
+descent masks.
 """
 
 from __future__ import annotations
@@ -88,44 +90,48 @@ class NormalityReport:
             raise ValueError("floor out of range")
 
 
-def _counts_part(start, stop, d, pos):
-    """Counts of entry pos of each element's statistic tuple over a checked
-    unrank range; the worker of count_range."""
-    if d.kind == "CSnr":
-        from .colored import colored_stats
+def _tally_part(start, stop, d, key):
+    """The one worker of the exact tables: the counts of key(row) over a
+    checked unrank range, in first-seen order, a row being an element of
+    CSnr and the one-line images of any other family."""
+    rows = iterate(d, True, start, stop) if d.kind == "CSnr" else _image_rows(d, start, stop, True)
+    return Counter(map(key, rows))
 
-        return Counter(colored_stats(p)[pos] for p in iterate(d, True, start, stop))
-    triples = Counter(map(_des_maj_neg, _image_rows(d, start, stop, True)))
-    out = Counter()
-    for (des, maj, neg), c in triples.items():
-        out[(des, maj, neg, 2 * maj + neg)[pos]] += c
-    return out
+
+def _tally(d, key, start, stop):
+    """_tally_part over [start, stop), split over processes by
+    domains._over_range.  Counter + keeps each key's first place, so the
+    sum lists the keys in the order one sweep first meets them."""
+    return sum(_over_range(_tally_part, start, stop, d, key, cost=_ROW_COST), Counter())
 
 
 def count_range(d: DomainSpec, stat: str, start=0, stop=None, allow_big=False):
     """Statistic counts over an unrank index range; merges associatively
     across shards, and a large range is split over processes by
     domains._over_range.  Refuses ranges over BUDGET_LIMIT unless
-    allow_big."""
-    allowed = _COLORED_STATS if d.kind == "CSnr" else _SIGNED_STATS
+    allow_big.  The rows are tallied by their whole statistic tuple, which
+    is projected to stat after the merge, keeping the first-seen order."""
+    if d.kind == "CSnr":
+        from .colored import colored_stats as key
+
+        allowed = _COLORED_STATS
+    else:
+        key, allowed = _des_maj_neg, _SIGNED_STATS
     if stat not in allowed:
         raise ValueError(f"statistic {stat!r} not defined on {d.kind}")
-    start, stop = _checked_range(d, start, stop, allow_big)
-    # Counter + keeps each key's first place, so the sum lists the values in
-    # the order one sweep first meets them
-    return sum(_over_range(_counts_part, start, stop, d, allowed.index(stat),
-                           cost=_ROW_COST), Counter())
+    pos = allowed.index(stat)
+    out = Counter()
+    for t, c in _tally(d, key, *_checked_range(d, start, stop, allow_big)).items():
+        if len(t) == 3:
+            # (des, maj, neg), and fmaj = 2 maj + neg
+            t += (2 * t[1] + t[2],)
+        out[t[pos]] += c
+    return out
 
 
 def exact_distribution(d: DomainSpec, stat: str, allow_big=False) -> DistributionTable:
     """Exact law of a statistic under the uniform measure, by full iteration."""
     return DistributionTable(d, stat, dict(count_range(d, stat, allow_big=allow_big)))
-
-
-def _masks_part(start, stop, d, cap):
-    """Counts of the descent masks, cut to cap, over a checked unrank range;
-    the worker of refined_descent_table."""
-    return Counter(_descent_mask(img) & cap for img in _image_rows(d, start, stop, True))
 
 
 def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
@@ -135,9 +141,8 @@ def refined_descent_table(d: DomainSpec, allow_big=False) -> RefinedTable:
     if d.kind == "CSnr":
         raise ValueError("refined tables cover the signed and plain families")
     m = d.n - 1 if _layout(d)[0] else d.n
-    _, stop = _checked_range(d, 0, None, allow_big)
-    out = sum(_over_range(_masks_part, 0, stop, d, (1 << m) - 1, cost=_ROW_COST),
-              Counter())
+    cap = (1 << m) - 1
+    out = _tally(d, lambda img: _descent_mask(img) & cap, *_checked_range(d, 0, None, allow_big))
     return RefinedTable(d, {DescentSet(m, k): c for k, c in out.items()})
 
 
@@ -212,17 +217,17 @@ def ks_lattice_floor(mu: float, sd: float) -> float:
 
 
 def normality_diagnostics(kind: str, stat: str, n: int, samples: int,
-                          seed: int, worker: int = 0) -> NormalityReport:
+                          seed: int) -> NormalityReport:
     """Monte-Carlo check of the normal limit on a cyclic signed domain.
 
     Standardizes by the closed-form moments (valid once n >= 4), then
     reports sample skewness, excess kurtosis, and the KS distance to the
     standard normal beside its lattice floor (see `ks_lattice_floor`): the
     statistics are integer-valued, so only the excess of the distance over
-    the floor can shrink with the sample size.  Deterministic given
-    (seed, worker)."""
+    the floor can shrink with the sample size.  Deterministic given the
+    seed."""
     # the report keeps ints, which serialize, whatever integers it is given
-    n, samples, seed, worker = index(n), index(samples), index(seed), index(worker)
+    n, samples, seed = index(n), index(samples), index(seed)
     if n < 4:
         raise ValueError("closed-form moments require n >= 4")
     if samples < 10 ** 3:
@@ -233,7 +238,7 @@ def normality_diagnostics(kind: str, stat: str, n: int, samples: int,
 
     from .domains import sample_stat_batch
     d = DomainSpec(kind, n)
-    vals = sample_stat_batch(d, stat, samples, seed, worker).astype(np.float64)
+    vals = sample_stat_batch(d, stat, samples, seed).astype(np.float64)
     tm = theoretical_moments(stat, n)
     mu = float(tm.mean)
     sd = math.sqrt(float(tm.variance))

@@ -390,6 +390,13 @@ def capital_psi_Dbar(sigma: SignedPermutation) -> SignedPermutation:
     return SignedPermutation._trusted(_word_to_images(_capital_psi_word(sigma.images, False)))
 
 
+def stress_word(N, one):
+    """W_N = [-4, -2, N-1, -(N-2), ..., -5, -3, one, N], one = +-1: a cycle
+    word of degree N >= 8 whose forward rewriting makes 2N - 9 swaps, the
+    most of any word at N = 8 and 9; the seed of a stress corpus."""
+    return [-4, -2, N - 1, *range(-(N - 2), -4), -3, one, N]
+
+
 def preimage_quadruple(sigma: SignedPermutation):
     """The four candidate preimages of {sigma, (-1)sigma} under the
     descent-preserving map, one in each of the four sign/parity classes: the

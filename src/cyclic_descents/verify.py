@@ -17,17 +17,20 @@ their cost against a descent row, reach SERIAL_ROWS over this process,
 which walks the first part, and one forked child per other usable core;
 the order-swap claim draws every word first and splits the list.  The
 costs are the measured times of a row at the benchmark's sizes over that
-of a descent row: 2 for a bijection row, 6 and 4 for a left and a right
+of a descent row: 2 for a bijection row, 10 and 4 for a left and a right
 inverse row, 1.5 for a gap row, 4 for a colored row, 5 for an Elizalde
-row and 27 for an instrumented run at degree 10.  The bijection claims,
-whose parts return every row's image as bytes for the parent to sort, and
-the exact tables behind the count and moment claims run their own
-workers.  Each part keeps its first failures through _note and the
+row and 27 for an instrumented run at degree 10.  The bijection claims
+run their own worker, whose parts return every row's image as bytes for
+the parent to sort and the first rows outside the claim's parity class;
+the count and moment claims read lab's exact tables, which run lab's one
+tally worker.  Each part keeps its first failures through _note and the
 runner merges them through _note, so the processes never change what a
 claim reports.  Only the descent sweep can also be sharded by unrank
 range, or told its number of processes.  The +- pair claims (descents,
 gaps and the right inverse laws) read _pair_rows, the one walk that pairs
 a row of CB(N) with its negation, one run of positive rows per block.
+The left inverse laws run each parity-class map through transfer's own
+_capital_psi_word and _capital_phi_word, so the class rule has one home.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 from operator import index
@@ -50,13 +53,12 @@ from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, IntPhilox,
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
 from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
-                       _capital_psi_word, _phi_fixup, _phi_plus_word,
-                       _psi_plus_word)
+                       _capital_psi_word, _phi_plus_word, _psi_plus_word)
 
 MAX_REPORTED = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClaimResult:
     claim: str
     params: dict
@@ -187,17 +189,28 @@ def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
     res = _swept("phi-descents", {"n": n, "shard": shard, "threads": threads},
                  [(lo, hi, partial(_pair_rows, N), partial(_descent_row, (1 << n) - 1), 1)],
                  threads)
-    if res.failures:
-        res.details = f"first bad words {res.failures}"
-    return res
+    return replace(res, details=f"first bad words {res.failures}") if res.failures else res
 
 
 def _images_part(start, stop, kind, N):
     """Worker for the bijection claims over one unrank range: the image of
     each row, in rank order, as one byte string of N-1 bytes per row,
-    entry v stored as v + N - 1."""
-    images = map(_capital_phi_word, iterate_words(DomainSpec(kind, N), start, stop))
-    return bytes(map((N - 1).__add__, chain.from_iterable(images)))
+    entry v stored as v + N - 1; then the number of rows whose count of
+    negative entries lacks the class's parity, and the first of them, kept
+    through _note as (rank, word)."""
+    odd = kind == "CDbar"
+    strays, bad = 0, []
+
+    def rows():
+        nonlocal strays
+        for k, w in enumerate(iterate_words(DomainSpec(kind, N), start, stop), start):
+            if sum(map((0).__gt__, w)) % 2 != odd:
+                strays += 1
+                _note(bad, k, w)
+            yield w
+
+    images = map(_capital_phi_word, rows())
+    return bytes(map((N - 1).__add__, chain.from_iterable(images))), strays, bad
 
 
 def _image_keys(np, blob, rows, n):
@@ -214,9 +227,11 @@ def _image_keys(np, blob, rows, n):
 
 def check_bijection(n, parity="D") -> ClaimResult:
     """The map restricted to one parity class of cyclic degree-(n+1)
-    permutations hits every element of B_n exactly once.  A sorted image
-    key equal to its neighbour is a repeat; only then does a stable
-    argsort give the ranks that are not their image's first visit."""
+    permutations hits every element of B_n exactly once, and every row
+    walked lies in that class.  A sorted image key equal to its neighbour
+    is a repeat; only then does a stable argsort give the ranks that are
+    not their image's first visit.  Repeats and rows outside the class are
+    reported alike, as the words of their smallest ranks."""
     if parity not in ("D", "Dbar"):
         raise ValueError(f"bad parity {parity!r}")
     n = index(n)
@@ -224,42 +239,47 @@ def check_bijection(n, parity="D") -> ClaimResult:
     d = DomainSpec("CD" if parity == "D" else "CDbar", n + 1)
     total = cardinality(d)
     _within_budget("bijection-" + parity, total)
-    blob = b"".join(_over_range(_images_part, 0, total, d.kind, n + 1, cost=2))
+    parts = _over_range(_images_part, 0, total, d.kind, n + 1, cost=2)
+    strays, bad = 0, []
+    for _, count, part in parts:
+        strays += count
+        for key, word in part:
+            _note(bad, key, word)
+    blob = b"".join(b for b, _, _ in parts)
+    del parts
     import numpy as np
 
     keys = _image_keys(np, blob, total, n)
     del blob
     s = np.sort(keys)
     repeats = int(np.count_nonzero(s[1:] == s[:-1]))
-    dup = []
     if repeats:
         order = np.argsort(keys, kind="stable")
         s = keys[order]
-        later = np.sort(order[1:][s[1:] == s[:-1]])[:MAX_REPORTED]
-        dup = [(i, next(iterate_words(d, i, i + 1))) for i in later.tolist()]
+        for i in np.sort(order[1:][s[1:] == s[:-1]])[:MAX_REPORTED].tolist():
+            _note(bad, i, next(iterate_words(d, i, i + 1)))
     want = cardinality(DomainSpec("B", n))
-    return _result("bijection-" + parity, {"n": n}, t0, total, dup,
-                   f"{total - repeats}/{want} distinct images", total - repeats == want)
+    details = f"{total - repeats}/{want} distinct images"
+    if strays:
+        details += f", {strays} rows outside the class"
+    return _result("bijection-" + parity, {"n": n}, t0, total, bad, details,
+                   total - repeats == want)
 
 
 def _left_inverse_row(N, row, note):
-    """The three left inverse laws at one (rank, images) row of B(N-1)."""
+    """The three left inverse laws at one (rank, images) row of B(N-1):
+    each parity-class inverse through _capital_psi_word and back through
+    _capital_phi_word, and the raw plus-class pair."""
     k, images = row
     sigma = list(images)
-    up = _psi_plus_word(images)
-    raw = _phi_plus_word(up) if up[-1] == N else None
-    # unless sigma(1) = -1, the parity-class inverse of sigma's own
-    # parity is the plus-class word up, and Phi of it the fix-up of raw
-    own = None if images[:1] == (-1,) else sum(v < 0 for v in images) % 2 == 0
     for t, (tag, even) in enumerate((("D-left", True), ("Dbar-left", False))):
-        if even == own and raw is not None:
-            w, back = up, _phi_fixup(up, raw[:])
-        else:
-            w = _capital_psi_word(images, even)
-            # a faulty inverse may give a word Phi cannot rewrite
-            back = _capital_phi_word(w) if abs(w[-1]) == N else None
+        w = _capital_psi_word(images, even)
+        # a faulty inverse may give a word Phi cannot rewrite
+        back = _capital_phi_word(w) if abs(w[-1]) == N else None
         if (sum(v < 0 for v in w) % 2 == 0) != even or back != sigma:
             note((0, k, t), (tag, SignedPermutation(images)))
+    up = _psi_plus_word(images)
+    raw = _phi_plus_word(up) if up[-1] == N else None
     if raw is None or raw[1:] != sigma:
         note((0, k, 2), ("plus-left", SignedPermutation(images)))
     return 3
@@ -290,7 +310,7 @@ def check_inverses(n) -> ClaimResult:
     # one sweep per phase, so each splits evenly whatever its rows cost
     B, CB = DomainSpec("B", n), DomainSpec("CB", n + 1)
     return _swept("inverses", {"n": n}, [
-        (0, cardinality(B), partial(_ranked, B), partial(_left_inverse_row, n + 1), 6),
+        (0, cardinality(B), partial(_ranked, B), partial(_left_inverse_row, n + 1), 10),
         (0, cardinality(CB), partial(_pair_rows, n + 1),
          partial(_right_inverse_row, n + 1), 4)])
 

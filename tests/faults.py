@@ -130,8 +130,10 @@ FAULTS = {
                                {"corollary-counts", "phi-descents"}),
     "colored_phi last colors kept": ("colored_phi", _phi_last_colors_kept, {"colored"}),
     "colored_psi kept total added": ("colored_psi", _psi_kept_total_added, {"colored"}),
-    # no claim yet tells the two parity classes of a degree apart
-    "parity sign flipped": ("_rows", _parity_flipped, set()),
+    # Phi is a bijection on the other class too, so only the bijection
+    # claims' own class check, on the parity of each row's negative count,
+    # tells the two parity classes of a degree apart
+    "parity sign flipped": ("_rows", _parity_flipped, {"bijection-D", "bijection-Dbar"}),
 }
 
 

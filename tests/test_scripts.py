@@ -28,6 +28,16 @@ def test_verify_all_quick_from_elsewhere(tmp_path):
     assert re.fullmatch(r"\d+ checks in \d+\.\d\ds, \d+ checks/s", lines[-1])
 
 
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A directory, apart from each run's working directory, holding a file
+    that is not JSON and a JSON file without workloads."""
+    d = tmp_path_factory.mktemp("bad_inputs")
+    (d / "not.json").write_text("{not json\n")
+    (d / "keyless.json").write_text('{"seeds": [1, 2]}\n')
+    return d
+
+
 @pytest.mark.parametrize("script, args", [
     ("verify_all.py", ["--quick", "--threads", "0"]),
     ("verify_all.py", ["--threads", "-2"]),
@@ -41,12 +51,17 @@ def test_verify_all_quick_from_elsewhere(tmp_path):
     ("clt_report.py", ["--seed", str(2 ** 64)]),
     ("clt_report.py", ["--out", "missing/x.csv"]),
     ("clt_report.py", ["--samples", "999", "--out", "x.csv"]),
+    ("bench_diff.py", ["missing.json", str(ROOT / "BENCH_pr35.json")]),
+    ("bench_diff.py", [str(ROOT / "BENCH_pr35_parent.json"), "{inputs}/not.json"]),
+    ("bench_diff.py", ["{inputs}/keyless.json", str(ROOT / "BENCH_pr35.json")]),
 ], ids=["threads-0", "threads-negative", "schedule-below-4", "schedule-empty-entry",
         "schedule-not-integer", "samples-below-1000", "verify-seed-negative",
         "verify-seed-past-2^64", "clt-seed-negative", "clt-seed-past-2^64",
-        "out-in-missing-directory", "out-not-made-when-refused"])
-def test_bad_arguments_are_usage_errors(tmp_path, script, args):
+        "out-in-missing-directory", "out-not-made-when-refused",
+        "bench-diff-missing-file", "bench-diff-not-json", "bench-diff-no-workloads"])
+def test_bad_arguments_are_usage_errors(tmp_path, bad_inputs, script, args):
     # refused before any claim runs or any CSV row or file is written
+    args = [a.format(inputs=bad_inputs) for a in args]
     res = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert res.returncode == 2

@@ -16,6 +16,7 @@ from cyclic_descents.transfer import (
     TransferTrace, _capital_phi_pair, _capital_phi_word, _chunk_tables,
     _phi_plus_word, _psi_plus_word, _setup, capital_phi, capital_psi_D,
     capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple, psi_plus,
+    stress_word,
 )
 
 from conftest import all_cyclic_words, all_signed, word_to_perm, signed_perms
@@ -241,11 +242,6 @@ def test_inverse_early_exit_equals_the_full_loop(monkeypatch):
             out, took = exited(_psi_plus_word, s.images)
             assert SignedPermutation(_word_to_images(out)) == traced
             assert took == (t.swap_count() == 0)
-
-
-def stress_word(N, one):
-    """W_N = [-4, -2, N-1, -(N-2), ..., -5, -3, one, N] for one = +-1."""
-    return [-4, -2, N - 1, *range(-(N - 2), -4), -3, one, N]
 
 
 @pytest.mark.parametrize("one", (1, -1))

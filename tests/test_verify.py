@@ -291,6 +291,36 @@ def test_inverse_faults_are_reported_under_every_tag(monkeypatch):
     assert rows == list(iterate(DomainSpec("B", 3)))
 
 
+def test_left_laws_run_both_class_maps(monkeypatch):
+    # a Phi that drops the sign of the first image breaks both left laws at
+    # exactly the rows with sigma(1) < 0, each law through Phi itself
+    _inject(monkeypatch, "capital_phi many-to-one")
+    monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
+    r = check_inverses(3)
+    assert not r.passed
+    rows = {tag: [p for t, p in r.failures if t == tag]
+            for tag in ("D-left", "Dbar-left", "plus-left")}
+    want = [p for p in iterate(DomainSpec("B", 3)) if p.images[0] < 0]
+    assert rows == {"D-left": want, "Dbar-left": want, "plus-left": []}
+    assert len(r.failures) == 2 * len(want) == 48
+
+
+def test_bijection_reports_rows_outside_the_class(monkeypatch):
+    # with each row's last sign flipped, every CD row has an odd negative
+    # count; Phi is one-to-one on it all the same, so only the class check
+    # fails, at the smallest ranks
+    _inject(monkeypatch, "parity sign flipped")
+    r = check_bijection(3, "D")
+    rows = list(enumerate(iterate_words(DomainSpec("CD", 4))))
+    assert all(sum(v < 0 for v in w) % 2 for _, w in rows)
+    assert not r.passed and r.checked == len(rows) == 48
+    assert r.details == "48/48 distinct images, 48 rows outside the class"
+    assert r.failures == [w for _, w in rows[:MAX_REPORTED]]
+    monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
+    _on_workers(monkeypatch, 2)
+    assert check_bijection(3, "D").failures == [w for _, w in rows]
+
+
 @pytest.mark.parametrize("label, run, shows", [
     # a trigger oracle that always disagrees trips the cross-check on every word
     ("descent trigger inverted", partial(check_elizalde_equivalence, 4),
