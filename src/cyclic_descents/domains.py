@@ -299,21 +299,21 @@ def _over_range(fn, start, stop, *args, cost=1, processes=None):
     """[fn(lo, hi, *args) for each part [lo, hi) of [start, stop)], the
     parts consecutive and in rank order.
 
-    processes sets the number of parts.  By default a range is one part
-    unless its rows, weighed by cost (the time of one of fn's rows over
-    that of one row of the descent sweep), reach SERIAL_ROWS; then it gets
-    one part per usable core.  This process runs the first part itself,
-    while one forked child per other part runs it and sends back its
-    pickled result, or the exception it raised, through a pipe.  The
-    results are read in rank order and a child's exception is re-raised
-    here.  On every exit path each pipe is closed before each child is
-    reaped, so a child still writing gets a broken pipe and none is left
-    running.  The children see this process's state as it was, patches
-    included; the fork copies no live thread, since the library joins
-    every thread it starts.
+    processes sets the number of parts, at most one per row.  By default a
+    range is one part unless its rows, weighed by cost (the time of one of
+    fn's rows over that of one row of the descent sweep), reach SERIAL_ROWS;
+    then it gets one part per usable core.  This process runs the first part
+    itself, while one forked child per other part runs it and sends back its
+    pickled result, or the exception it raised, through a pipe.  The results
+    are read in rank order and a child's exception is re-raised here.  On
+    every exit path each pipe is closed before each child is reaped, so a
+    child still writing gets a broken pipe and none is left running.  The
+    children see this process's state as it was, patches included; the fork
+    copies no live thread, since the library joins every thread it starts.
     """
     if processes is None:
         processes = _cores() if (stop - start) * cost >= SERIAL_ROWS else 1
+    processes = min(processes, max(stop - start, 1))
     if processes == 1:
         return [fn(start, stop, *args)]
     import pickle

@@ -191,9 +191,11 @@ def ks_against_normal(z: np.ndarray) -> float:
     The normal CDF F is evaluated once per distinct value.  Over a run of
     m equal sorted samples at ranks first..first+m-1, F - i/N peaks at the
     first and (i+1)/N - F at the last, so the run contributes F - first/N
-    and (first+m)/N - F."""
+    and (first+m)/N - F.  An empty sample has no distance."""
     import numpy as np
 
+    if not len(z):
+        raise ValueError("no samples to compare against N(0,1)")
     vals, counts = np.unique(np.asarray(z, dtype=np.float64), return_counts=True)
     N = len(z)
     F = np.fromiter(map(_normal_cdf, vals.tolist()), np.float64, len(vals))

@@ -7,13 +7,12 @@ position-0 descent is repaired by `capital_phi`.  The reverse direction
 (`psi_plus`, wrapped by the six-case `capital_psi_D` / `capital_psi_Dbar`)
 undoes the rewriting.
 
-`capital_phi` is two parts: the raw rewriting `_phi_plus_word`, run on the
-word itself or, for a word ending in -N, on its negation with the result
-negated back; then the position-0 fix-up `_phi_fixup`, which flips the
-image +-1 when the sign of the first image is wrong.  A word w and its
-negation -w share one raw rewriting, so `_capital_phi_pair` returns it
-with both images; exhaustive sweeps use it on every +- pair, through the
-same two helpers as the single-word path.
+`capital_phi` is two parts on a word ending in +N: the raw rewriting
+`_phi_plus_word`, then the position-0 fix-up `_phi_fixup`, which flips the
+image +-1 when the sign of the first image is wrong.  A word w ending in -N
+maps to -Phi(-w), so Phi is odd by construction.  `_capital_phi_pair` gives
+a positive word's raw rewriting and both images from one fix-up; exhaustive
+sweeps use it on every +- pair.
 
 Both directions run one swap loop, `_rewrite`, on a flat entry list whose
 cycle boundaries never move.  A swap exchanges two adjacent magnitudes
@@ -274,46 +273,43 @@ def phi_plus(pi: SignedPermutation, trace: TransferTrace | None = None) -> Signe
     return SignedPermutation._trusted(sig[1:])
 
 
-def _phi_fixup(word, res):
-    """Position-0 fix-up of the descent-preserving map.
-
-    word is a cycle word ending with +-N and res the raw rewriting's images
-    of 1..N-1 (slot 0 unused), already negated when word ends with -N.  The
-    image +-1 is flipped when the sign of res[1] disagrees with the sign of
-    the image of 1 under word, which reattaches the position-0 descent.
-    Returns the images as a 0-based list; res is modified.
-    """
-    N = len(word)
-    if N == 1:
-        return []
+def _phi_fixup(word, raw):
+    """Position-0 fix-up of the descent-preserving map, for a word ending in +N
+    and its raw images raw (slot 0 unused): a new 0-based image list, the
+    image +-1 flipped when the sign of the first image disagrees with the sign
+    of the image of 1 under word, which reattaches the position-0 descent.
+    Neither argument is modified."""
+    res = raw[1:]
+    if not res:
+        return res
     # the image of 1 is the entry after +-1, cyclically
     p = word.index(1) if 1 in word else word.index(-1)
-    if (word[p + 1 - N] < 0) != (res[1] < 0):
+    if (word[p + 1 - len(word)] < 0) != (res[0] < 0):
         i = res.index(1) if 1 in res else res.index(-1)
         res[i] = -res[i]
-    return res[1:]
+    return res
 
 
 def _capital_phi_pair(word):
     """(raw, Phi(word), Phi(-word)) for a word ending in +N: the raw
-    rewriting as from _phi_plus_word, and both images as from
-    _capital_phi_word, each fixed up from that one raw run."""
+    rewriting as from _phi_plus_word, its one fix-up and the negation of
+    that, as from _capital_phi_word."""
     raw = _phi_plus_word(word)
-    return (raw, _phi_fixup(word, raw[:]),
-            _phi_fixup([-v for v in word], [-v for v in raw]))
+    res = _phi_fixup(word, raw)
+    return raw, res, [-v for v in res]
 
 
 def _capital_phi_word(word):
     """The descent-preserving map on a cycle word ending with +-N: the raw
-    rewriting, through negation when the word ends with -N, then the
-    position-0 fix-up.  Returns the one-line image list (0-based) of the
-    degree N-1 output."""
+    rewriting then the position-0 fix-up, and for a word w ending in -N
+    the negation of the map at -w.  Returns the one-line image list
+    (0-based) of the degree N-1 output."""
     N = len(word)
-    last = word[-1]
-    if last == N:
+    if word[-1] == N:
         return _phi_fixup(word, _phi_plus_word(word))
-    if last == -N:
-        return _phi_fixup(word, [-v for v in _phi_plus_word([-v for v in word])])
+    if word[-1] == -N:
+        neg = [-v for v in word]
+        return [-v for v in _phi_fixup(neg, _phi_plus_word(neg))]
     raise ValueError("cycle word must end with its +-largest entry")
 
 

@@ -28,16 +28,20 @@ MODULES = [importlib.import_module(f"cyclic_descents.{m.name}")
            for m in pkgutil.iter_modules(cyclic_descents.__path__)]
 
 
-def _negative_class_fixup(word, res, real=transfer._phi_fixup):
-    # negates the images of the negative class only
-    out = real(word, res)
+def _negative_class_negated(word, real=transfer._capital_phi_word):
+    # negates the images of the negative class only, at its one home; the
+    # +- pair rows negate the positive image themselves, so only the claims
+    # that map single words see it
+    out = real(word)
     return [-v for v in out] if word[-1] < 0 else out
 
 
-def _fixup_first_sign_dropped(word, res, real=transfer._phi_fixup):
+def _fixup_first_sign_dropped(word, raw, real=transfer._phi_fixup):
     # merges the images in pairs.  Every rewriting path of a sweep, paired
-    # or lone row, ends in the fix-up, so each split sees the same fault
-    out = real(word, res)
+    # or lone row, ends in the fix-up, so each split sees the same fault.
+    # A negative word's image is the negated fix-up of its negation, so the
+    # map stays odd and is still a bijection on each class of the suite
+    out = real(word, raw)
     return [abs(v) for v in out[:1]] + out[1:]
 
 
@@ -105,8 +109,8 @@ def _parity_flipped(d, start, stop, real=domains._rows):
 
 
 FAULTS = {
-    "fixup negative class": ("_phi_fixup", _negative_class_fixup, {
-        "bijection-D", "bijection-Dbar", "inverses", "phi-descents", "stat-gaps"}),
+    "negative class negated": ("_capital_phi_word", _negative_class_negated,
+                               {"bijection-D", "bijection-Dbar", "inverses"}),
     "psi_plus first two swapped": ("_psi_plus_word", _first_two_swapped,
                                    {"colored", "inverses"}),
     "descent trigger inverted": (
@@ -120,8 +124,8 @@ FAULTS = {
                                 {"bijection-D", "bijection-Dbar", "inverses"}),
     "phi_plus traced output": ("_phi_plus_word", _traced_output_changed,
                                {"order-swap-properties"}),
-    "fixup first sign dropped": ("_phi_fixup", _fixup_first_sign_dropped, {
-        "bijection-D", "bijection-Dbar", "inverses", "phi-descents", "stat-gaps"}),
+    "fixup first sign dropped": ("_phi_fixup", _fixup_first_sign_dropped,
+                                 {"inverses", "phi-descents", "stat-gaps"}),
     "last image repeats the first": ("_capital_phi_word", _last_image_repeats_the_first,
                                      {"bijection-D", "bijection-Dbar", "inverses"}),
     "negated image damaged": ("_capital_phi_pair", _negated_image_damaged,

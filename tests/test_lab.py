@@ -249,4 +249,7 @@ def test_ks_distance_is_exact_over_ties(stat, n):
     assert ks_against_normal(z) == _ks_per_sample(z)
     cont = np.random.default_rng(1).standard_normal(5000)
     assert ks_against_normal(cont) == _ks_per_sample(cont)
-    assert ks_against_normal([]) == 0.0
+    # an empty sample has no distance to report
+    for empty in ([], np.array([])):
+        with pytest.raises(ValueError, match="no samples"):
+            ks_against_normal(empty)

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 
 from cyclic_descents import transfer
-from cyclic_descents.cycles import (_canonical_cycles, _word_to_images,
-                                    is_cyclic, to_canonical_cycles)
+from cyclic_descents.cycles import (_canonical_cycles, _images_to_word,
+                                    _word_to_images, is_cyclic,
+                                    to_canonical_cycles)
 from cyclic_descents.domains import DomainSpec, iterate, make_rng, sample, unrank
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import descent_set, truncated_descent_set
 from cyclic_descents.transfer import (
     TransferTrace, _capital_phi_pair, _capital_phi_word, _chunk_tables,
-    _phi_plus_word, _psi_plus_word, _setup, capital_phi, capital_psi_D,
-    capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple, psi_plus,
-    stress_word,
+    _phi_fixup, _phi_plus_word, _psi_plus_word, _setup, capital_phi,
+    capital_psi_D, capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple,
+    psi_plus, stress_word,
 )
 
 from conftest import all_cyclic_words, all_signed, word_to_perm, signed_perms
@@ -169,7 +170,7 @@ def test_preimage_quadruple_needs_degree_one():
 
 
 def test_capital_phi_pair_matches_single_words():
-    # one raw rewriting serves a positive word and its negation
+    # one raw rewriting and one fix-up serve a positive word and its negation
     for N in range(1, 8):
         for w in all_cyclic_words(N):
             if w[-1] > 0:
@@ -177,6 +178,54 @@ def test_capital_phi_pair_matches_single_words():
                 assert _capital_phi_pair(w) == (_phi_plus_word(w),
                                                 _capital_phi_word(w),
                                                 _capital_phi_word(neg))
+
+
+def _two_branch_phi(word):
+    """Phi with a branch per sign class: the raw rewriting of the word, or
+    of its negation negated back, then the fix-up in place, comparing the
+    sign of the first image with that of the image of 1 under the word."""
+    N = len(word)
+    if word[-1] == N:
+        res = _phi_plus_word(word)
+    else:
+        res = [-v for v in _phi_plus_word([-v for v in word])]
+    if N == 1:
+        return []
+    p = word.index(1) if 1 in word else word.index(-1)
+    if (word[p + 1 - N] < 0) != (res[1] < 0):
+        i = res.index(1) if 1 in res else res.index(-1)
+        res[i] = -res[i]
+    return res[1:]
+
+
+def _phi_words():
+    """Every word of CB(N) for N <= 7, both signs of the stress words W_N at
+    N = 101 and 1001 with their negations, and 20 seeded words of CB(1001)."""
+    for N in range(1, 8):
+        yield from all_cyclic_words(N)
+    for N, one in product((101, 1001), (1, -1)):
+        w = stress_word(N, one)
+        yield w
+        yield [-v for v in w]
+    for seed in range(20):
+        yield _images_to_word(sample(DomainSpec("CB", 1001), seed).images)
+
+
+def test_negative_class_is_the_negated_image():
+    # Phi(w) = -Phi(-w) for w ending in -N gives the output of the
+    # two-branch form: negating both of the fix-up's arguments flips both
+    # signs it compares, so it flips the same entry
+    for w in _phi_words():
+        assert _capital_phi_word(w) == _two_branch_phi(list(w))
+
+
+def test_phi_fixup_leaves_its_arguments():
+    for w in map(list, all_cyclic_words(6)):
+        if w[-1] > 0:
+            raw = _phi_plus_word(w)
+            word, kept = w[:], raw[:]
+            assert _phi_fixup(w, raw) == _capital_phi_word(w)
+            assert (w, raw) == (word, kept)
 
 
 def test_setup_cuts_canonical_word_into_the_cycles():

@@ -241,7 +241,7 @@ def _inject(monkeypatch, label):
 
 
 def test_negative_class_faults_are_caught(monkeypatch):
-    _inject(monkeypatch, "fixup negative class")
+    _inject(monkeypatch, "negated image damaged")
     r = check_phi_descents(4)
     assert not r.passed and r.failures
     assert all(w[-1] == -5 for w in r.failures)
@@ -403,12 +403,12 @@ DRIVEN = [partial(check_phi_descents, 4), partial(check_phi_descents, 4, shard=(
 TABLES = [partial(check_corollary_counts, 4), partial(check_moments, 5, 5)]
 
 
-@pytest.mark.parametrize("label", [None, "fixup negative class", "fixup first sign dropped",
+@pytest.mark.parametrize("label", [None, "negative class negated", "fixup first sign dropped",
                                    "psi_plus first two swapped",
                                    "last image repeats the first",
                                    "negated image damaged", "descent trigger inverted",
                                    "phi_plus traced output"],
-                         ids=["none", "fixup", "many-to-one", "inverses",
+                         ids=["none", "negative-class", "many-to-one", "inverses",
                               "repeat-across-parts", "negated-image",
                               "cross-check", "order-swap"])
 def test_claims_agree_on_any_number_of_workers(monkeypatch, label):
@@ -516,3 +516,18 @@ def test_small_sweeps_stay_in_process(monkeypatch):
     assert check_phi_descents(5, threads=2).params["threads"] == 2
     monkeypatch.setattr(domains, "SERIAL_ROWS", 2 ** 6 * 120)
     assert check_phi_descents(5).params["threads"] == 4
+
+
+def test_a_sweep_has_no_more_parts_than_rows(monkeypatch):
+    # CB(1) has 2 rows, so 3 processes asked for run as 2: one fork
+    real, forks = os.fork, []
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    r = check_phi_descents(0, threads=3)
+    assert r.passed and r.checked == 2
+    assert (len(forks), r.params["threads"]) == (1, 2)
+    _no_child_left()
