@@ -6,8 +6,8 @@ The full run sweeps descent preservation and the Elizalde equivalence up
 to degree 8, both bijection classes up to degree 8 and the inverse laws
 and refined counts up to degree 7.  Exit code is the number of failing
 claims.  --quick shrinks the sweeps for a fast smoke run.  --threads fixes
-the processes of the descent sweeps; by default a large sweep runs on one
-process per usable core.
+the processes of the descent sweeps, at most 64; by default a large sweep
+runs on one process per usable core.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cyclic_descents.domains import MAX_THREADS
 from cyclic_descents.verify import (check_bijection, check_colored,
                                     check_corollary_counts,
                                     check_elizalde_equivalence,
@@ -52,8 +53,8 @@ def main():
     ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--seed", type=int, default=20260823)
     args = ap.parse_args()
-    if args.threads is not None and args.threads < 1:
-        ap.error(f"--threads must be at least 1, not {args.threads}")
+    if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
+        ap.error(f"--threads must lie in 1..{MAX_THREADS}, not {args.threads}")
     if not 0 <= args.seed < 1 << 64:
         ap.error(f"--seed must lie in 0..2^64-1, not {args.seed}")
 

@@ -90,6 +90,9 @@ LOW_SIGN_BITS = 10
 # saves a few ms at most, while on a host with no free core it loses, and
 # because that command's report, which reads threads=1, stays as it was
 SERIAL_ROWS = 1 << 14
+# the most processes a caller may ask a sweep for: a part runs in one
+# forked child, so a count past this is refused before any fork
+MAX_THREADS = 64
 
 
 class BudgetError(RuntimeError):

@@ -191,12 +191,16 @@ def ks_against_normal(z: np.ndarray) -> float:
     The normal CDF F is evaluated once per distinct value.  Over a run of
     m equal sorted samples at ranks first..first+m-1, F - i/N peaks at the
     first and (i+1)/N - F at the last, so the run contributes F - first/N
-    and (first+m)/N - F.  An empty sample has no distance."""
+    and (first+m)/N - F.  An empty sample, or one holding a NaN, has no
+    distance; +-inf lies at a tail of N(0,1)."""
     import numpy as np
 
     if not len(z):
         raise ValueError("no samples to compare against N(0,1)")
     vals, counts = np.unique(np.asarray(z, dtype=np.float64), return_counts=True)
+    # np.unique sorts a NaN last
+    if math.isnan(vals[-1]):
+        raise ValueError("a NaN sample has no place against N(0,1)")
     N = len(z)
     F = np.fromiter(map(_normal_cdf, vals.tolist()), np.float64, len(vals))
     last = np.cumsum(counts)
@@ -212,7 +216,9 @@ def ks_lattice_floor(mu: float, sd: float) -> float:
     The empirical CDF is constant on each cell [k, k+1) while the normal
     CDF rises by Phi((k+1-mu)/sd) - Phi((k-mu)/sd) across it, so every
     sample misses by at least half the largest rise, that of the cell
-    whose centre is nearest mu."""
+    whose centre is nearest mu.  mu and sd must be finite, and sd > 0."""
+    if not (math.isfinite(mu) and math.isfinite(sd) and sd > 0):
+        raise ValueError(f"no lattice floor for mean {mu} and sd {sd}")
     k = math.floor(mu - 0.5)
     return max(_normal_cdf((j + 1 - mu) / sd) - _normal_cdf((j - mu) / sd)
                for j in (k, k + 1)) / 2

@@ -115,6 +115,9 @@ class SignedPermutation(Record):
 
     @classmethod
     def identity(cls, n):
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"negative degree {n}")
         return cls(range(1, n + 1))
 
     def __call__(self, i):

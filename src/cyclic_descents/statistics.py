@@ -18,6 +18,8 @@ class DescentSet(Record):
 
     def __init__(self, n, members=()):
         n = index(n)
+        if n < 0:
+            raise ValueError(f"negative degree {n}")
         try:
             mask = index(members)
         except TypeError:

@@ -10,9 +10,9 @@ undoes the rewriting.
 `capital_phi` is two parts on a word ending in +N: the raw rewriting
 `_phi_plus_word`, then the position-0 fix-up `_phi_fixup`, which flips the
 image +-1 when the sign of the first image is wrong.  A word w ending in -N
-maps to -Phi(-w), so Phi is odd by construction.  `_capital_phi_pair` gives
-a positive word's raw rewriting and both images from one fix-up; exhaustive
-sweeps use it on every +- pair.
+maps to -Phi(-w), so Phi is odd by construction.  `_raw_and_capital_phi`
+gives a positive word's raw rewriting and its image; exhaustive sweeps run
+it once per +- pair and read the negative word's image as the negated one.
 
 Both directions run one swap loop, `_rewrite`, on a flat entry list whose
 cycle boundaries never move.  A swap exchanges two adjacent magnitudes
@@ -290,13 +290,11 @@ def _phi_fixup(word, raw):
     return res
 
 
-def _capital_phi_pair(word):
-    """(raw, Phi(word), Phi(-word)) for a word ending in +N: the raw
-    rewriting as from _phi_plus_word, its one fix-up and the negation of
-    that, as from _capital_phi_word."""
+def _raw_and_capital_phi(word):
+    """(raw, Phi(word)) for a word ending in +N: the raw rewriting as from
+    _phi_plus_word and its one fix-up, as from _capital_phi_word."""
     raw = _phi_plus_word(word)
-    res = _phi_fixup(word, raw)
-    return raw, res, [-v for v in res]
+    return raw, _phi_fixup(word, raw)
 
 
 def _capital_phi_word(word):

@@ -29,7 +29,10 @@ claim reports.  Only the descent sweep can also be sharded by unrank
 range, or told its number of processes.  The +- pair claims (descents,
 gaps and the right inverse laws) read _pair_rows, the one walk that pairs
 a row of CB(N) with its negation, one run of positive rows per block.
-The left inverse laws run each parity-class map through transfer's own
+Each pair runs Phi once, on its positive word, since Phi is odd; the
+descent and gap rows read the negative row's figures off the positive
+image and make one statistics pass on each side of the map.  The left
+inverse laws run each parity-class map through transfer's own
 _capital_psi_word and _capital_phi_word, so the class rule has one home.
 The classic, colored and lab modules are imported by the claims that use
 them, when they run.
@@ -47,13 +50,13 @@ from operator import index
 
 from .catalog import CLAIM_ROWS
 from .cycles import _word_to_images
-from .domains import (BUDGET_LIMIT, BudgetError, DomainSpec, IntPhilox,
-                      _over_range, _shown, _uniform_index, cardinality,
-                      iterate, iterate_words, rank)
+from .domains import (BUDGET_LIMIT, MAX_THREADS, BudgetError, DomainSpec,
+                      IntPhilox, _over_range, _shown, _uniform_index,
+                      cardinality, iterate, iterate_words, rank)
 from .permutations import SignedPermutation
 from .statistics import _des_maj_neg, _descent_mask
-from .transfer import (TransferTrace, _capital_phi_pair, _capital_phi_word,
-                       _capital_psi_word, _phi_plus_word, _psi_plus_word)
+from .transfer import (TransferTrace, _capital_phi_word, _capital_psi_word,
+                       _phi_plus_word, _psi_plus_word, _raw_and_capital_phi)
 
 MAX_REPORTED = 5
 
@@ -134,10 +137,10 @@ def _ranked(d, start, stop):
 def _pair_rows(N, start, stop):
     """Row source: each +- pair of CB(N) with a row in [start, stop), once.
 
-    Yields (pos, key, neg_key, (raw, Phi(pos), Phi(-pos))): pos is the
-    pair's positive word, key and neg_key the ranks of pos and of -pos when
-    they lie in the range, else None, and the triple one _capital_phi_pair
-    run.  Negating every entry of a row flips all N sign bits, so in a
+    Yields (pos, rows, (raw, Phi(pos))): pos is the pair's positive word,
+    rows the pair's (rank, sign) rows in the range, (rank of pos, 1) before
+    (rank of -pos, -1), and the pair one _raw_and_capital_phi run.
+    Negating every entry of a row flips all N sign bits, so in a
     magnitude block [base, base + 2^N), whose first half holds its positive
     rows, the partner of rank j is j ^ (2^N - 1) = c - 1 - j, c = 2 base +
     2^N.  The pairs meeting the block's part [s, t) of the range then have
@@ -150,33 +153,32 @@ def _pair_rows(N, start, stop):
         s, t, c = max(start, base), min(stop, base + block), 2 * base + block
         lo = min(s, c - t)
         for j, w in enumerate(iterate_words(d, lo, min(t, c - s, base + block // 2)), lo):
+            # j < p = j ^ mask, and the stops keep j < t and p >= s
             p = j ^ mask
-            yield (w, j if s <= j < t else None, p if s <= p < t else None,
-                   _capital_phi_pair(w))
+            yield w, ((j, 1), (p, -1))[j < s:1 + (p < t)], _raw_and_capital_phi(w)
 
 
 def _descent_row(cap, row, note):
     """Descent preservation at one +- pair; cap keeps the descents at
-    0..N-2."""
-    pos, key, neg_key, (_, res, neg) = row
+    0..N-2.  Negating a word and its image complements both descent sets
+    there, so the pair's two rows fail together."""
+    pos, rows, (_, res) = row
     # the input mask comes from the row itself, never from the map
-    m = _descent_mask(_word_to_images(pos)) & cap
-    if key is not None and m != _descent_mask(res):
-        note(key, pos)
-    # negating every entry complements the input's descent set
-    if neg_key is not None and m ^ cap != _descent_mask(neg):
-        note(neg_key, tuple(-v for v in pos))
-    return (key is not None) + (neg_key is not None)
+    if _descent_mask(_word_to_images(pos)) & cap != _descent_mask(res):
+        for k, sign in rows:
+            note(k, pos if sign > 0 else tuple(-v for v in pos))
+    return len(rows)
 
 
 def check_phi_descents(n, shard=None, threads=None) -> ClaimResult:
     """Descents at 0..n-1 agree between each cyclic permutation of degree
     n+1 and its image in B_n; exhaustive over the (sharded) domain, on
-    `threads` processes, by default as many as domains._over_range picks."""
+    `threads` processes, at most MAX_THREADS, by default as many as
+    domains._over_range picks."""
     n = index(n)
     threads = None if threads is None else index(threads)
-    if threads is not None and threads < 1:
-        raise ValueError(f"bad thread count {threads}")
+    if threads is not None and not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"bad thread count {threads}, not in 1..{MAX_THREADS}")
     N = n + 1
     total = cardinality(DomainSpec("CB", N))
     if shard is None:
@@ -288,19 +290,21 @@ def _left_inverse_row(N, row, note):
 def _right_inverse_row(N, row, note):
     """The three right inverse laws at one +- pair of CB(N).  The pair's one
     raw rewriting serves CD/CDbar-right for both words and plus-right for
-    the positive one.  Failures are keyed by law, then by rank in the law's
-    own domain, as a sweep of each in turn."""
-    pos, key, neg_key, (raw, res, neg) = row
-    x = list(pos)
-    if key is not None and _psi_plus_word(raw[1:]) != x:
-        note((3, key), ("plus-right", SignedPermutation(_word_to_images(x))))
-    for k, w, img in ((key, x, res), (neg_key, [-v for v in x], neg)):
+    the positive one.  Psi is not odd by construction, so it runs on the
+    negated image too.  Failures are keyed by law, then by rank in the
+    law's own domain, as a sweep of each in turn."""
+    pos, rows, (raw, res) = row
+    for k, sign in rows:
+        w = [sign * v for v in pos]
+        if sign > 0 and _psi_plus_word(raw[1:]) != w:
+            note((3, k), ("plus-right", SignedPermutation(_word_to_images(w))))
         odd = sum(v < 0 for v in w) % 2
-        if k is not None and _capital_psi_word(img, not odd) != w:
+        if _capital_psi_word(res if sign > 0 else [-v for v in res], not odd) != w:
             kind = ("CD", "CDbar")[odd]
             p = SignedPermutation(_word_to_images(w))
             note((1 + odd, rank(DomainSpec(kind, N), p)), (kind + "-right", p))
-    return 2 * (key is not None) + (neg_key is not None)
+    # the + row, first when in the range, checks plus-right too
+    return len(rows) + (rows[0][1] > 0)
 
 
 def check_inverses(n) -> ClaimResult:
@@ -413,23 +417,21 @@ def check_moments(n_lo=5, n_hi=7) -> ClaimResult:
 
 
 def _gap_row(n, row, note):
-    """The statistic gaps at one +- pair of CB(n)."""
-    pos, key, neg_key, (_, res, neg) = row
+    """The statistic gaps at one +- pair of CB(n), from one statistics pass
+    on each side of the map."""
+    pos, rows, (_, res) = row
     img = _word_to_images(pos)
     des, maj, negs = _des_maj_neg(img)
-    # negating every entry complements the descent set at 0..n-1 and the
-    # set of negative entries
-    halves = ((key, 1, res, des, maj, negs),
-              (neg_key, -1, neg, n - des, n * (n - 1) // 2 - maj, n - negs))
-    for k, sign, out, des_i, maj_i, neg_i in halves:
-        if k is None:
-            continue
-        des_o, maj_o, neg_o = _des_maj_neg(out)
-        dd = des_i - des_o
-        df = 2 * (maj_i - maj_o) + neg_i - neg_o
-        if dd not in (0, 1) or not 0 <= df <= 2 * n + 1:
-            note((n, k), (SignedPermutation([sign * v for v in img]), dd, df))
-    return (key is not None) + (neg_key is not None)
+    des_o, maj_o, neg_o = _des_maj_neg(res)
+    dd, df = des - des_o, 2 * (maj - maj_o) + negs - neg_o
+    for k, sign in rows:
+        # negating a word and its image complements their descent sets and
+        # their sets of negative entries, so the - row's gaps are 1 - dd and
+        # 2n - 1 - df.  Its bounds are no repeat: they hold df in [-2, 2n - 1]
+        d, f = (dd, df) if sign > 0 else (1 - dd, 2 * n - 1 - df)
+        if d not in (0, 1) or not 0 <= f <= 2 * n + 1:
+            note((n, k), (SignedPermutation([sign * v for v in img]), d, f))
+    return len(rows)
 
 
 def check_stat_gaps(n_hi=7) -> ClaimResult:

@@ -53,3 +53,12 @@ def cyclic_words(max_N=8, min_N=1):
 @pytest.fixture(scope="session")
 def b3():
     return list(all_signed(3))
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """os.fork made to fail, so that a test of a refused process count
+    can start no process even if the refusal is missing."""
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr("os.fork", fork)

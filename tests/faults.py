@@ -30,8 +30,8 @@ MODULES = [importlib.import_module(f"cyclic_descents.{m.name}")
 
 def _negative_class_negated(word, real=transfer._capital_phi_word):
     # negates the images of the negative class only, at its one home; the
-    # +- pair rows negate the positive image themselves, so only the claims
-    # that map single words see it
+    # +- pair rows map only the positive word and read its negation off the
+    # image, so only the claims that map single words see it
     out = real(word)
     return [-v for v in out] if word[-1] < 0 else out
 
@@ -73,13 +73,6 @@ _REPEATED = {next(iterate_words(d, cardinality(d) - 1)): next(iterate_words(d))
 def _last_image_repeats_the_first(word, real=transfer._capital_phi_word):
     # one repeat per class, in the last part whatever the number of parts
     return real(_REPEATED.get(tuple(word), word))
-
-
-def _negated_image_damaged(word, real=transfer._capital_phi_pair):
-    # only the image of the negated word is wrong, so only the negative
-    # rows fail, whether their + partner lies in their part or not
-    raw, res, neg = real(word)
-    return raw, res, [-v for v in neg[:1]] + neg[1:]
 
 
 def _descent_mask_one_short(images, real=statistics._descent_mask):
@@ -128,8 +121,6 @@ FAULTS = {
                                  {"inverses", "phi-descents", "stat-gaps"}),
     "last image repeats the first": ("_capital_phi_word", _last_image_repeats_the_first,
                                      {"bijection-D", "bijection-Dbar", "inverses"}),
-    "negated image damaged": ("_capital_phi_pair", _negated_image_damaged,
-                              {"inverses", "phi-descents", "stat-gaps"}),
     "descent mask one short": ("_descent_mask", _descent_mask_one_short,
                                {"corollary-counts", "phi-descents"}),
     "colored_phi last colors kept": ("colored_phi", _phi_last_colors_kept, {"colored"}),

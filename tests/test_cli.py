@@ -162,6 +162,13 @@ def test_verify_shards_and_threads_only_the_descent_sweep(capsys):
         assert code == 2 and not out
 
 
+def test_verify_refuses_threads_past_the_ceiling(capsys, no_fork):
+    code, out, err = run(capsys, "verify", "--claim", "phi-descents", "--n", "7",
+                         "--threads", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: bad thread count 100000, not in 1..64\n"
+
+
 def test_tabulate_json_counts_are_strings(capsys):
     code, out, _ = run(capsys, "tabulate", "--domain", "CB", "--n", "4",
                        "--stat", "des", "--format", "json")

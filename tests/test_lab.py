@@ -214,6 +214,24 @@ def test_ks_lattice_floor_picks_the_widest_cell():
     assert ks_lattice_floor(10.5, sd) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("mu, sd", [(5.0, -1.0), (5.0, 0.0), (5.0, math.inf),
+                                    (5.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0),
+                                    (math.nan, 1.0)])
+def test_ks_lattice_floor_refuses_a_bad_scale(mu, sd):
+    # a negative sd gave a negative floor and a zero one divided by zero
+    with pytest.raises(ValueError, match="^no lattice floor for mean "):
+        ks_lattice_floor(mu, sd)
+
+
+def test_ks_against_normal_refuses_nan_and_takes_infinities():
+    for z in ([0.0, math.nan], [math.nan], np.array([math.nan, -math.inf, 1.0])):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_against_normal(z)
+    # +-inf are the tails: one sample at each is a distance of 1/2 at 0
+    assert ks_against_normal([-math.inf, math.inf]) == 0.5
+    assert ks_against_normal([math.inf]) == 1.0
+
+
 def test_normality_diagnostics_guards():
     with pytest.raises(ValueError):
         normality_diagnostics("CB", "des", 3, 2000, seed=0)

@@ -81,6 +81,12 @@ def test_degree_zero():
     assert e.inverse() == e
 
 
+def test_identity_refuses_a_negative_degree():
+    # it used to return the degree-0 permutation
+    with pytest.raises(ValueError, match="^negative degree -1$"):
+        SignedPermutation.identity(-1)
+
+
 @settings(deadline=None, max_examples=150)
 @given(signed_perms(max_n=7))
 def test_inverse_roundtrip(s):

@@ -7,6 +7,7 @@ import json
 import operator
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,17 @@ def test_bad_arguments_are_usage_errors(tmp_path, bad_inputs, script, args):
     assert res.returncode == 2
     assert "usage:" in res.stderr and "Traceback" not in res.stderr
     assert res.stdout == "" and not any(tmp_path.iterdir())
+
+
+def test_verify_all_refuses_threads_past_the_ceiling(monkeypatch, capsys, no_fork):
+    # in-process: a large --threads never reaches a subprocess
+    main = runpy.run_path(str(SCRIPTS / "verify_all.py"))["main"]
+    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--quick", "--threads", "65"])
+    with pytest.raises(SystemExit) as e:
+        main()
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--threads must lie in 1..64, not 65" in out.err
 
 
 def test_bench_imports_resolve():

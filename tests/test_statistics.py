@@ -45,6 +45,14 @@ def test_descent_set_container():
         DescentSet(3, [-1])
 
 
+def test_descent_set_refuses_a_negative_degree():
+    # a mask or members alike; it used to fail on a negative shift count
+    for members in ((), 0):
+        with pytest.raises(ValueError, match="^negative degree -1$"):
+            DescentSet(-1, members)
+    assert DescentSet(0).members == frozenset()
+
+
 def test_truncated_descent_set():
     s = SignedPermutation([2, 5, -6, -1, -3, 7, -4])
     full = descent_set(s)

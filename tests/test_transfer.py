@@ -14,8 +14,8 @@ from cyclic_descents.domains import DomainSpec, iterate, make_rng, sample, unran
 from cyclic_descents.permutations import SignedPermutation
 from cyclic_descents.statistics import descent_set, truncated_descent_set
 from cyclic_descents.transfer import (
-    TransferTrace, _capital_phi_pair, _capital_phi_word, _chunk_tables,
-    _phi_fixup, _phi_plus_word, _psi_plus_word, _setup, capital_phi,
+    TransferTrace, _capital_phi_word, _chunk_tables, _phi_fixup,
+    _phi_plus_word, _psi_plus_word, _raw_and_capital_phi, _setup, capital_phi,
     capital_psi_D, capital_psi_Dbar, p_flag, phi_plus, preimage_quadruple,
     psi_plus, stress_word,
 )
@@ -170,14 +170,14 @@ def test_preimage_quadruple_needs_degree_one():
 
 
 def test_capital_phi_pair_matches_single_words():
-    # one raw rewriting and one fix-up serve a positive word and its negation
+    # one raw rewriting and one fix-up serve a positive word, and the
+    # negated image its negation
     for N in range(1, 8):
         for w in all_cyclic_words(N):
             if w[-1] > 0:
-                neg = tuple(-v for v in w)
-                assert _capital_phi_pair(w) == (_phi_plus_word(w),
-                                                _capital_phi_word(w),
-                                                _capital_phi_word(neg))
+                res = _capital_phi_word(w)
+                assert _raw_and_capital_phi(w) == (_phi_plus_word(w), res)
+                assert _capital_phi_word(tuple(-v for v in w)) == [-v for v in res]
 
 
 def _two_branch_phi(word):

@@ -14,13 +14,17 @@ import pytest
 
 from cyclic_descents import domains, lab, transfer, verify
 from cyclic_descents.catalog import CLAIM_ROWS
+from cyclic_descents.cycles import _images_to_word, _word_to_images
 from cyclic_descents.domains import DomainSpec, cardinality, iterate, iterate_words
+from cyclic_descents.statistics import _des_maj_neg, _descent_mask
+from cyclic_descents.transfer import stress_word
 from cyclic_descents.verify import (CLAIMS, MAX_REPORTED, check_bijection,
                                     check_colored, check_corollary_counts,
                                     check_elizalde_equivalence,
                                     check_inverses, check_moments,
                                     check_order_swap_properties,
                                     check_phi_descents, check_stat_gaps)
+from conftest import all_cyclic_words
 from faults import FAULTS, SEED, patches
 
 
@@ -49,6 +53,16 @@ def test_phi_descents_shards_partition():
     for threads in (0, -1):
         with pytest.raises(ValueError):
             check_phi_descents(4, threads=threads)
+
+
+def test_thread_counts_past_the_ceiling_fork_nothing(no_fork):
+    # refused before any row is walked or any child is forked
+    for threads in (domains.MAX_THREADS + 1, 100000):
+        with pytest.raises(ValueError, match=rf"^bad thread count {threads}, not in 1\.\.64$"):
+            check_phi_descents(7, threads=threads)
+    # the ceiling itself is taken, on a one-row shard that needs no fork
+    r = check_phi_descents(2, shard=(0, 16), threads=domains.MAX_THREADS)
+    assert r.passed and (r.checked, r.params["threads"]) == (1, 1)
 
 
 def test_phi_descents_threads_agree():
@@ -207,15 +221,35 @@ def test_pair_rows_key_each_rank_of_the_range_once(N):
     for lo in edges:
         for hi in (e for e in edges if e > lo):
             keys = []
-            for pos, key, neg_key, phi in verify._pair_rows(N, lo, hi):
-                # no pair outside the range is rewritten
-                assert (key, neg_key) != (None, None)
-                assert phi == transfer._capital_phi_pair(pos)
-                for k, w in ((key, pos), (neg_key, tuple(-v for v in pos))):
-                    if k is not None:
-                        assert w == next(iterate_words(d, k, k + 1))
-                        keys.append(k)
+            for pos, rows, phi in verify._pair_rows(N, lo, hi):
+                # no pair outside the range is rewritten; its + row is first
+                assert [sign for _, sign in rows] in ([1], [-1], [1, -1])
+                assert phi == transfer._raw_and_capital_phi(pos)
+                for k, sign in rows:
+                    assert tuple(sign * v for v in pos) == next(iterate_words(d, k, k + 1))
+                    keys.append(k)
             assert sorted(keys) == list(range(lo, hi))
+
+
+def test_negative_row_is_read_off_the_positive_image():
+    # the negative row's figures as the pair rows derive them, against a
+    # reference that builds the negated image and recounts it
+    words = [w for N in range(1, 8) for w in all_cyclic_words(N) if w[-1] > 0]
+    for w in words + [stress_word(101, 1), stress_word(101, -1)]:
+        N = len(w)
+        cap = (1 << (N - 1)) - 1
+        img = _word_to_images(w)
+        _, res = transfer._raw_and_capital_phi(w)
+        neg_img, neg = [-v for v in img], [-v for v in res]
+        # the input masks and the image masks are complements at 0..N-2
+        assert _descent_mask(neg_img) & cap == _descent_mask(img) & cap ^ cap
+        assert _descent_mask(neg) == _descent_mask(res) ^ cap
+        des, maj, negs = _des_maj_neg(img)
+        des_o, maj_o, neg_o = _des_maj_neg(res)
+        dd, df = des - des_o, 2 * (maj - maj_o) + negs - neg_o
+        des, maj, negs = _des_maj_neg(neg_img)
+        des_o, maj_o, neg_o = _des_maj_neg(neg)
+        assert (1 - dd, 2 * N - 1 - df) == (des - des_o, 2 * (maj - maj_o) + negs - neg_o)
 
 
 @pytest.mark.parametrize("t", [3, 7])
@@ -241,18 +275,26 @@ def _inject(monkeypatch, label):
 
 
 def test_negative_class_faults_are_caught(monkeypatch):
-    _inject(monkeypatch, "negated image damaged")
+    # a fix-up fault reaches the negative rows through the positive image
+    # alone, whether their + partner lies in their shard or not
+    _inject(monkeypatch, "fixup first sign dropped")
+    monkeypatch.setattr(verify, "MAX_REPORTED", 10 ** 6)
     r = check_phi_descents(4)
-    assert not r.passed and r.failures
-    assert all(w[-1] == -5 for w in r.failures)
+    assert not r.passed and len(r.failures) == 288
     two = check_phi_descents(4, threads=2)
     assert (two.failures, two.details) == (r.failures, r.details)
-    for i in range(7):
-        r = check_phi_descents(4, shard=(i, 7))
-        assert not r.passed and all(w[-1] == -5 for w in r.failures)
+    shards = [check_phi_descents(4, shard=(i, 7)).failures for i in range(7)]
+    assert sum(shards, []) == r.failures
+    assert all(any(w[-1] == -5 for w in failures) for failures in shards)
     g = check_stat_gaps(4)
-    assert not g.passed and g.failures
-    assert all(-p.n in p.images for p, _, _ in g.failures)
+    assert not g.passed
+    assert {-p.n in p.images for p, _, _ in g.failures} == {False, True}
+    # each row reports its own gaps, recounted here on both sides
+    for p, dd, df in g.failures:
+        des, maj, negs = _des_maj_neg(p.images)
+        out = transfer._capital_phi_word(_images_to_word(p.images))
+        des_o, maj_o, neg_o = _des_maj_neg(out)
+        assert (dd, df) == (des - des_o, 2 * (maj - maj_o) + negs - neg_o)
 
 
 def test_colored_reports_alike_on_one_and_two_processes(monkeypatch):
@@ -406,11 +448,9 @@ TABLES = [partial(check_corollary_counts, 4), partial(check_moments, 5, 5)]
 @pytest.mark.parametrize("label", [None, "negative class negated", "fixup first sign dropped",
                                    "psi_plus first two swapped",
                                    "last image repeats the first",
-                                   "negated image damaged", "descent trigger inverted",
-                                   "phi_plus traced output"],
+                                   "descent trigger inverted", "phi_plus traced output"],
                          ids=["none", "negative-class", "many-to-one", "inverses",
-                              "repeat-across-parts", "negated-image",
-                              "cross-check", "order-swap"])
+                              "repeat-across-parts", "cross-check", "order-swap"])
 def test_claims_agree_on_any_number_of_workers(monkeypatch, label):
     # the parts' edges fall inside magnitude blocks and +- pairs (in the
     # shard, in the right inverse laws at degree 2 and 3 workers, and in
@@ -434,10 +474,14 @@ def test_claims_agree_on_any_number_of_workers(monkeypatch, label):
     if label == "psi_plus first two swapped":
         tags = {tag for tag, _ in reports[1][4][3]}
         assert {"D-left", "plus-right", "CDbar-right"} <= tags
-    if label == "negated image damaged":
-        # the shard's lone negative rows fail as its paired ones do
-        passed, _, _, failures = reports[1][1]
-        assert not passed and all(w[-1] < 0 for w in failures)
+    if label == "fixup first sign dropped":
+        # the shard (1, 7) of CB(5) reports the whole run's failures in its
+        # ranks, its lone negative rows (partner k ^ 31 outside) among them
+        (_, _, _, whole), (passed, _, _, failures) = reports[1][:2]
+        lo, hi = 768 // 7, 2 * 768 // 7
+        inside = list(enumerate(iterate_words(DomainSpec("CB", 5), lo, hi), lo))
+        assert not passed and failures == [w for _, w in inside if w in whole]
+        assert any(w[-1] < 0 and not lo <= k ^ 31 < hi for k, w in inside if w in failures)
     if label == "descent trigger inverted":
         assert not reports[1][7][0]
     if label == "phi_plus traced output":
